@@ -4,6 +4,12 @@ Inputs name catalog entries (``P1``, ``euler``, ``tetrahedron``), files, or
 inline text in the package formats; outputs stream to stdout unless
 ``--output`` is given.  Identical invocations print identical bytes: all
 timing goes to stderr.
+
+Every subcommand is a row of ``COMMANDS``: a handler returning
+``(text, payload)``, printed as the text or, with ``--format machine``, as
+the JSON payload.  Lines a handler queues for stderr follow the result.
+Exit status: 0 success, 1 a ``verify-paper`` check failed, 2 bad input or
+a failed precondition, 3 an internal self-check failed.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import time
 
 from . import catalog as _catalog
 from .cohomsolve import trivialize
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .gracomplex import (GraphSum, bracket, differential, parse_graphsum,
                          render_graphsum)
 from .multivec import (Multivector, homogeneity_scale, jacobiator,
@@ -59,7 +65,23 @@ def load_graphsum(value: str) -> GraphSum:
     return parse_graphsum(_resolve_text(value))
 
 
-def _emit(args, text: str):
+def _machine(args) -> bool:
+    return args.format == "machine"
+
+
+def _note(args, message: str):
+    """A remark for stderr, in text format only."""
+    if not _machine(args):
+        args.stderr_lines.append("note: " + message)
+
+
+def _emit(args, text: str, payload):
+    """Print the payload as JSON in machine format, otherwise the text.
+
+    A payload of None means the command has no machine form.
+    """
+    if _machine(args) and payload is not None:
+        text = json.dumps(payload)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             f.write(text + "\n")
@@ -67,30 +89,17 @@ def _emit(args, text: str):
         print(text)
 
 
-def _machine(args) -> bool:
-    return args.format == "machine"
-
-
 def cmd_schouten(args):
     left = load_multivector(args.left, args.nvars)
     right = load_multivector(args.right, args.nvars)
-    out = schouten(left, right)
-    if _machine(args):
-        _emit(args, json.dumps({"result": render_multivector(out)}))
-    else:
-        _emit(args, render_multivector(out))
-    return 0
+    text = render_multivector(schouten(left, right))
+    return text, {"result": text}
 
 
 def cmd_jacobi(args):
-    p = load_multivector(args.poisson, args.nvars)
-    jac = jacobiator(p)
-    if _machine(args):
-        _emit(args, json.dumps({"jacobiator": render_multivector(jac),
-                                "poisson": jac.is_zero()}))
-    else:
-        _emit(args, render_multivector(jac))
-    return 0
+    jac = jacobiator(load_multivector(args.poisson, args.nvars))
+    text = render_multivector(jac)
+    return text, {"jacobiator": text, "poisson": jac.is_zero()}
 
 
 def cmd_scale(args):
@@ -98,85 +107,57 @@ def cmd_scale(args):
     p = load_multivector(args.poisson, args.nvars)
     lam = homogeneity_scale(v, p)
     text = "none" if lam is None else str(lam)
-    if _machine(args):
-        _emit(args, json.dumps({"scale": text}))
-    else:
-        _emit(args, text)
-    return 0
+    return text, {"scale": text}
 
 
 def cmd_flow(args):
     gamma = load_graphsum(args.graph)
     p = load_multivector(args.poisson, args.nvars)
-    out = flow(gamma, p)
-    if _machine(args):
-        _emit(args, json.dumps({"flow": render_multivector(out)}))
-    else:
-        _emit(args, render_multivector(out))
-    return 0
+    text = render_multivector(flow(gamma, p))
+    return text, {"flow": text}
 
 
 def cmd_cocycle1(args):
     gamma = load_graphsum(args.graph)
     v = load_multivector(args.field, args.nvars)
     p = load_multivector(args.poisson, args.nvars)
-    out = cocycle1(gamma, v, p)
-    if _machine(args):
-        _emit(args, json.dumps({"cocycle1": render_multivector(out)}))
-    else:
-        _emit(args, render_multivector(out))
-    return 0
+    text = render_multivector(cocycle1(gamma, v, p))
+    return text, {"cocycle1": text}
 
 
 def cmd_trivialize(args):
     q = load_multivector(args.target, args.nvars)
     p = load_multivector(args.poisson, args.nvars)
     sol = trivialize(q, p, args.degree)
-    if _machine(args):
-        payload = {"status": sol.status, "kernel_dim": sol.kernel_dim}
-        if sol.status == "solved":
-            payload["particular"] = render_multivector(sol.particular)
-        else:
-            payload["witness"] = str(sol.witness)
-        _emit(args, json.dumps(payload))
-        return 0
+    payload = {"status": sol.status, "kernel_dim": sol.kernel_dim}
     if sol.status == "solved":
+        payload["particular"] = render_multivector(sol.particular)
         lines = ["status: solved",
-                 "particular: %s" % render_multivector(sol.particular),
+                 "particular: %s" % payload["particular"],
                  "kernel dimension: %d" % sol.kernel_dim]
         lines += ["kernel[%d]: %s" % (k, render_multivector(b))
                   for k, b in enumerate(sol.kernel_basis)]
     else:
+        payload["witness"] = str(sol.witness)
         lines = ["status: infeasible",
                  "inconsistent equation at row %s" % (sol.witness,)]
-    _emit(args, "\n".join(lines))
-    return 0
+    return "\n".join(lines), payload
 
 
 def cmd_graph_d(args):
-    gamma = load_graphsum(args.graph)
-    d = differential(gamma)
-    if _machine(args):
-        _emit(args, json.dumps({"differential": render_graphsum(d),
-                                "cocycle": d.is_zero()}))
-    else:
-        _emit(args, render_graphsum(d))
-        if not d.is_zero():
-            print("note: not a cocycle under this package's edge-order "
-                  "convention; external conventions may differ",
-                  file=sys.stderr)
-    return 0
+    d = differential(load_graphsum(args.graph))
+    if not d.is_zero():
+        _note(args, "not a cocycle under this package's edge-order "
+                    "convention; external conventions may differ")
+    text = render_graphsum(d)
+    return text, {"differential": text, "cocycle": d.is_zero()}
 
 
 def cmd_graph_bracket(args):
     left = load_graphsum(args.left)
     right = load_graphsum(args.right)
-    out = bracket(left, right)
-    if _machine(args):
-        _emit(args, json.dumps({"bracket": render_graphsum(out)}))
-    else:
-        _emit(args, render_graphsum(out))
-    return 0
+    text = render_graphsum(bracket(left, right))
+    return text, {"bracket": text}
 
 
 def cmd_nambu(args):
@@ -188,42 +169,31 @@ def cmd_nambu(args):
     if rho is None:
         try:
             wa, exists = homogenizing_field_exists(a, weights)
-        except Exception:
-            wa, exists = None, None
+        except PreconditionError:
+            exists = None
         if exists is False:
             note = ("no polynomial homogenizing field exists "
                     "(weight degree %s equals the weight sum %d)"
                     % (wa, sum(weights)))
-    if _machine(args):
-        _emit(args, json.dumps({"bivector": render_multivector(p),
-                                "note": note}))
-    else:
-        _emit(args, render_multivector(p))
-        if note:
-            print("note: " + note, file=sys.stderr)
-    return 0
+            _note(args, note)
+    text = render_multivector(p)
+    return text, {"bivector": text, "note": note}
 
 
 def cmd_catalog(args):
-    if args.name:
-        entry = _catalog.get(args.name)
-        payload = entry.payload
-        text = (render_multivector(payload) if isinstance(payload, Multivector)
-                else render_graphsum(payload))
-        if _machine(args):
-            _emit(args, json.dumps({"name": entry.name,
-                                    "dimension": entry.dimension,
-                                    "note": entry.note,
-                                    "payload": text}))
-        else:
-            _emit(args, text)
-        return 0
-    lines = []
-    for name in _catalog.names():
-        entry = _catalog.get(name)
-        lines.append("%-14s r=%d  %s" % (entry.name, entry.dimension, entry.note))
-    _emit(args, "\n".join(lines))
-    return 0
+    if not args.name:
+        lines = []
+        for name in _catalog.names():
+            entry = _catalog.get(name)
+            lines.append("%-14s r=%d  %s" % (entry.name, entry.dimension,
+                                             entry.note))
+        return "\n".join(lines), None
+    entry = _catalog.get(args.name)
+    payload = entry.payload
+    text = (render_multivector(payload) if isinstance(payload, Multivector)
+            else render_graphsum(payload))
+    return text, {"name": entry.name, "dimension": entry.dimension,
+                  "note": entry.note, "payload": text}
 
 
 def cmd_verify_paper(args):
@@ -233,19 +203,54 @@ def cmd_verify_paper(args):
     if report.outputs:
         text += "\n" + "\n".join("%s = %s" % (k, v)
                                  for k, v in sorted(report.outputs.items()))
-    if _machine(args):
-        payload = {"status": "pass" if report.passed else "fail",
-                   "checks": {c.ident: c.passed for c in report.checks}}
-        payload.update(report.outputs)
-        _emit(args, json.dumps(payload))
-    else:
-        _emit(args, text)
-    for c in report.checks:
-        if c.seconds >= 0.05:
-            print("timing: %-18s %.2fs" % (c.ident, c.seconds), file=sys.stderr)
-    print("verify-paper wall time: %.1fs" % (time.perf_counter() - t0),
-          file=sys.stderr)
-    return 0 if report.passed else 1
+    payload = {"status": "pass" if report.passed else "fail",
+               "checks": {c.ident: c.passed for c in report.checks}}
+    payload.update(report.outputs)
+    args.stderr_lines += ["timing: %-18s %.2fs" % (c.ident, c.seconds)
+                          for c in report.checks if c.seconds >= 0.05]
+    args.stderr_lines.append("verify-paper wall time: %.1fs"
+                             % (time.perf_counter() - t0))
+    args.exit_code = 0 if report.passed else 1
+    return text, payload
+
+
+_REQUIRED = {"required": True}
+
+# name, help, handler, own arguments as (flag, add_argument keywords)
+COMMANDS = (
+    ("schouten", "bracket of two multivectors", cmd_schouten,
+     (("--left", _REQUIRED), ("--right", _REQUIRED))),
+    ("jacobi", "jacobiator of a bivector", cmd_jacobi,
+     (("--poisson", _REQUIRED),)),
+    ("scale", "homogeneity scale of P along a field", cmd_scale,
+     (("--field", _REQUIRED), ("--poisson", _REQUIRED))),
+    ("flow", "evaluate a graph sum at copies of P", cmd_flow,
+     (("--graph", _REQUIRED), ("--poisson", _REQUIRED))),
+    ("cocycle1", "1-vector evaluation with V placed in every slot", cmd_cocycle1,
+     (("--graph", _REQUIRED), ("--field", _REQUIRED), ("--poisson", _REQUIRED))),
+    ("trivialize", "solve Q = [[Y,P]] exactly", cmd_trivialize,
+     (("--target", _REQUIRED), ("--poisson", _REQUIRED),
+      ("--degree", {"type": int}))),
+    ("graph-d", "graph differential", cmd_graph_d,
+     (("--graph", _REQUIRED),)),
+    ("graph-bracket", "insertion bracket of graph sums", cmd_graph_bracket,
+     (("--left", _REQUIRED), ("--right", _REQUIRED))),
+    ("nambu", "determinant bracket from a Casimir", cmd_nambu,
+     (("--casimir", _REQUIRED), ("--density", {}),
+      ("--weights", {"default": "1,1,1"}))),
+    ("catalog", "list or print built-in objects", cmd_catalog,
+     (("name", {"nargs": "?"}),)),
+    ("verify-paper", "run the full acceptance suite", cmd_verify_paper,
+     (("--fast", {"action": "store_true",
+                  "help": "skip the flow and solver checks"}),)),
+)
+
+# accepted by every subcommand, after its own arguments
+COMMON = (
+    ("--output", {"help": "write the result to a file"}),
+    ("--format", {"choices": ("text", "machine"), "default": "text"}),
+    ("--nvars", {"type": int, "help": "dimension for parsed multivectors"}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,93 +258,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poissonflow",
         description="exact graph-complex flows on polynomial Poisson bivectors")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--output", help="write the result to a file")
-        p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--nvars", type=int, default=None,
-                       help="dimension for parsed multivectors")
-
-    p = sub.add_parser("schouten", help="bracket of two multivectors")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_schouten)
-
-    p = sub.add_parser("jacobi", help="jacobiator of a bivector")
-    p.add_argument("--poisson", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_jacobi)
-
-    p = sub.add_parser("scale", help="homogeneity scale of P along a field")
-    p.add_argument("--field", required=True)
-    p.add_argument("--poisson", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_scale)
-
-    p = sub.add_parser("flow", help="evaluate a graph sum at copies of P")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--poisson", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_flow)
-
-    p = sub.add_parser("cocycle1",
-                       help="1-vector evaluation with V placed in every slot")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--poisson", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_cocycle1)
-
-    p = sub.add_parser("trivialize", help="solve Q = [[Y,P]] exactly")
-    p.add_argument("--target", required=True)
-    p.add_argument("--poisson", required=True)
-    p.add_argument("--degree", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_trivialize)
-
-    p = sub.add_parser("graph-d", help="graph differential")
-    p.add_argument("--graph", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_graph_d)
-
-    p = sub.add_parser("graph-bracket", help="insertion bracket of graph sums")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_graph_bracket)
-
-    p = sub.add_parser("nambu", help="determinant bracket from a Casimir")
-    p.add_argument("--casimir", required=True)
-    p.add_argument("--density", default=None)
-    p.add_argument("--weights", default="1,1,1")
-    common(p)
-    p.set_defaults(fn=cmd_nambu)
-
-    p = sub.add_parser("catalog", help="list or print built-in objects")
-    p.add_argument("name", nargs="?")
-    common(p)
-    p.set_defaults(fn=cmd_catalog)
-
-    p = sub.add_parser("verify-paper", help="run the full acceptance suite")
-    p.add_argument("--fast", action="store_true",
-                   help="skip the flow and solver checks")
-    common(p)
-    p.set_defaults(fn=cmd_verify_paper)
-
+    for name, help_text, fn, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments + COMMON:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.stderr_lines, args.exit_code = [], 0
     try:
-        return args.fn(args)
+        text, payload = args.fn(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
+    _emit(args, text, payload)
+    for line in args.stderr_lines:
+        print(line, file=sys.stderr)
+    return args.exit_code
 
 
 if __name__ == "__main__":

@@ -57,13 +57,16 @@ def _integerize(row, b):
     return [int(x * m) for x in row], int(b * m)
 
 
-def solve_raw(matrix, rhs, row_labels=None) -> RawSolution:
+def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     """Solve A x = b exactly over the rationals.
 
-    Forward pass is fraction-free (Bareiss) on integer rows, so intermediate
-    entries are minors of the scaled system; back-substitution is rational.
+    ``ncols`` is the number of unknowns; it defaults to the width of the
+    first row and must be given when the system has no rows.  Forward pass
+    is fraction-free (Bareiss) on integer rows, so intermediate entries are
+    minors of the scaled system; back-substitution is rational.
     """
-    ncols = len(matrix[0]) if matrix else 0
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
     if row_labels is None:
         row_labels = list(range(len(matrix)))
     rows = []
@@ -129,29 +132,32 @@ def solve_raw(matrix, rhs, row_labels=None) -> RawSolution:
     return RawSolution(status="solved", particular=particular, kernel=kernel)
 
 
-def multivector_columns_system(columns, target: Multivector):
-    """Rows of 'sum_k x_k * columns[k] = target' over the joint support.
+def multivector_columns_system(columns, target: Multivector, row_labels=None):
+    """Rows of 'sum_k x_k * columns[k] = target', one per coefficient.
 
-    Returns (matrix, rhs, row_labels); rows are (xi-index tuple, exponent
-    tuple) pairs that occur in any column or in the target.
+    Rows are labelled by (xi-index tuple, exponent tuple) pairs: by
+    ``row_labels`` when given, which must cover every term of the columns
+    and the target, else by the sorted joint support.  Returns
+    (matrix, rhs, row_labels, ncols), the arguments of ``solve_raw``.
     """
-    support = set()
-    for mv in list(columns) + [target]:
-        for idx, poly in mv.components.items():
-            for exps in poly.terms:
-                support.add((idx, exps))
-    labels = sorted(support)
-    index = {lab: k for k, lab in enumerate(labels)}
-    matrix = [[0] * len(columns) for _ in labels]
+    if row_labels is None:
+        support = set()
+        for mv in list(columns) + [target]:
+            for idx, poly in mv.components.items():
+                for exps in poly.terms:
+                    support.add((idx, exps))
+        row_labels = sorted(support)
+    index = {lab: k for k, lab in enumerate(row_labels)}
+    matrix = [[0] * len(columns) for _ in row_labels]
     for c, mv in enumerate(columns):
         for idx, poly in mv.components.items():
             for exps, coeff in poly.terms.items():
                 matrix[index[(idx, exps)]][c] = coeff
-    rhs = [0] * len(labels)
+    rhs = [0] * len(row_labels)
     for idx, poly in target.components.items():
         for exps, coeff in poly.terms.items():
             rhs[index[(idx, exps)]] = coeff
-    return matrix, rhs, labels
+    return matrix, rhs, row_labels, len(columns)
 
 
 # -- the coboundary ansatz ------------------------------------------------
@@ -189,20 +195,6 @@ class AnsatzSpec:
             comps.setdefault((i,), {})[exps] = c
         return Multivector(self.nvars, {
             idx: Poly(self.nvars, terms) for idx, terms in comps.items()})
-
-    def coefficients_of(self, y: Multivector):
-        """Coefficient vector of a 1-vector in this basis; None if outside."""
-        if not (y.is_grade(1) or y.is_zero()):
-            return None
-        index = {lab: k for k, lab in enumerate(self.basis())}
-        vec = [0] * len(index)
-        for idx, poly in y.components.items():
-            for exps, c in poly.terms.items():
-                key = (idx[0], exps)
-                if key not in index:
-                    return None
-                vec[index[key]] = c
-        return vec
 
 
 @dataclass
@@ -242,12 +234,8 @@ class Solution:
         """Membership of y in particular + span(kernel_basis), decided exactly."""
         if self.status != "solved":
             return False
-        dvec = self.spec.coefficients_of(y - self.particular)
-        if dvec is None:
-            return False
-        vecs = [self.spec.coefficients_of(k) for k in self.kernel_basis]
-        matrix = [[v[k] for v in vecs] for k in range(len(dvec))]
-        return solve_raw(matrix, dvec).status == "solved"
+        system = multivector_columns_system(self.kernel_basis, y - self.particular)
+        return solve_raw(*system).status == "solved"
 
 
 def _homdeg(p: Multivector, what: str) -> int:
@@ -272,8 +260,9 @@ def default_degree(q: Multivector, p: Multivector) -> int:
 def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
     """Linear system whose solutions Y satisfy [[Y,P]] = Q.
 
-    Rows run over the full (component, monomial) grid at the bracket's
-    output degree; columns over the ansatz unknowns.
+    Column k holds the coefficients of [[e_k,P]] for the k-th ansatz unknown
+    e_k; rows run over the full (component, monomial) grid at the bracket's
+    output degree.
     """
     if q.nvars != p.nvars or q.nvars != spec.nvars:
         raise DimensionError("dimension mismatch between Q, P and the ansatz")
@@ -292,26 +281,17 @@ def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
     r = spec.nvars
     comps = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
     monos = monomials(r, out_deg)
-    row_labels = [(c, m) for c in comps for m in monos]
-    row_index = {lab: k for k, lab in enumerate(row_labels)}
-
-    matrix = [[0] * spec.unknown_count for _ in row_labels]
-    for cidx, (i, exps) in enumerate(spec.basis()):
-        e = Multivector._raw(r, {(i,): Poly._raw(r, {exps: 1})})
-        b = schouten(e, p)
-        for idx, poly in b.components.items():
-            for mexps, c in poly.terms.items():
-                matrix[row_index[(idx, mexps)]][cidx] = c
-    rhs = [0] * len(row_labels)
-    for idx, poly in q.components.items():
-        for mexps, c in poly.terms.items():
-            rhs[row_index[(idx, mexps)]] = c
-    return AnsatzSystem(matrix, rhs, row_labels, spec.basis(), spec)
+    grid = [(c, m) for c in comps for m in monos]
+    basis = spec.basis()
+    columns = [schouten(Multivector._raw(r, {(i,): Poly._raw(r, {exps: 1})}), p)
+               for (i, exps) in basis]
+    matrix, rhs, row_labels, _ = multivector_columns_system(columns, q, grid)
+    return AnsatzSystem(matrix, rhs, row_labels, basis, spec)
 
 
 def solve(sys: AnsatzSystem) -> Solution:
     """Solve an assembled system; see solve_raw for the elimination scheme."""
-    raw = solve_raw(sys.matrix, sys.rhs, sys.row_labels)
+    raw = solve_raw(sys.matrix, sys.rhs, sys.row_labels, sys.n_cols)
     if raw.status == "infeasible":
         return Solution(status="infeasible", spec=sys.spec, witness=raw.witness)
     spec = sys.spec

@@ -22,7 +22,7 @@ import re
 from itertools import product
 
 from .errors import MalformedGraphError, ParseError
-from .ratpoly import ratnorm, rat_to_text, parse_rational
+from .ratpoly import parse_rational, ratnorm
 
 
 class Graph:
@@ -255,6 +255,11 @@ class GraphSum:
         return "GraphSum(%s)" % render_graphsum(self).replace("\n", " ")
 
 
+def as_graphsum(x) -> GraphSum:
+    """A Graph as the one-term sum 1*graph; a GraphSum unchanged."""
+    return GraphSum.single(x) if isinstance(x, Graph) else x
+
+
 def point() -> Graph:
     return Graph(1, ())
 
@@ -302,34 +307,34 @@ def insert_terms(g1: Graph, g2: Graph):
 
 def insert(g1, g2) -> GraphSum:
     """Insertion sum; accepts Graphs or GraphSums, extended bilinearly."""
-    if isinstance(g1, Graph):
-        g1 = GraphSum.single(g1)
-    if isinstance(g2, Graph):
-        g2 = GraphSum.single(g2)
     out = GraphSum.zero()
-    for a, ca in g1.terms.items():
-        for b, cb in g2.terms.items():
+    for a, ca in as_graphsum(g1).terms.items():
+        for b, cb in as_graphsum(g2).terms.items():
             c = ca * cb
             for term in insert_terms(a, b):
                 out.add_term(term, c)
     return out
 
 
+def _parity_parts(s: GraphSum):
+    """The terms of s split by edge-count parity: {parity: GraphSum}."""
+    parts = {}
+    for g, c in s.terms.items():
+        parts.setdefault(g.n_edges % 2, {})[g] = c
+    return {parity: GraphSum._raw(terms) for parity, terms in parts.items()}
+
+
 def bracket(s1, s2) -> GraphSum:
-    """Graded bracket [s1,s2] with degree = edge count."""
-    if isinstance(s1, Graph):
-        s1 = GraphSum.single(s1)
-    if isinstance(s2, Graph):
-        s2 = GraphSum.single(s2)
-    out = GraphSum.zero()
-    for a, ca in s1.terms.items():
-        for b, cb in s2.terms.items():
-            c = ca * cb
-            for term in insert_terms(a, b):
-                out.add_term(term, c)
-            sign = -1 if (a.n_edges * b.n_edges) % 2 == 0 else 1
-            for term in insert_terms(b, a):
-                out.add_term(term, sign * c)
+    """Graded bracket [s1,s2] with degree = edge count.
+
+    insert(s1, s2) - (-1)^(p1*p2) insert(s2, s1), summed over the parts of
+    s1 and s2 of edge-count parities p1 and p2.
+    """
+    s1, s2 = as_graphsum(s1), as_graphsum(s2)
+    out = insert(s1, s2)
+    for p1, a in _parity_parts(s1).items():
+        for p2, b in _parity_parts(s2).items():
+            out = out + insert(b, a).scale(1 if p1 and p2 else -1)
     return out
 
 
@@ -338,9 +343,7 @@ def differential(s) -> GraphSum:
 
     Realized as -[stick, .]; takes bi-grading (n, E) to (n+1, E+1).
     """
-    if isinstance(s, Graph):
-        s = GraphSum.single(s)
-    return -bracket(GraphSum.single(stick()), s)
+    return -bracket(stick(), s)
 
 
 def is_cocycle(s) -> bool:
@@ -352,7 +355,7 @@ def is_cocycle(s) -> bool:
 
 def render_graph(g: Graph, c) -> str:
     edges = "".join("(%d,%d)" % e for e in g.edges)
-    return "graph{n=%d; edges=%s; c=%s}" % (g.n, edges, rat_to_text(c))
+    return "graph{n=%d; edges=%s; c=%s}" % (g.n, edges, c)
 
 
 def render_graphsum(s: GraphSum) -> str:

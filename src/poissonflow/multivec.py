@@ -26,6 +26,7 @@ skew symmetry and Jacobi identities (property-tested, not assumed).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DimensionError, ParseError, PreconditionError
@@ -353,6 +354,9 @@ def render_multivector(mv: Multivector) -> str:
     return " + ".join(chunks)
 
 
+_TERM_RE = re.compile(r"\s*([+-]?)\s*\(([^()]*)\)((?:\s*xi\d+)*)\s*")
+
+
 def parse_multivector(text: str, nvars=None) -> Multivector:
     """Inverse of render_multivector.
 
@@ -366,15 +370,11 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
     if stripped == "0":
         return Multivector.zero(nvars or 0)
 
-    import re as _re
-
     pieces = []  # (poly text, [xi indices]) chunks
     pos = 0
-    pattern = _re.compile(
-        r"\s*([+-]?)\s*\(([^()]*)\)((?:\s*xi\d+)*)\s*")
     first = True
     while pos < len(stripped):
-        m = pattern.match(stripped, pos)
+        m = _TERM_RE.match(stripped, pos)
         if m is None:
             # allow a bare polynomial as the scalar part
             if first:
@@ -384,7 +384,7 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
         sign, poly_text, xis = m.group(1), m.group(2), m.group(3)
         if not first and sign == "":
             raise ParseError("missing '+' or '-' between terms", m.start())
-        idx = tuple(int(s) for s in _re.findall(r"xi(\d+)", xis))
+        idx = tuple(int(s) for s in re.findall(r"xi(\d+)", xis))
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ParseError("xi indices must be strictly increasing", m.start(3))
         pieces.append((sign, poly_text, idx))
@@ -395,7 +395,7 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
     for _, poly_text, idx in pieces:
         if idx:
             maxvar = max(maxvar, max(idx))
-        for v in _re.findall(r"x(\d+)(?![\d])", poly_text):
+        for v in re.findall(r"x(\d+)(?![\d])", poly_text):
             maxvar = max(maxvar, int(v))
     if nvars is None:
         nvars = maxvar

@@ -102,8 +102,7 @@ def tangent_fit(q: Multivector, a: Poly, rho: Poly | None = None):
         for exps in monomials(3, deg_adot):
             columns.append(_bivector(Poly.monomial(3, exps), rho))
             kinds.append(("a", exps))
-    matrix, rhs, labels = multivector_columns_system(columns, q)
-    raw = solve_raw(matrix, rhs, labels)
+    raw = solve_raw(*multivector_columns_system(columns, q))
     if raw.status != "solved":
         return "infeasible", None, None
     adot_terms, rhodot_terms = {}, {}

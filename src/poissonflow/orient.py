@@ -12,11 +12,14 @@ cocycle with every vertex holding the same Poisson bivector this yields its
 flow; with one 1-vector slot, summed over placements, the associated
 1-vector cocycle.
 
-Internally a sheeted polynomial keys its terms by a packed pair of machine
-integers: 8 bits of even exponent per (sheet, mu) variable and one odd bit
-per (sheet, mu), both ordered sheet-major.  Odd signs are parities of bit
-counts below the acted-on bit; terms vanish as soon as a derivative misses,
-which is what keeps the expansion of dense cocycles tractable.
+Internally a sheeted polynomial keys its terms by a packed pair of
+integers: one field of ``width`` bits of even exponent per (sheet, mu)
+variable and one odd bit per (sheet, mu), both ordered sheet-major.  The
+width is 8 bits, widened at lift time to the bit length of the largest
+exponent; edges only lower exponents, so no field can overflow into its
+neighbour.  Odd signs are parities of bit counts below the acted-on bit;
+terms vanish as soon as a derivative misses, which is what keeps the
+expansion of dense cocycles tractable.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import warnings
 
 from .errors import DimensionError, PreconditionError
-from .gracomplex import Graph, GraphSum, is_cocycle
+from .gracomplex import as_graphsum, is_cocycle
 from .multivec import Multivector, homogeneity_scale, jacobiator
 from .ratpoly import ANY_DEGREE, Poly, ratnorm
 
@@ -33,15 +36,18 @@ class SheetedPoly:
     """Polynomial over n sheets of (x_(i), xi^(i)) variables.
 
     ``terms`` maps (even_key, odd_mask) to nonzero coefficients, where
-    even exponents occupy 8 bits per variable.  Odd exponents are 0/1 and a
-    term's sign is relative to ascending (sheet-major) odd order.
+    even exponents occupy ``width`` bits per variable: 8 for keys given to
+    the constructor, wider when ``lift`` meets a larger exponent.  Odd
+    exponents are 0/1 and a term's sign is relative to ascending
+    (sheet-major) odd order.
     """
 
-    __slots__ = ("nvars", "sheets", "terms")
+    __slots__ = ("nvars", "sheets", "terms", "width")
 
     def __init__(self, nvars: int, sheets: int, terms=None):
         self.nvars = nvars
         self.sheets = sheets
+        self.width = 8
         self.terms = {}
         for key, c in (terms or {}).items():
             c = ratnorm(c)
@@ -49,11 +55,12 @@ class SheetedPoly:
                 self.terms[key] = c
 
     @classmethod
-    def _raw(cls, nvars, sheets, terms):
+    def _raw(cls, nvars, sheets, terms, width):
         sp = object.__new__(cls)
         sp.nvars = nvars
         sp.sheets = sheets
         sp.terms = terms
+        sp.width = width
         return sp
 
     def is_zero(self) -> bool:
@@ -70,7 +77,7 @@ class SheetedPoly:
         if not isinstance(other, SheetedPoly):
             return NotImplemented
         return (self.nvars == other.nvars and self.sheets == other.sheets
-                and self.terms == other.terms)
+                and self.width == other.width and self.terms == other.terms)
 
     def __repr__(self):
         return "SheetedPoly(r=%d, n=%d, %d terms)" % (
@@ -90,6 +97,9 @@ def lift(entries) -> SheetedPoly:
     for mv in entries:
         if mv.nvars != r:
             raise DimensionError("vertex contents over different dimensions")
+    top = max((e for mv in entries for poly in mv.components.values()
+               for exps in poly.terms for e in exps), default=0)
+    width = max(8, top.bit_length())
     terms = {(0, 0): 1}
     for sheet, mv in enumerate(entries):
         base = sheet * r
@@ -102,7 +112,7 @@ def lift(entries) -> SheetedPoly:
                 ev = 0
                 for mu, e in enumerate(exps):
                     if e:
-                        ev |= e << ((base + mu) * 8)
+                        ev |= e << ((base + mu) * width)
                 factor.append((ev, om, c))
         new = {}
         for (ev1, om1), c1 in terms.items():
@@ -114,17 +124,18 @@ def lift(entries) -> SheetedPoly:
                 else:
                     del new[key]
         terms = new
-    return SheetedPoly._raw(r, len(entries), terms)
+    return SheetedPoly._raw(r, len(entries), terms, width)
 
 
 def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
     """Act with the decoration operator of an edge i--j."""
     if i == j:
         raise PreconditionError("loop edge (%d,%d)" % (i, j))
-    n, r = sp.sheets, sp.nvars
+    n, r, width = sp.sheets, sp.nvars, sp.width
     if not (1 <= i <= n and 1 <= j <= n):
         raise PreconditionError("edge (%d,%d) outside 1..%d" % (i, j, n))
     mask_r = (1 << r) - 1
+    mask_e = (1 << width) - 1
     out = {}
     for (ev, om), c in sp.terms.items():
         for (a, b) in ((i, j), (j, i)):
@@ -136,8 +147,8 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
                 bit = abase + low.bit_length() - 1
                 # left derivative: pass the odd factors standing before `bit`
                 sgn = -1 if (om & ((1 << bit) - 1)).bit_count() & 1 else 1
-                shift = ((b - 1) * r + low.bit_length() - 1) * 8
-                e = (ev >> shift) & 0xFF
+                shift = ((b - 1) * r + low.bit_length() - 1) * width
+                e = (ev >> shift) & mask_e
                 if not e:
                     continue
                 key = (ev - (1 << shift), om ^ (1 << bit))
@@ -146,7 +157,7 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
                     out[key] = cur
                 else:
                     del out[key]
-    return SheetedPoly._raw(r, n, out)
+    return SheetedPoly._raw(r, n, out, width)
 
 
 def merge(sp: SheetedPoly) -> Multivector:
@@ -155,12 +166,13 @@ def merge(sp: SheetedPoly) -> Multivector:
     Remaining odd factors are re-sorted by mu with the permutation's sign;
     a term keeping two odd factors with equal mu is structurally zero.
     """
-    n, r = sp.sheets, sp.nvars
+    n, r, width = sp.sheets, sp.nvars, sp.width
+    mask_e = (1 << width) - 1
     comps = {}
     for (ev, om), c in sp.terms.items():
         exps = [0] * r
         for v in range(n * r):
-            e = (ev >> (v * 8)) & 0xFF
+            e = (ev >> (v * width)) & mask_e
             if e:
                 exps[v % r] += e
         mus = []
@@ -196,8 +208,7 @@ def evaluate(gamma, entries) -> Multivector:
     Edges act in their listed order, first to last; the output xi-degree is
     the tuple's total degree minus the edge count.
     """
-    if isinstance(gamma, Graph):
-        gamma = GraphSum.single(gamma)
+    gamma = as_graphsum(gamma)
     entries = tuple(entries)
     if not entries:
         raise PreconditionError("empty vertex tuple")
@@ -219,34 +230,37 @@ def evaluate(gamma, entries) -> Multivector:
     return result
 
 
-def flow(gamma, p: Multivector) -> Multivector:
-    """Evaluation at n copies of a bivector: the graph's flow value at p."""
-    if isinstance(gamma, Graph):
-        gamma = GraphSum.single(gamma)
-    if not p.is_grade(2):
-        raise PreconditionError("flow expects a bivector")
+def _vertex_count(gamma) -> int:
+    """Common vertex count of the graph terms; 0 for the zero sum."""
     sizes = {g.n for g in gamma.terms}
     if len(sizes) > 1:
         raise PreconditionError("graph terms have differing vertex counts")
-    if not sizes:
+    return sizes.pop() if sizes else 0
+
+
+def _sum_over_placements(gamma, v: Multivector, p: Multivector) -> Multivector:
+    """Sum over k of gamma evaluated with v at vertex k and p at the others."""
+    n = _vertex_count(gamma)
+    out = Multivector.zero(p.nvars)
+    for k in range(n):
+        out = out + evaluate(gamma, tuple(v if t == k else p for t in range(n)))
+    return out
+
+
+def flow(gamma, p: Multivector) -> Multivector:
+    """Evaluation at n copies of a bivector: the graph's flow value at p."""
+    gamma = as_graphsum(gamma)
+    if not p.is_grade(2):
+        raise PreconditionError("flow expects a bivector")
+    n = _vertex_count(gamma)
+    if not n:
         return Multivector.zero(p.nvars)
-    n = sizes.pop()
     return evaluate(gamma, (p,) * n)
 
 
 def directional_flow(gamma, p: Multivector, direction: Multivector) -> Multivector:
     """First variation of the flow at p along a bivector direction."""
-    if isinstance(gamma, Graph):
-        gamma = GraphSum.single(gamma)
-    sizes = {g.n for g in gamma.terms}
-    if not sizes:
-        return Multivector.zero(p.nvars)
-    n = sizes.pop()
-    out = Multivector.zero(p.nvars)
-    for k in range(n):
-        entries = tuple(direction if t == k else p for t in range(n))
-        out = out + evaluate(gamma, entries)
-    return out
+    return _sum_over_placements(as_graphsum(gamma), direction, p)
 
 
 def cocycle1(gamma, v: Multivector, p: Multivector) -> Multivector:
@@ -256,8 +270,7 @@ def cocycle1(gamma, v: Multivector, p: Multivector) -> Multivector:
     bi-grading (n, 2n-2).  Plain sum over the n placements of v, with no
     combinatorial prefactor.
     """
-    if isinstance(gamma, Graph):
-        gamma = GraphSum.single(gamma)
+    gamma = as_graphsum(gamma)
     if not v.is_grade(1):
         raise PreconditionError("second argument must be a 1-vector")
     if not p.is_grade(2):
@@ -279,12 +292,4 @@ def cocycle1(gamma, v: Multivector, p: Multivector) -> Multivector:
             "input graph sum is not a cocycle under this package's sign "
             "convention; the result need not be a Poisson cocycle "
             "(external edge-order conventions may differ)")
-    sizes = {g.n for g in gamma.terms}
-    if not sizes:
-        return Multivector.zero(p.nvars)
-    n = sizes.pop()
-    out = Multivector.zero(p.nvars)
-    for k in range(n):
-        entries = tuple(v if t == k else p for t in range(n))
-        out = out + evaluate(gamma, entries)
-    return out
+    return _sum_over_placements(gamma, v, p)

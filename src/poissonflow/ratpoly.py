@@ -29,11 +29,6 @@ def ratnorm(c):
     return c
 
 
-def rat_to_text(c) -> str:
-    """Render an int or Fraction as ``p`` or ``p/q``."""
-    return str(c)
-
-
 class Poly:
     """Sparse polynomial with exact rational coefficients.
 
@@ -221,9 +216,9 @@ def render_poly(p: Poly) -> str:
         if mono and mag == 1:
             body = mono
         elif mono:
-            body = "%s*%s" % (rat_to_text(mag), mono)
+            body = "%s*%s" % (mag, mono)
         else:
-            body = rat_to_text(mag)
+            body = str(mag)
         if not chunks:
             chunks.append(body if c > 0 else "-" + body)
         else:

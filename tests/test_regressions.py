@@ -1,0 +1,135 @@
+"""Regression tests for representation limits, degenerate systems and CLI
+failure exits."""
+
+import random
+import warnings
+
+import pytest
+
+import poissonflow.cohomsolve as cohomsolve
+from poissonflow.cli import main
+from poissonflow.cohomsolve import (monomials, multivector_columns_system,
+                                    solve_raw, trivialize)
+from poissonflow.errors import PreconditionError
+from poissonflow.gracomplex import Graph, GraphSum, stick
+from poissonflow.multivec import (Multivector, euler_field, parse_multivector,
+                                  render_multivector, schouten)
+from poissonflow.orient import cocycle1, directional_flow, flow, lift, merge
+from poissonflow.ratpoly import Poly, parse_poly
+
+
+# -- orient: exponents past eight bits -------------------------------------------
+
+
+def test_lift_and_merge_keep_exponents_past_eight_bits():
+    p = Multivector(2, {(1, 2): parse_poly("x1^256", 2)})
+    assert render_multivector(merge(lift([p]))) == "(x1^256) xi1 xi2"
+
+
+@pytest.mark.parametrize("e", [255, 256, 300])
+def test_stick_flow_with_large_exponents(e):
+    p = parse_multivector("(x1^%d*x3) xi1 xi2 + (x2) xi2 xi3" % e, 3)
+    assert flow(stick(), p) == -schouten(p, p)
+
+
+# -- orient: one vertex-count check for every placement sum ----------------------
+
+
+def test_placement_sums_reject_mixed_vertex_counts(gamma3, gl2kk):
+    wheel5 = Graph(6, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
+                       (3, 5), (4, 6), (5, 6)))
+    mixed = gamma3 + GraphSum.single(wheel5)
+    with pytest.raises(PreconditionError, match="differing vertex counts"):
+        flow(mixed, gl2kk)
+    with pytest.raises(PreconditionError, match="differing vertex counts"):
+        directional_flow(mixed, gl2kk, gl2kk)
+    minus_euler = euler_field(4).scale(-1)  # [[-E, gl2kk]] = gl2kk
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mixed sum is not a cocycle
+        with pytest.raises(PreconditionError, match="differing vertex counts"):
+            cocycle1(mixed, minus_euler, gl2kk)
+
+
+# -- cohomsolve: systems without equations and membership ------------------------
+
+
+def test_system_without_equations_keeps_its_unknowns():
+    zero = Multivector.zero(2)
+    raw = solve_raw(*multivector_columns_system([zero, zero], zero))
+    assert raw.status == "solved"
+    assert raw.particular == [0, 0]
+    assert sorted(raw.kernel) == [[0, 1], [1, 0]]
+
+
+def _in_coset_oracle(y, p, q, degree):
+    """y is a 1-vector of homogeneous degree-D components with [[y,p]] = q."""
+    if not y.is_grade(1):
+        return False
+    if any(c.is_homogeneous() != degree for c in y.components.values()):
+        return False
+    return schouten(y, p) == q
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_contains_agrees_with_the_coboundary_equation(degree, nambu_quartic):
+    rng = random.Random(degree)
+    p = nambu_quartic
+    monos = monomials(3, degree)
+    y0 = Multivector(3, {(i,): Poly(3, {m: rng.randint(-2, 2) for m in monos})
+                         for i in (1, 2, 3)})
+    q = schouten(y0, p)
+    sol = trivialize(q, p, degree)
+    assert sol.status == "solved"
+    shifted = sol.particular
+    for k in sol.kernel_basis:
+        shifted = shifted + k.scale(rng.randint(-3, 3))
+    candidates = [
+        y0, shifted, sol.particular, Multivector.zero(3),
+        shifted + Multivector(3, {(1,): Poly.monomial(3, monos[0])}),
+        shifted + Multivector(3, {(1, 2): Poly.variable(3, 1)}),
+        shifted + Multivector(3, {(2,): Poly.monomial(3, (degree + 1, 0, 0))}),
+    ]
+    for y in candidates:
+        assert sol.contains(y) == _in_coset_oracle(y, p, q, degree)
+
+
+# -- cli: exit codes of failures ---------------------------------------------------
+
+
+def test_cli_self_check_failure_exits_3(monkeypatch, capsys):
+    real_solve = cohomsolve.solve
+
+    def wrong_solve(system):
+        sol = real_solve(system)
+        sol.particular = sol.particular.scale(2)
+        return sol
+
+    monkeypatch.setattr(cohomsolve, "solve", wrong_solve)
+    code = main(["trivialize", "--target", "gl2kk", "--poisson", "gl2kk"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: solver returned a non-solution\n"
+
+
+def test_cli_nambu_lets_unexpected_errors_propagate(monkeypatch):
+    import poissonflow.cli as cli
+
+    def broken(a, weights):
+        raise RuntimeError("broken criterion")
+
+    monkeypatch.setattr(cli, "homogenizing_field_exists", broken)
+    with pytest.raises(RuntimeError, match="broken criterion"):
+        main(["nambu", "--casimir", "x1^4 + x2^4 + x3^4"])
+
+
+def test_cli_jacobi_self_check_failure_exits_3(monkeypatch, capsys):
+    import poissonflow.nambu as nambu
+
+    monkeypatch.setattr(nambu, "jacobiator", lambda p: p)
+    code = main(["nambu", "--casimir", "x3^2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == ("internal error: determinant bracket failed the Jacobi "
+                   "identity\n")

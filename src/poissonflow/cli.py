@@ -48,8 +48,8 @@ def load_multivector(value: str, nvars=None) -> Multivector:
     else:
         if isinstance(entry.payload, Multivector):
             return entry.payload
-        raise SystemExit("catalog entry %r is a graph sum, not a multivector"
-                         % value)
+        raise PreconditionError(
+            "catalog entry %r is a graph sum, not a multivector" % value)
     return parse_multivector(_resolve_text(value), nvars=nvars)
 
 
@@ -61,7 +61,7 @@ def load_graphsum(value: str) -> GraphSum:
     else:
         if isinstance(entry.payload, GraphSum):
             return entry.payload
-        raise SystemExit("catalog entry %r is not a graph sum" % value)
+        raise PreconditionError("catalog entry %r is not a graph sum" % value)
     return parse_graphsum(_resolve_text(value))
 
 

@@ -4,93 +4,138 @@ Each vertex i of a graph receives a multivector rewritten in its own sheet
 of variables: even x^mu_(i) and odd xi_mu^(i), mu = 1..r.  An edge i--j
 becomes the operator
 
-    sum_mu  d/dxi_mu^(i) . d/dx^mu_(j)  +  d/dxi_mu^(j) . d/dx^mu_(i),
+    E_ij = sum_mu  d/dxi_mu^(i) . d/dx^mu_(j)  +  d/dxi_mu^(j) . d/dx^mu_(i),
 
-odd derivatives acting from the left.  After all edges act in their listed
-order, sheets are merged back to a single multivector.  Applied to a graph
-cocycle with every vertex holding the same Poisson bivector this yields its
-flow; with one 1-vector slot, summed over placements, the associated
-1-vector cocycle.
+odd derivatives acting from the left.  The value of a graph is the product
+of the sheets, acted on by its edges in their listed order, with the sheets
+merged back to a single multivector.  Applied to a graph cocycle with every
+vertex holding the same Poisson bivector this yields its flow; with one
+1-vector slot, summed over placements, the associated 1-vector cocycle.
 
-Internally a sheeted polynomial keys its terms by a packed pair of
-integers: one field of ``width`` bits of even exponent per (sheet, mu)
-variable and one odd bit per (sheet, mu), both ordered sheet-major.  The
-width is 8 bits, widened at lift time to the bit length of the largest
-exponent; edges only lower exponents, so no field can overflow into its
-neighbour.  Odd signs are parities of bit counts below the acted-on bit;
-terms vanish as soon as a derivative misses, which is what keeps the
-expansion of dense cocycles tractable.
+Sign ledger.  Odd factors of a term are ordered sheet-major, ascending; a
+term's coefficient is relative to that order.
+
+- Sheet multiplication.  Sheets are multiplied in ascending order, each new
+  factor on the right.  Its odd factors sit above every earlier one, so the
+  product carries no Koszul sign.
+- Edges commute with later sheets.  E_ij only differentiates in sheets i
+  and j, and a factor in the variables of sheet k > i, j on the right is a
+  constant for it: E_ij(A . B) = E_ij(A) . B.  So an edge may act as soon
+  as its larger endpoint's sheet is in, and ``evaluate`` interleaves:
+  multiply in sheet k, then apply every edge whose larger endpoint is k.
+- Edge order costs the permutation's parity.  Each E_ij is odd, so two
+  edge operators anticommute; applying the edges grouped by larger endpoint
+  (stable within a group) instead of in listed order multiplies the value
+  by (-1)^(inversions of that reordering).
+- Left derivative.  d/dxi at odd bit b passes the odd factors standing
+  before b: the sign is the parity of the bits set below b.
+- Merge.  Collapsing sheets re-sorts the remaining odd factors by mu with
+  the permutation's sign; two equal mu make the term structurally zero.
+
+Internally a sheeted polynomial groups its terms by odd mask,
+``{odd_mask: {even_key: c}}``: one odd bit per (sheet, mu) and one field
+of ``width`` bits of even exponent per (sheet, mu) variable, both ordered
+sheet-major.  Every sign, target mask and exponent shift above depends on
+the odd mask alone, so ``apply_edge`` and ``merge`` compute them once per
+mask.  The width is 8 bits, widened to the bit length of the largest
+exponent of the vertex contents; edges only lower exponents, so no field
+can overflow into its neighbour.  Terms vanish as soon as a derivative
+misses, which is what keeps the expansion of dense cocycles tractable.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
+from functools import reduce
+from itertools import combinations
 
 from .errors import DimensionError, PreconditionError
-from .gracomplex import as_graphsum, is_cocycle
+from .gracomplex import Graph, as_graphsum, is_cocycle
 from .multivec import Multivector, homogeneity_scale, jacobiator
 from .ratpoly import ANY_DEGREE, Poly, ratnorm
+
+
+class _FlatTerms(Mapping):
+    """Read-only view of grouped terms as (even_key, odd_mask) -> c."""
+
+    __slots__ = ("_groups",)
+
+    def __init__(self, groups):
+        self._groups = groups
+
+    def __getitem__(self, key):
+        ev, om = key
+        return self._groups[om][ev]
+
+    def __iter__(self):
+        for om, bucket in self._groups.items():
+            for ev in bucket:
+                yield ev, om
+
+    def __len__(self):
+        return sum(map(len, self._groups.values()))
 
 
 class SheetedPoly:
     """Polynomial over n sheets of (x_(i), xi^(i)) variables.
 
-    ``terms`` maps (even_key, odd_mask) to nonzero coefficients, where
-    even exponents occupy ``width`` bits per variable: 8 for keys given to
-    the constructor, wider when ``lift`` meets a larger exponent.  Odd
-    exponents are 0/1 and a term's sign is relative to ascending
+    ``groups`` maps each odd mask to its terms ``{even_key: c}``, nonzero
+    and never empty; ``terms`` is the flat view (even_key, odd_mask) -> c.
+    Even exponents occupy ``width`` bits per variable: 8 for keys given to
+    the constructor, wider when a vertex content has a larger exponent.
+    Odd exponents are 0/1 and a term's sign is relative to ascending
     (sheet-major) odd order.
     """
 
-    __slots__ = ("nvars", "sheets", "terms", "width")
+    __slots__ = ("nvars", "sheets", "groups", "width")
 
     def __init__(self, nvars: int, sheets: int, terms=None):
         self.nvars = nvars
         self.sheets = sheets
         self.width = 8
-        self.terms = {}
-        for key, c in (terms or {}).items():
+        self.groups = {}
+        for (ev, om), c in (terms or {}).items():
             c = ratnorm(c)
             if c:
-                self.terms[key] = c
+                self.groups.setdefault(om, {})[ev] = c
 
     @classmethod
-    def _raw(cls, nvars, sheets, terms, width):
+    def _raw(cls, nvars, sheets, groups, width):
         sp = object.__new__(cls)
         sp.nvars = nvars
         sp.sheets = sheets
-        sp.terms = terms
+        sp.groups = groups
         sp.width = width
         return sp
 
+    @property
+    def terms(self) -> Mapping:
+        return _FlatTerms(self.groups)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.groups
 
     def total_odd_degree(self):
         """Common number of odd factors; ANY_DEGREE if empty, None if mixed."""
-        if not self.terms:
+        if not self.groups:
             return ANY_DEGREE
-        degs = {om.bit_count() for (_, om) in self.terms}
+        degs = {om.bit_count() for om in self.groups}
         return degs.pop() if len(degs) == 1 else None
 
     def __eq__(self, other):
         if not isinstance(other, SheetedPoly):
             return NotImplemented
         return (self.nvars == other.nvars and self.sheets == other.sheets
-                and self.width == other.width and self.terms == other.terms)
+                and self.width == other.width and self.groups == other.groups)
 
     def __repr__(self):
         return "SheetedPoly(r=%d, n=%d, %d terms)" % (
             self.nvars, self.sheets, len(self.terms))
 
 
-def lift(entries) -> SheetedPoly:
-    """Product over sheets i of entry i rewritten in sheet-i variables.
-
-    Multiplying in ascending sheet order keeps every new odd factor above
-    all previous ones in the global order, so no Koszul sign arises here.
-    """
-    entries = list(entries)
+def _unit(entries) -> SheetedPoly:
+    """The product over no sheets, with the field width of ``entries``."""
     if not entries:
         raise PreconditionError("empty vertex tuple")
     r = entries[0].nvars
@@ -99,32 +144,41 @@ def lift(entries) -> SheetedPoly:
             raise DimensionError("vertex contents over different dimensions")
     top = max((e for mv in entries for poly in mv.components.values()
                for exps in poly.terms for e in exps), default=0)
-    width = max(8, top.bit_length())
-    terms = {(0, 0): 1}
-    for sheet, mv in enumerate(entries):
-        base = sheet * r
+    return SheetedPoly._raw(r, 0, {0: {0: 1}}, max(8, top.bit_length()))
+
+
+def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
+    """``sp`` times ``mv`` rewritten in the variables of a new last sheet.
+
+    The new odd bits and exponent fields are disjoint from those of ``sp``,
+    so each (mask, component) pair gives its own target mask and no two
+    products share a key: nothing is summed and no sign arises.
+    """
+    r, width = sp.nvars, sp.width
+    base = sp.sheets * r
+    groups = {}
+    for idx, poly in mv.components.items():
+        om2 = 0
+        for i in idx:
+            om2 |= 1 << (base + i - 1)
         factor = []
-        for idx, poly in mv.components.items():
-            om = 0
-            for i in idx:
-                om |= 1 << (base + i - 1)
-            for exps, c in poly.terms.items():
-                ev = 0
-                for mu, e in enumerate(exps):
-                    if e:
-                        ev |= e << ((base + mu) * width)
-                factor.append((ev, om, c))
-        new = {}
-        for (ev1, om1), c1 in terms.items():
-            for (ev2, om2, c2) in factor:
-                key = (ev1 + ev2, om1 | om2)
-                cur = new.get(key, 0) + c1 * c2
-                if cur:
-                    new[key] = cur
-                else:
-                    del new[key]
-        terms = new
-    return SheetedPoly._raw(r, len(entries), terms, width)
+        for exps, c in poly.terms.items():
+            ev = 0
+            for mu, e in enumerate(exps):
+                if e:
+                    ev |= e << ((base + mu) * width)
+            factor.append((ev, c))
+        for om1, bucket in sp.groups.items():
+            groups[om1 | om2] = {ev1 + ev2: c1 * c2
+                                 for ev1, c1 in bucket.items()
+                                 for ev2, c2 in factor}
+    return SheetedPoly._raw(r, sp.sheets + 1, groups, width)
+
+
+def lift(entries) -> SheetedPoly:
+    """Product over sheets i of entry i rewritten in sheet-i variables."""
+    entries = list(entries)
+    return reduce(_times_sheet, entries, _unit(entries))
 
 
 def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
@@ -137,27 +191,35 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
     mask_r = (1 << r) - 1
     mask_e = (1 << width) - 1
     out = {}
-    for (ev, om), c in sp.terms.items():
+    for om, bucket in sp.groups.items():
         for (a, b) in ((i, j), (j, i)):
             abase = (a - 1) * r
             sub = (om >> abase) & mask_r
             while sub:
                 low = sub & (-sub)
                 sub ^= low
-                bit = abase + low.bit_length() - 1
+                mu = low.bit_length() - 1
+                bit = 1 << (abase + mu)
                 # left derivative: pass the odd factors standing before `bit`
-                sgn = -1 if (om & ((1 << bit) - 1)).bit_count() & 1 else 1
-                shift = ((b - 1) * r + low.bit_length() - 1) * width
-                e = (ev >> shift) & mask_e
-                if not e:
+                sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
+                shift = ((b - 1) * r + mu) * width
+                one = 1 << shift
+                target = out.get(om ^ bit)
+                if target is None:
+                    out[om ^ bit] = {ev - one: sgn * e * c
+                                     for ev, c in bucket.items()
+                                     if (e := (ev >> shift) & mask_e)}
                     continue
-                key = (ev - (1 << shift), om ^ (1 << bit))
-                cur = out.get(key, 0) + sgn * e * c
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
-    return SheetedPoly._raw(r, n, out, width)
+                for ev, c in bucket.items():
+                    e = (ev >> shift) & mask_e
+                    if e:
+                        key = ev - one
+                        cur = target.get(key, 0) + sgn * e * c
+                        if cur:
+                            target[key] = cur
+                        else:
+                            del target[key]
+    return SheetedPoly._raw(r, n, {om: t for om, t in out.items() if t}, width)
 
 
 def merge(sp: SheetedPoly) -> Multivector:
@@ -166,15 +228,10 @@ def merge(sp: SheetedPoly) -> Multivector:
     Remaining odd factors are re-sorted by mu with the permutation's sign;
     a term keeping two odd factors with equal mu is structurally zero.
     """
-    n, r, width = sp.sheets, sp.nvars, sp.width
+    r, width = sp.nvars, sp.width
     mask_e = (1 << width) - 1
     comps = {}
-    for (ev, om), c in sp.terms.items():
-        exps = [0] * r
-        for v in range(n * r):
-            e = (ev >> (v * width)) & mask_e
-            if e:
-                exps[v % r] += e
+    for om, bucket in sp.groups.items():
         mus = []
         m = om
         while m:
@@ -183,18 +240,24 @@ def merge(sp: SheetedPoly) -> Multivector:
             mus.append((low.bit_length() - 1) % r)
         if len(set(mus)) != len(mus):
             continue
-        inv = sum(1 for p in range(len(mus)) for q in range(p + 1, len(mus))
-                  if mus[p] > mus[q])
-        if inv & 1:
-            c = -c
-        idx = tuple(sorted(mu + 1 for mu in mus))
-        bucket = comps.setdefault(idx, {})
-        key = tuple(exps)
-        cur = bucket.get(key, 0) + c
-        if cur:
-            bucket[key] = cur
-        else:
-            del bucket[key]
+        inv = sum(1 for p, q in combinations(mus, 2) if p > q)
+        sgn = -1 if inv & 1 else 1
+        target = comps.setdefault(tuple(sorted(mu + 1 for mu in mus)), {})
+        for ev, c in bucket.items():
+            exps = [0] * r
+            v = 0
+            while ev:
+                e = ev & mask_e
+                if e:
+                    exps[v % r] += e
+                ev >>= width
+                v += 1
+            key = tuple(exps)
+            cur = target.get(key, 0) + sgn * c
+            if cur:
+                target[key] = cur
+            else:
+                del target[key]
     out = {}
     for idx, bucket in comps.items():
         if bucket:
@@ -203,30 +266,41 @@ def merge(sp: SheetedPoly) -> Multivector:
 
 
 def evaluate(gamma, entries) -> Multivector:
-    """Total evaluation of a graph sum on a tuple of multivectors.
+    """Total evaluation of a graph sum, or of one graph as given, on a tuple
+    of multivectors.
 
-    Edges act in their listed order, first to last; the output xi-degree is
-    the tuple's total degree minus the edge count.
+    The value is that of the edges acting in their listed order, first to
+    last; the output xi-degree is the tuple's total degree minus the edge
+    count.  A bare ``Graph`` keeps its own vertex labels, edge order and
+    coefficient 1; the terms of a ``GraphSum`` are canonical graphs.  Sheets
+    stream in one at a time, each edge acting as soon as both its endpoint
+    sheets exist (see the sign ledger in the module docstring).
     """
-    gamma = as_graphsum(gamma)
+    terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
     entries = tuple(entries)
-    if not entries:
-        raise PreconditionError("empty vertex tuple")
-    r = entries[0].nvars
     for mv in entries:
         if mv.degree() is None:
             raise PreconditionError("vertex contents must have pure xi-degree")
-    result = Multivector.zero(r)
-    for graph, c in gamma.terms.items():
-        if graph.n != len(entries):
+    unit = _unit(entries)
+    n = len(entries)
+    result = Multivector.zero(unit.nvars)
+    for graph, c in terms:
+        if graph.n != n:
             raise PreconditionError(
-                "graph on %d vertices fed %d multivectors" % (graph.n, len(entries)))
-        state = lift(entries)
-        for (i, j) in graph.edges:
+                "graph on %d vertices fed %d multivectors" % (graph.n, n))
+        # edges are stored (i, j) with i < j: edge (i, j) acts after sheet j
+        closing = [[] for _ in range(n + 1)]
+        for edge in graph.edges:
+            closing[edge[1]].append(edge)
+        swaps = sum(1 for s, t in combinations(graph.edges, 2) if s[1] > t[1])
+        state = unit
+        for k, mv in enumerate(entries, 1):
+            state = _times_sheet(state, mv)
+            for (i, j) in closing[k]:
+                state = apply_edge(state, i, j)
             if state.is_zero():
                 break
-            state = apply_edge(state, i, j)
-        result = result + merge(state).scale(c)
+        result = result + merge(state).scale(-c if swaps & 1 else c)
     return result
 
 

@@ -14,7 +14,8 @@ from poissonflow.errors import PreconditionError
 from poissonflow.gracomplex import Graph, GraphSum, stick
 from poissonflow.multivec import (Multivector, euler_field, parse_multivector,
                                   render_multivector, schouten)
-from poissonflow.orient import cocycle1, directional_flow, flow, lift, merge
+from poissonflow.orient import (cocycle1, directional_flow, evaluate, flow,
+                                lift, merge)
 from poissonflow.ratpoly import Poly, parse_poly
 
 
@@ -48,6 +49,18 @@ def test_placement_sums_reject_mixed_vertex_counts(gamma3, gl2kk):
         warnings.simplefilter("ignore")  # the mixed sum is not a cocycle
         with pytest.raises(PreconditionError, match="differing vertex counts"):
             cocycle1(mixed, minus_euler, gl2kk)
+
+
+# -- orient: a bare Graph keeps its own labels -----------------------------------
+
+
+def test_evaluate_bare_graph_keeps_its_vertex_labels():
+    entries = [parse_multivector(t, nvars=2)
+               for t in ("(1)", "(x1) xi2", "(x2^2) xi1")]
+    got = evaluate(Graph(3, [(2, 3)]), entries)
+    assert render_multivector(got) == "(2*x1*x2) xi1 + (-x2^2) xi2"
+    # the sum over the canonical relabelling differs: slot 1 is a scalar there
+    assert evaluate(GraphSum.single(Graph(3, [(2, 3)])), entries).is_zero()
 
 
 # -- cohomsolve: systems without equations and membership ------------------------
@@ -133,3 +146,17 @@ def test_cli_jacobi_self_check_failure_exits_3(monkeypatch, capsys):
     assert out == ""
     assert err == ("internal error: determinant bracket failed the Jacobi "
                    "identity\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "--graph", "P1", "--poisson", "P1"],
+     "catalog entry 'P1' is not a graph sum"),
+    (["scale", "--field", "euler", "--poisson", "tetrahedron"],
+     "catalog entry 'tetrahedron' is a graph sum, not a multivector"),
+])
+def test_cli_catalog_entry_of_the_wrong_kind_exits_2(argv, message, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message

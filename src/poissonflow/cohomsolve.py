@@ -2,17 +2,31 @@
 
 The unknown Y is a vector field whose r components are homogeneous
 polynomials of one degree D; matching coefficients of [[Y,P]] - Q turns the
-equation into a linear system over Q, solved by fraction-free (Bareiss)
-elimination on arbitrary-precision integers.  Solutions come as one
-particular field plus a basis of the kernel of [[.,P]] at degree D: the
-solution set is an affine coset, exactly as the gauge freedom demands.
+equation into a linear system over Q.  Solutions come as one particular
+field plus a basis of the kernel of [[.,P]] at degree D: the solution set
+is an affine coset, exactly as the gauge freedom demands.
+
+``solve_raw`` eliminates on sparse integer rows: each row keeps only its
+nonzero entries, ``{col: int}``, and the assembled systems are 1-2.5%
+dense, so an elimination step touches only the rows that have a nonzero
+in the pivot column and only their nonzero entries.  The pivot rule is
+fixed: walk the columns in order; the pivot is the first row at or below
+the current pivot row, in the current row order, with a nonzero in the
+column.  Every eliminated row is a nonzero multiple of the row that plain
+Gaussian elimination (or fraction-free Bareiss elimination) would hold at
+the same step, so all three see the same zero pattern: the same pivot
+columns, the same row order and the same inconsistent row, which is
+reported as the infeasibility witness.  The pivot columns fix the answer:
+the particular solution sets every free unknown to 0 and each kernel
+vector sets one free unknown to 1, and both are unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from itertools import compress
+from math import comb, gcd, lcm
 
 from .errors import DimensionError, PreconditionError
 from .multivec import Multivector, schouten
@@ -47,88 +61,110 @@ class RawSolution:
     witness: object = None            # label of an inconsistent equation
 
 
-def _integerize(row, b):
-    dens = [x.denominator for x in row if isinstance(x, Fraction)]
-    if isinstance(b, Fraction):
-        dens.append(b.denominator)
-    if not dens:
-        return list(row), b
-    m = lcm(*dens)
-    return [int(x * m) for x in row], int(b * m)
+def _sparse_row(row, b, ncols):
+    """``[row | b]`` as ``{col: int}`` over its nonzeros, b at key ``ncols``.
+
+    The row is scaled by the lcm of the denominators of its nonzeros, so
+    its entries become integers.
+    """
+    entries = {c: row[c] for c in compress(range(ncols), row)}
+    if b:
+        entries[ncols] = b
+    m = lcm(*[x.denominator for x in entries.values()])
+    return {c: int(x * m) for c, x in entries.items()}
 
 
 def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     """Solve A x = b exactly over the rationals.
 
     ``ncols`` is the number of unknowns; it defaults to the width of the
-    first row and must be given when the system has no rows.  Forward pass
-    is fraction-free (Bareiss) on integer rows, so intermediate entries are
-    minors of the scaled system; back-substitution is rational.
+    first row and must be given when the system has no rows.  Every row
+    must be ``ncols`` wide, and ``rhs`` and ``row_labels`` must have one
+    entry per row, else ``DimensionError``.
+
+    Rows are sparse and integer; the module docstring gives the pivot
+    rule and why the answer is that of Bareiss elimination.  With pivot
+    ``piv`` in row ``base``, each later row with an entry ``factor != 0``
+    in the pivot column becomes ``(piv/g)*row - (factor/g)*base``, where
+    ``g = gcd(piv, factor)``, divided by its content; rows without an
+    entry there are left alone.  Back-substitution is rational.
     """
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
     if row_labels is None:
-        row_labels = list(range(len(matrix)))
+        row_labels = range(len(matrix))
+    if len(rhs) != len(matrix) or len(row_labels) != len(matrix):
+        raise DimensionError("solve_raw: %d rows, %d right-hand sides, %d labels"
+                             % (len(matrix), len(rhs), len(row_labels)))
     rows = []
     labels = []
-    for k, (row, b) in enumerate(zip(matrix, rhs)):
-        irow, ib = _integerize(row, b)
-        if any(irow) or ib:
-            rows.append(irow + [ib])
-            labels.append(row_labels[k])
+    for row, b, label in zip(matrix, rhs, row_labels):
+        if len(row) != ncols:
+            raise DimensionError("solve_raw: a row of width %d in a system of %d "
+                                 "unknowns" % (len(row), ncols))
+        srow = _sparse_row(row, b, ncols)
+        if srow:
+            rows.append(srow)
+            labels.append(label)
     nrows = len(rows)
 
     piv_cols = []
     piv_row = 0
-    prev = 1
     for col in range(ncols):
-        sel = None
-        for rw in range(piv_row, nrows):
-            if rows[rw][col]:
-                sel = rw
-                break
-        if sel is None:
+        if piv_row == nrows:
+            break
+        hits = [rw for rw in range(piv_row, nrows) if col in rows[rw]]
+        if not hits:
             continue
+        sel = hits[0]
         if sel != piv_row:
             rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
             labels[piv_row], labels[sel] = labels[sel], labels[piv_row]
-        piv = rows[piv_row][col]
         base = rows[piv_row]
-        for rw in range(piv_row + 1, nrows):
-            rk = rows[rw]
-            factor = rk[col]
-            for cc in range(col, ncols + 1):
-                rk[cc] = (rk[cc] * piv - factor * base[cc]) // prev
-        prev = piv
+        piv = base[col]
+        for rw in hits[1:]:
+            row = rows[rw]
+            factor = row[col]
+            g = gcd(piv, factor)
+            a, f = piv // g, factor // g
+            new = {c: a * v for c, v in row.items()}
+            for c, v in base.items():
+                v = new.get(c, 0) - f * v
+                if v:
+                    new[c] = v
+                else:
+                    del new[c]
+            content = gcd(*new.values())
+            if content > 1:
+                new = {c: v // content for c, v in new.items()}
+            rows[rw] = new
         piv_cols.append(col)
         piv_row += 1
-        if piv_row == nrows:
-            break
 
     for rw in range(piv_row, nrows):
-        if rows[rw][ncols]:
+        if ncols in rows[rw]:
             return RawSolution(status="infeasible", witness=labels[rw])
 
     pivset = set(piv_cols)
     free_cols = [c for c in range(ncols) if c not in pivset]
+    echelon = list(zip(piv_cols, rows))[::-1]
+    zero, one = Fraction(0), Fraction(1)
 
-    def back_substitute(with_rhs, fixed):
-        x = [Fraction(0)] * ncols
-        for c, val in fixed.items():
-            x[c] = Fraction(val)
-        for k in range(len(piv_cols) - 1, -1, -1):
-            col = piv_cols[k]
-            row = rows[k]
-            s = Fraction(row[ncols]) if with_rhs else Fraction(0)
-            for cc in range(col + 1, ncols):
-                if row[cc] and x[cc]:
-                    s -= row[cc] * x[cc]
-            x[col] = s / row[col]
-        return x
+    def back_substitute(x):
+        # x holds the nonzero unknowns fixed so far, and -1 at key ncols
+        # when the right-hand side takes part
+        for col, row in echelon:
+            s = 0
+            for c, a in row.items():
+                v = x.get(c)
+                if v is not None:
+                    s += a * v
+            if s:
+                x[col] = -s / row[col]
+        return [x.get(c, zero) for c in range(ncols)]
 
-    particular = back_substitute(True, {c: 0 for c in free_cols})
-    kernel = [back_substitute(False, {c: (1 if c == fc else 0) for c in free_cols})
-              for fc in free_cols]
+    particular = back_substitute({ncols: -one})
+    kernel = [back_substitute({fc: one}) for fc in free_cols]
     return RawSolution(status="solved", particular=particular, kernel=kernel)
 
 

@@ -10,7 +10,7 @@ import poissonflow.cohomsolve as cohomsolve
 from poissonflow.cli import main
 from poissonflow.cohomsolve import (monomials, multivector_columns_system,
                                     solve_raw, trivialize)
-from poissonflow.errors import PreconditionError
+from poissonflow.errors import DimensionError, PreconditionError
 from poissonflow.gracomplex import Graph, GraphSum, stick
 from poissonflow.multivec import (Multivector, euler_field, parse_multivector,
                                   render_multivector, schouten)
@@ -72,6 +72,25 @@ def test_system_without_equations_keeps_its_unknowns():
     assert raw.status == "solved"
     assert raw.particular == [0, 0]
     assert sorted(raw.kernel) == [[0, 1], [1, 0]]
+
+
+def test_solve_raw_rejects_a_row_wider_than_its_unknowns():
+    # the third entry used to be read as the right-hand side: x0 = 5
+    with pytest.raises(DimensionError):
+        solve_raw([[1, 0, 5]], [2], ncols=2)
+    with pytest.raises(DimensionError):
+        solve_raw([[1, 0], [1]], [2, 1])
+    assert solve_raw([[1, 0]], [2], ncols=2).particular == [2, 0]
+
+
+def test_solve_raw_rejects_a_missing_right_hand_side_or_label():
+    # zip used to drop the second equation and report x1 as free
+    with pytest.raises(DimensionError):
+        solve_raw([[1, 0], [0, 1]], [2])
+    with pytest.raises(DimensionError):
+        solve_raw([[1, 0], [0, 1]], [2, 3], row_labels=["first"])
+    raw = solve_raw([[1, 0], [0, 1]], [2, 3])
+    assert raw.particular == [2, 3] and raw.kernel == []
 
 
 def _in_coset_oracle(y, p, q, degree):

@@ -98,64 +98,93 @@ def canonicalize(g: Graph):
 
     The canonical labeling maximizes the adjacency bit string read in colex
     position order (1,2),(1,3),(2,3),(1,4),..., which is the labeling whose
-    sorted edge list is smallest; assigning new labels one vertex at a time
-    reveals that string prefix by prefix, so a branch-and-bound search
-    suffices.  All maximizing labelings are enumerated, and a sign clash
-    between any two of them is exactly an odd-edge-parity automorphism.
+    sorted edge list is smallest.  All maximizing labelings are enumerated,
+    and a sign clash between any two of them is exactly an odd-edge-parity
+    automorphism.
+
+    Giving new labels one vertex at a time reveals that string level by
+    level: placing label d+1 appends the d bits of its adjacency to labels
+    1..d.  An unlabeled vertex's bits form an integer key, first label most
+    significant, extended as ``key = (key << 1) | adjacent(new label)``;
+    keys of one level have the same length, so comparing them as integers
+    compares the strings.  The search is breadth first, one level at a
+    time, over the frontier of partial labelings whose revealed prefix is
+    the best one.  Each carries the best key among its unlabeled vertices
+    and the bitmask of the vertices reaching it.  A level takes the maximum
+    key over the whole frontier first, then extends each labeling that
+    reaches it by each vertex that does.  Strings are compared level by
+    level, so a labeling dropped at some level is beaten there by every
+    survivor whatever follows: the last frontier holds every maximizing
+    labeling and nothing else.
+
+    After placing v, the best key and its vertices come cheaply when v had
+    a tie: the other tied vertices keep the best old key, and those adjacent
+    to v win the new bit.  When v was the only best vertex, they are found
+    again by narrowing the unlabeled vertices label by label.
+
+    Isolated vertices are set aside first and take the last labels.  An
+    isolated vertex is a best choice only when no unlabeled vertex has a
+    labeled neighbour; if an edge is still unlabeled then, placing one of
+    its endpoints instead wins at the next level, where the other endpoint
+    reveals a 1.  Swapping isolated vertices moves no edge.  So the
+    non-isolated vertices, relabeled in order, are canonicalized alone, and
+    the result keeps all n vertices.
     """
     edges = g.edges
     if len(set(edges)) != len(edges):
         return None, 0
-    n = g.n
-    if not edges:
-        return Graph(n, ()), 1
-
-    adj = [0] * (n + 1)
-    for (i, j) in edges:
+    index = {v: k for k, v in enumerate(sorted({v for e in edges for v in e}))}
+    m = len(index)
+    if not m:
+        return Graph(g.n, ()), 1
+    pairs = [(index[i], index[j]) for (i, j) in edges]
+    adj = [0] * m
+    for (i, j) in pairs:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
 
-    best = [None] * n       # best[k]: revealed bits when label k+1 is placed
-    completions = []        # labelings (tuples old-vertex-per-new-label)
-    assign = []
-    used = [False] * (n + 1)
-
-    def dfs(depth):
-        if depth == n:
-            completions.append(tuple(assign))
-            return
-        for v in range(1, n + 1):
-            if used[v]:
+    # A partial labeling: (labeled vertices in label order, unlabeled
+    # vertices, the best key among them, the vertices reaching it).
+    everyone = (1 << m) - 1
+    frontier = [((), everyone, 0, everyone)]
+    for _ in range(m):
+        top = max(state[2] for state in frontier)
+        grown = []
+        for labeled, rest, key, cand in frontier:
+            if key != top:
                 continue
-            row = adj[v]
-            bits = tuple((row >> assign[k]) & 1 for k in range(depth))
-            cur = best[depth]
-            if cur is not None:
-                if bits < cur:
-                    continue
-                if bits > cur:
-                    best[depth] = bits
-                    for d in range(depth + 1, n):
-                        best[d] = None
-                    completions.clear()
-            else:
-                best[depth] = bits
-            used[v] = True
-            assign.append(v)
-            dfs(depth + 1)
-            assign.pop()
-            used[v] = False
-
-    dfs(0)
+            tied = cand & (cand - 1)
+            c = cand
+            while c:
+                low = c & -c
+                c ^= low
+                v = low.bit_length() - 1
+                rest2 = rest ^ low
+                if tied:
+                    key2, cand2 = key, cand ^ low
+                else:
+                    key2, cand2 = 0, rest2
+                    for u in labeled:
+                        hit = cand2 & adj[u]
+                        key2 <<= 1
+                        if hit:
+                            cand2 = hit
+                            key2 |= 1
+                hit = cand2 & adj[v]
+                if hit:
+                    grown.append((labeled + (v,), rest2, (key2 << 1) | 1, hit))
+                else:
+                    grown.append((labeled + (v,), rest2, key2 << 1, cand2))
+        frontier = grown
 
     canon_edges = None
     sign = 0
-    for labeling in completions:
-        newlabel = [0] * (n + 1)
-        for k, v in enumerate(labeling):
-            newlabel[v] = k + 1
+    for labeling, _, _, _ in frontier:
+        newlabel = [0] * m
+        for k, v in enumerate(labeling, 1):
+            newlabel[v] = k
         relabeled = []
-        for (i, j) in edges:
+        for (i, j) in pairs:
             a, b = newlabel[i], newlabel[j]
             relabeled.append((a, b) if a < b else (b, a))
         key, s = _sort_parity(relabeled)
@@ -163,7 +192,7 @@ def canonicalize(g: Graph):
             canon_edges, sign = key, s
         elif s != sign:
             return None, 0
-    return Graph(n, canon_edges), sign
+    return Graph(g.n, canon_edges), sign
 
 
 class GraphSum:

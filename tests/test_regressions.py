@@ -179,3 +179,13 @@ def test_cli_catalog_entry_of_the_wrong_kind_exits_2(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+# -- gracomplex: isolated vertices -------------------------------------------------
+
+
+def test_cli_graph_d_with_many_isolated_vertices(capsys):
+    # the raw terms of d carry up to 13 isolated vertices; canonicalize sets
+    # them aside instead of trying their orders
+    assert main(["graph-d", "--graph", "graph{n=14; edges=(1,2); c=1}"]) == 0
+    assert capsys.readouterr().out == "0\n"

@@ -6,16 +6,16 @@ equation into a linear system over Q.  Solutions come as one particular
 field plus a basis of the kernel of [[.,P]] at degree D: the solution set
 is an affine coset, exactly as the gauge freedom demands.
 
-``solve_raw`` eliminates on sparse integer rows: each row keeps only its
-nonzero entries, ``{col: int}``, and the assembled systems are 1-2.5%
-dense, so an elimination step touches only the rows that have a nonzero
-in the pivot column and only their nonzero entries.  The pivot rule is
-fixed: walk the columns in order; the pivot is the first row at or below
-the current pivot row, in the current row order, with a nonzero in the
-column.  Every eliminated row is a nonzero multiple of the row that plain
-Gaussian elimination (or fraction-free Bareiss elimination) would hold at
-the same step, so all three see the same zero pattern: the same pivot
-columns, the same row order and the same inconsistent row, which is
+Rows are sparse from assembly to elimination: ``{col: coeff}`` over the
+nonzero entries.  The assembled systems are 1-2.5% dense, so an
+elimination step in ``solve_raw`` touches only the rows that have a
+nonzero in the pivot column and only their nonzero entries.  The pivot
+rule is fixed: walk the columns in order; the pivot is the first row at or
+below the current pivot row, in the current row order, with a nonzero in
+the column.  Every eliminated row is a nonzero multiple of the row that
+plain Gaussian elimination (or fraction-free Bareiss elimination) would
+hold at the same step, so all three see the same zero pattern: the same
+pivot columns, the same row order and the same inconsistent row, which is
 reported as the infeasibility witness.  The pivot columns fix the answer:
 the particular solution sets every free unknown to 0 and each kernel
 vector sets one free unknown to 1, and both are unique.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import comb, gcd, lcm
 
 from .errors import DimensionError, PreconditionError
@@ -61,50 +60,49 @@ class RawSolution:
     witness: object = None            # label of an inconsistent equation
 
 
-def _sparse_row(row, b, ncols):
-    """``[row | b]`` as ``{col: int}`` over its nonzeros, b at key ``ncols``.
-
-    The row is scaled by the lcm of the denominators of its nonzeros, so
-    its entries become integers.
-    """
-    entries = {c: row[c] for c in compress(range(ncols), row)}
-    if b:
-        entries[ncols] = b
-    m = lcm(*[x.denominator for x in entries.values()])
-    return {c: int(x * m) for c, x in entries.items()}
-
-
 def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     """Solve A x = b exactly over the rationals.
 
-    ``ncols`` is the number of unknowns; it defaults to the width of the
-    first row and must be given when the system has no rows.  Every row
-    must be ``ncols`` wide, and ``rhs`` and ``row_labels`` must have one
-    entry per row, else ``DimensionError``.
+    Each row of ``matrix`` is a mapping ``{col: coeff}``, ints or Fractions,
+    over columns in ``range(ncols)``; ``ncols`` is the number of unknowns
+    and must be given when there are rows.  A column outside that range, a
+    negative ``ncols``, or ``rhs`` and ``row_labels`` not having one entry
+    per row raise ``DimensionError``.
 
-    Rows are sparse and integer; the module docstring gives the pivot
-    rule and why the answer is that of Bareiss elimination.  With pivot
-    ``piv`` in row ``base``, each later row with an entry ``factor != 0``
-    in the pivot column becomes ``(piv/g)*row - (factor/g)*base``, where
-    ``g = gcd(piv, factor)``, divided by its content; rows without an
-    entry there are left alone.  Back-substitution is rational.
+    Each row is scaled by the lcm of its denominators to integers, and its
+    zero values are dropped: they must never become pivot candidates.  The
+    module docstring gives the pivot rule and why the answer is that of
+    Bareiss elimination.  With pivot ``piv`` in row ``base``, each later
+    row with an entry ``factor != 0`` in the pivot column becomes
+    ``(piv/g)*row - (factor/g)*base``, where ``g = gcd(piv, factor)``,
+    divided by its content; rows without an entry there are left alone.
+    Back-substitution is rational.
     """
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
+    if ncols is None and matrix:
+        raise DimensionError("solve_raw: a system with rows needs ncols")
+    ncols = ncols or 0
+    if ncols < 0:
+        raise DimensionError("solve_raw: %d unknowns" % ncols)
     if row_labels is None:
         row_labels = range(len(matrix))
     if len(rhs) != len(matrix) or len(row_labels) != len(matrix):
         raise DimensionError("solve_raw: %d rows, %d right-hand sides, %d labels"
                              % (len(matrix), len(rhs), len(row_labels)))
+    cols = range(ncols)
     rows = []
     labels = []
     for row, b, label in zip(matrix, rhs, row_labels):
-        if len(row) != ncols:
-            raise DimensionError("solve_raw: a row of width %d in a system of %d "
-                                 "unknowns" % (len(row), ncols))
-        srow = _sparse_row(row, b, ncols)
-        if srow:
-            rows.append(srow)
+        bad = [c for c in row if c not in cols]
+        if bad:
+            raise DimensionError("solve_raw: column %r in a system of %d unknowns"
+                                 % (bad[0], ncols))
+        # b sits at key ncols, which no unknown can take
+        entries = {c: x for c, x in row.items() if x}
+        if b:
+            entries[ncols] = b
+        if entries:
+            m = lcm(*[x.denominator for x in entries.values()])
+            rows.append({c: int(x * m) for c, x in entries.items()})
             labels.append(label)
     nrows = len(rows)
 
@@ -169,12 +167,14 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
 
 
 def multivector_columns_system(columns, target: Multivector, row_labels=None):
-    """Rows of 'sum_k x_k * columns[k] = target', one per coefficient.
+    """Sparse rows of 'sum_k x_k * columns[k] = target', one per coefficient.
 
     Rows are labelled by (xi-index tuple, exponent tuple) pairs: by
     ``row_labels`` when given, which must cover every term of the columns
-    and the target, else by the sorted joint support.  Returns
-    (matrix, rhs, row_labels, ncols), the arguments of ``solve_raw``.
+    and the target, else by the sorted joint support.  Row k is the mapping
+    ``{c: coefficient of row_labels[k] in columns[c]}``, empty when no
+    column has that term.  Returns (rows, rhs, row_labels, ncols), the
+    arguments of ``solve_raw``.
     """
     if row_labels is None:
         support = set()
@@ -184,16 +184,16 @@ def multivector_columns_system(columns, target: Multivector, row_labels=None):
                     support.add((idx, exps))
         row_labels = sorted(support)
     index = {lab: k for k, lab in enumerate(row_labels)}
-    matrix = [[0] * len(columns) for _ in row_labels]
+    rows = [{} for _ in row_labels]
     for c, mv in enumerate(columns):
         for idx, poly in mv.components.items():
             for exps, coeff in poly.terms.items():
-                matrix[index[(idx, exps)]][c] = coeff
+                rows[index[(idx, exps)]][c] = coeff
     rhs = [0] * len(row_labels)
     for idx, poly in target.components.items():
         for exps, coeff in poly.terms.items():
             rhs[index[(idx, exps)]] = coeff
-    return matrix, rhs, row_labels, len(columns)
+    return rows, rhs, row_labels, len(columns)
 
 
 # -- the coboundary ansatz ------------------------------------------------
@@ -235,9 +235,9 @@ class AnsatzSpec:
 
 @dataclass
 class AnsatzSystem:
-    """Dense exact linear system A x = b with labelled rows and columns."""
+    """Exact linear system A x = b with labelled rows and columns."""
 
-    matrix: list            # rows of ints/Fractions
+    matrix: list            # a sparse row {col: coeff} per row label, or {}
     rhs: list
     row_labels: list        # ((i,j) component, exponent tuple) per row
     col_labels: list        # (component index, exponent tuple) per unknown
@@ -275,6 +275,9 @@ class Solution:
 
 
 def _homdeg(p: Multivector, what: str) -> int:
+    if p.is_zero():
+        raise PreconditionError("%s is zero, so it has no coefficient degree"
+                                % what)
     degs = set()
     for poly in p.components.values():
         d = poly.is_homogeneous()
@@ -298,7 +301,8 @@ def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
 
     Column k holds the coefficients of [[e_k,P]] for the k-th ansatz unknown
     e_k; rows run over the full (component, monomial) grid at the bracket's
-    output degree.
+    output degree.  For P = 0 every column is zero and the rows are the
+    terms of Q, so the system is solvable exactly when Q = 0.
     """
     if q.nvars != p.nvars or q.nvars != spec.nvars:
         raise DimensionError("dimension mismatch between Q, P and the ansatz")
@@ -306,18 +310,19 @@ def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
         raise PreconditionError("P must be a bivector")
     if not (q.is_grade(2) or q.is_zero()):
         raise PreconditionError("Q must be a bivector")
-    dp = _homdeg(p, "Poisson bivector")
-    out_deg = spec.degree + dp - 1
-    if not q.is_zero():
-        dq = _homdeg(q, "target bivector")
-        if dq != out_deg:
-            raise PreconditionError(
-                "structurally empty system: [[Y,P]] has coefficient degree %d "
-                "but Q has degree %d" % (out_deg, dq))
     r = spec.nvars
-    comps = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    monos = monomials(r, out_deg)
-    grid = [(c, m) for c in comps for m in monos]
+    if p.is_zero():
+        grid = None
+    else:
+        out_deg = spec.degree + _homdeg(p, "Poisson bivector") - 1
+        if not q.is_zero():
+            dq = _homdeg(q, "target bivector")
+            if dq != out_deg:
+                raise PreconditionError(
+                    "structurally empty system: [[Y,P]] has coefficient degree "
+                    "%d but Q has degree %d" % (out_deg, dq))
+        comps = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+        grid = [(c, m) for c in comps for m in monomials(r, out_deg)]
     basis = spec.basis()
     columns = [schouten(Multivector._raw(r, {(i,): Poly._raw(r, {exps: 1})}), p)
                for (i, exps) in basis]

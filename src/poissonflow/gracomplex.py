@@ -273,10 +273,6 @@ class GraphSum:
             return GraphSum.zero()
         return GraphSum._raw({gr: ratnorm(k * c) for gr, k in self.terms.items()})
 
-    def bigradings(self):
-        """Set of (vertex count, edge count) pairs present."""
-        return {(gr.n, gr.n_edges) for gr in self.terms}
-
     def __str__(self):
         return render_graphsum(self)
 

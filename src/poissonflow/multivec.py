@@ -144,14 +144,6 @@ class Multivector:
         return Multivector._raw(self.nvars,
                                 {i: p.scale(c) for i, p in self.components.items()})
 
-    def map_coefficients(self, fn) -> "Multivector":
-        out = {}
-        for idx, p in self.components.items():
-            q = fn(p)
-            if q:
-                out[idx] = q
-        return Multivector._raw(self.nvars, out)
-
     def __str__(self):
         return render_multivector(self)
 

@@ -12,6 +12,7 @@ from poissonflow.errors import PreconditionError
 from poissonflow.multivec import (Multivector, hamiltonian_field,
                                   parse_multivector, schouten)
 from poissonflow.ratpoly import Poly, parse_poly
+from test_solve_sparse import dense_to_sparse
 
 
 def mv(nvars, **components):
@@ -66,7 +67,7 @@ def test_solve_raw_against_rational_elimination():
     for _ in range(60):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
         matrix, rhs = random_system(rng, nrows, ncols)
-        raw = solve_raw(matrix, rhs)
+        raw = solve_raw(dense_to_sparse(matrix), rhs, None, ncols)
         rank, oracle = rref_rank_and_solution(matrix, rhs)
         if oracle is None:
             assert raw.status == "infeasible"
@@ -85,7 +86,7 @@ def test_solve_raw_against_rational_elimination():
 def test_solve_raw_fractional_rows():
     matrix = [[Fraction(1, 2), Fraction(1, 3)], [0, 1]]
     rhs = [Fraction(5, 6), 1]
-    raw = solve_raw(matrix, rhs)
+    raw = solve_raw(dense_to_sparse(matrix), rhs, None, 2)
     assert raw.status == "solved"
     assert raw.particular == [Fraction(1), Fraction(1)]
 
@@ -93,7 +94,7 @@ def test_solve_raw_fractional_rows():
 def test_solve_raw_infeasible_names_witness():
     matrix = [[1, 1], [1, 1]]
     rhs = [0, 1]
-    raw = solve_raw(matrix, rhs, row_labels=["first", "second"])
+    raw = solve_raw(dense_to_sparse(matrix), rhs, ["first", "second"], 2)
     assert raw.status == "infeasible"
     assert raw.witness in ("first", "second")
 
@@ -130,6 +131,11 @@ def test_assemble_row_and_column_counts(P1, QP1):
     assert sys.n_cols == 4 * comb(4 + 3, 3) == 140
     assert sys.n_rows == comb(4, 2) * comb(6 + 3, 3) == 504
     assert len(sys.rhs) == sys.n_rows
+    # sparse rows over the unknowns, with no stored zero; grid rows without
+    # terms are empty
+    assert all(row.keys() <= set(range(140)) and all(row.values())
+               for row in sys.matrix)
+    assert any(not row for row in sys.matrix)
 
 
 def test_assemble_structural_degree_mismatch(P1, QP1):

@@ -3,13 +3,15 @@ failure exits."""
 
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
 import poissonflow.cohomsolve as cohomsolve
 from poissonflow.cli import main
-from poissonflow.cohomsolve import (monomials, multivector_columns_system,
-                                    solve_raw, trivialize)
+from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
+                                    multivector_columns_system, solve_raw,
+                                    trivialize)
 from poissonflow.errors import DimensionError, PreconditionError
 from poissonflow.gracomplex import Graph, GraphSum, stick
 from poissonflow.multivec import (Multivector, euler_field, parse_multivector,
@@ -17,6 +19,7 @@ from poissonflow.multivec import (Multivector, euler_field, parse_multivector,
 from poissonflow.orient import (cocycle1, directional_flow, evaluate, flow,
                                 lift, merge)
 from poissonflow.ratpoly import Poly, parse_poly
+from test_solve_sparse import dense_to_sparse
 
 
 # -- orient: exponents past eight bits -------------------------------------------
@@ -75,22 +78,71 @@ def test_system_without_equations_keeps_its_unknowns():
 
 
 def test_solve_raw_rejects_a_row_wider_than_its_unknowns():
-    # the third entry used to be read as the right-hand side: x0 = 5
+    # key ncols holds the right-hand side inside solve_raw: {2: 5} in a
+    # system of 2 unknowns must not be read as x0 = 5
     with pytest.raises(DimensionError):
-        solve_raw([[1, 0, 5]], [2], ncols=2)
+        solve_raw([{0: 1, 2: 5}], [2], ncols=2)
     with pytest.raises(DimensionError):
-        solve_raw([[1, 0], [1]], [2, 1])
-    assert solve_raw([[1, 0]], [2], ncols=2).particular == [2, 0]
+        solve_raw([{0: 1}, {3: 1}], [2, 1], ncols=2)
+    with pytest.raises(DimensionError):
+        solve_raw([{-1: 1}], [2], ncols=2)
+    with pytest.raises(DimensionError):
+        solve_raw([], [], ncols=-1)
+    with pytest.raises(DimensionError):
+        solve_raw([{0: 1}], [2])    # ncols is not guessed from the rows
+    assert solve_raw([{0: 1}], [2], ncols=2).particular == [2, 0]
+
+
+def test_solve_raw_drops_stored_zeros():
+    # a stored 0 in column 0 must not become its pivot
+    raw = solve_raw([{0: 0, 1: 1}, {0: 0}], [1, 0], ncols=2)
+    assert raw.status == "solved"
+    assert raw.particular == [0, 1] and raw.kernel == [[1, 0]]
+    raw = solve_raw([{0: 0, 1: 0}], [Fraction(1, 2)], ["zero row"], 2)
+    assert raw.status == "infeasible" and raw.witness == "zero row"
 
 
 def test_solve_raw_rejects_a_missing_right_hand_side_or_label():
     # zip used to drop the second equation and report x1 as free
     with pytest.raises(DimensionError):
-        solve_raw([[1, 0], [0, 1]], [2])
+        solve_raw(dense_to_sparse([[1, 0], [0, 1]]), [2], ncols=2)
     with pytest.raises(DimensionError):
-        solve_raw([[1, 0], [0, 1]], [2, 3], row_labels=["first"])
-    raw = solve_raw([[1, 0], [0, 1]], [2, 3])
+        solve_raw(dense_to_sparse([[1, 0], [0, 1]]), [2, 3], ["first"], 2)
+    raw = solve_raw(dense_to_sparse([[1, 0], [0, 1]]), [2, 3], ncols=2)
     assert raw.particular == [2, 3] and raw.kernel == []
+
+
+# -- cohomsolve: the zero bivector -------------------------------------------------
+
+
+def test_trivialize_over_the_zero_bivector():
+    # [[Y,0]] = 0: every field solves Q = 0, and no field solves Q != 0
+    zero = Multivector.zero(3)
+    sol = trivialize(zero, zero, 1)
+    assert sol.status == "solved" and sol.particular.is_zero()
+    assert sol.kernel_dim == AnsatzSpec(3, 1).unknown_count == 9
+    q = parse_multivector("(x1^2) xi1 xi2 + (x2*x3) xi2 xi3", 3)
+    sol = trivialize(q, zero, 1)
+    assert sol.status == "infeasible"
+    idx, exps = sol.witness
+    assert q.component(idx).terms[exps]
+
+
+def test_cli_trivialize_over_the_zero_bivector(capsys):
+    argv = ["--poisson", "0", "--nvars", "3", "--degree", "1"]
+    assert main(["trivialize", "--target", "(x1^2) xi1 xi2"] + argv) == 0
+    assert capsys.readouterr().out == ("status: infeasible\ninconsistent "
+                                       "equation at row ((1, 2), (2, 0, 0))\n")
+    assert main(["trivialize", "--target", "0"] + argv) == 0
+    assert "kernel dimension: 9\n" in capsys.readouterr().out
+
+
+def test_default_degree_of_a_zero_multivector():
+    p = parse_multivector("(x1) xi1 xi2", 3)
+    with pytest.raises(PreconditionError, match="target bivector is zero"):
+        default_degree(Multivector.zero(3), p)
+    with pytest.raises(PreconditionError, match="Poisson bivector is zero"):
+        default_degree(p, Multivector.zero(3))
 
 
 def _in_coset_oracle(y, p, q, degree):

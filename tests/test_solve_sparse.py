@@ -2,7 +2,8 @@
 
 ``bareiss_solve_raw`` is the dense fraction-free solver that ``solve_raw``
 replaced, kept here as the oracle: with the same pivot rule both must give
-the same status, particular solution, kernel basis and witness.
+the same status, particular solution, kernel basis and witness.  The oracle
+takes dense rows and ``solve_raw`` the same rows through ``dense_to_sparse``.
 """
 
 import random
@@ -13,11 +14,17 @@ import pytest
 
 from poissonflow.cohomsolve import (AnsatzSpec, RawSolution, assemble,
                                     monomials, solve_raw, trivialize)
+from poissonflow.errors import DimensionError
 from poissonflow.multivec import Multivector, schouten
 from poissonflow.ratpoly import Poly
 
 
 # -- oracle: dense Bareiss elimination -----------------------------------------
+
+
+def dense_to_sparse(matrix):
+    """Dense rows as the ``{col: coeff}`` rows that ``solve_raw`` takes."""
+    return [{c: x for c, x in enumerate(row) if x} for row in matrix]
 
 
 def _integerize(row, b):
@@ -151,19 +158,25 @@ def test_sparse_matches_bareiss_on_seeded_systems():
     statuses = {"solved": 0, "infeasible": 0}
     for _ in range(400):
         matrix, rhs, labels, ncols = random_case(rng)
-        got = solve_raw(matrix, rhs, labels, ncols)
+        got = solve_raw(dense_to_sparse(matrix), rhs, labels, ncols)
         assert_same(got, bareiss_solve_raw(matrix, rhs, labels, ncols))
         statuses[got.status] += 1
     assert min(statuses.values()) > 50
 
 
-def test_sparse_matches_bareiss_with_ncols_defaulted():
+def test_sparse_matches_bareiss_and_requires_ncols():
     rng = random.Random(91)
     for _ in range(100):
         matrix, rhs, _, ncols = random_case(rng)
         if not matrix:
             continue
-        assert_same(solve_raw(matrix, rhs), bareiss_solve_raw(matrix, rhs))
+        want = bareiss_solve_raw(matrix, rhs)    # ncols defaults to the width
+        assert_same(solve_raw(dense_to_sparse(matrix), rhs, None, ncols), want)
+        # stored zeros are dropped, never taken as pivots
+        with_zeros = [dict(enumerate(row)) for row in matrix]
+        assert_same(solve_raw(with_zeros, rhs, None, ncols), want)
+        with pytest.raises(DimensionError):
+            solve_raw(dense_to_sparse(matrix), rhs)
 
 
 @pytest.mark.parametrize("ncols", [0, 1, 4])
@@ -178,7 +191,7 @@ def test_labelled_infeasible_system_names_the_same_row():
     matrix = [[0, 2, 1, 0], [1, 0, 0, 3], [1, 2, 1, 3], [0, 0, 0, 0]]
     rhs = [1, Fraction(1, 2), 2, 0]
     labels = ["a", "b", "c", "d"]
-    got = solve_raw(matrix, rhs, labels)
+    got = solve_raw(dense_to_sparse(matrix), rhs, labels, 4)
     assert got.status == "infeasible" and got.witness == "c"
     assert_same(got, bareiss_solve_raw(matrix, rhs, labels))
 
@@ -187,7 +200,7 @@ def test_rows_with_fractions_and_duplicates():
     matrix = [[Fraction(1, 2), 0, Fraction(1, 3)], [Fraction(1, 2), 0, Fraction(1, 3)],
               [0, Fraction(2, 5), 1], [0, 0, 0]]
     rhs = [Fraction(5, 6), Fraction(5, 6), Fraction(7, 5), 0]
-    got = solve_raw(matrix, rhs)
+    got = solve_raw(dense_to_sparse(matrix), rhs, None, 3)
     assert got.status == "solved"
     assert got.particular == [Fraction(5, 3), Fraction(7, 2), 0]
     assert got.kernel == [[Fraction(-2, 3), Fraction(-5, 2), 1]]
@@ -223,5 +236,8 @@ def test_assembled_systems_match_bareiss(name, degree, request):
     p = request.getfixturevalue(name)
     q = schouten(_random_field(random.Random(10 + degree), degree), p)
     system = assemble(q, p, AnsatzSpec(4, degree))
-    args = (system.matrix, system.rhs, system.row_labels, system.n_cols)
-    assert_same(solve_raw(*args), bareiss_solve_raw(*args))
+    ncols = system.n_cols
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in system.matrix]
+    assert dense_to_sparse(dense) == system.matrix
+    assert_same(solve_raw(system.matrix, system.rhs, system.row_labels, ncols),
+                bareiss_solve_raw(dense, system.rhs, system.row_labels, ncols))

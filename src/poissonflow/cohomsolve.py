@@ -6,6 +6,15 @@ equation into a linear system over Q.  Solutions come as one particular
 field plus a basis of the kernel of [[.,P]] at degree D: the solution set
 is an affine coset, exactly as the gauge freedom demands.
 
+The column of the unknown x^a xi_i is [[x^a xi_i, P]].  The ``multivec``
+bracket formula, with its signs from the ``multivec`` sign ledger, gives
+
+    [[x^a xi_i, P]] = x^a d/dx^i(P) - sum_k a_k x^(a-e_k) xi_i ^ (d/dxi_k>P),
+
+so ``assemble`` builds the r bivectors d/dx^i(P) and the r^2 bivectors
+xi_i ^ (d/dxi_k>P) once and makes every column from monomial shifts of
+them, with no bracket per unknown.
+
 Rows are sparse from assembly to elimination: ``{col: coeff}`` over the
 nonzero entries.  The assembled systems are 1-2.5% dense, so an
 elimination step in ``solve_raw`` touches only the rows that have a
@@ -26,14 +35,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add
 
 from .errors import DimensionError, PreconditionError
-from .multivec import Multivector, schouten
+from .multivec import Multivector, _x_partial, _xi_left, schouten, wedge
 from .ratpoly import Poly, ratnorm
 
 
 def monomials(nvars: int, degree: int):
-    """Exponent tuples of total degree ``degree`` in descending grlex order."""
+    """Exponent tuples of total degree ``degree`` in descending grlex order.
+
+    A negative degree has no monomials; a negative ``nvars`` raises
+    ``DimensionError``.
+    """
+    if nvars < 0:
+        raise DimensionError("monomials in %d variables" % nvars)
+    if degree < 0:
+        return []
     out = []
 
     def rec(prefix, remaining, slots):
@@ -207,6 +225,8 @@ class AnsatzSpec:
     degree: int
 
     def __post_init__(self):
+        if self.nvars < 1:
+            raise PreconditionError("ansatz needs at least one variable")
         if self.degree < 0:
             raise PreconditionError("ansatz degree must be nonnegative")
 
@@ -296,13 +316,34 @@ def default_degree(q: Multivector, p: Multivector) -> int:
     return dq - dp + 1
 
 
+def _terms(mv: Multivector):
+    """The (index tuple, exponents, coefficient) terms of a multivector."""
+    return [(idx, exps, c) for idx, poly in mv.components.items()
+            for exps, c in poly.terms.items()]
+
+
 def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
     """Linear system whose solutions Y satisfy [[Y,P]] = Q.
 
     Column k holds the coefficients of [[e_k,P]] for the k-th ansatz unknown
-    e_k; rows run over the full (component, monomial) grid at the bracket's
-    output degree.  For P = 0 every column is zero and the rows are the
-    terms of Q, so the system is solvable exactly when Q = 0.
+    e_k = x^a xi_i; rows run over the full (component, monomial) grid at the
+    bracket's output degree.  The ``multivec`` formula
+    [[Y,P]] = sum_k (Y)<d/dxi_k . d/dx^k(P) - (d/dx^k Y) . d/dxi_k>(P)
+    gives each column as
+
+        [[x^a xi_i, P]] = x^a d/dx^i(P) - sum_k a_k x^(a-e_k) xi_i ^ (d/dxi_k>P).
+
+    Signs: the right derivative of xi_i by xi_i removes position 0 of a
+    1-tuple, sign (-1)^(1-1-0) = +1, and the scalar x^a wedges without a
+    sign, so the first term is unsigned; in the second, d/dx^k(x^a xi_i) =
+    a_k x^(a-e_k) xi_i keeps xi_i in front, so the ledger's left derivative
+    d/dxi_k>P and its wedge with xi_i carry every remaining sign.  Both
+    tables, the r bivectors d/dx^i(P) and the r^2 bivectors
+    xi_i ^ (d/dxi_k>P), are built once with the ``multivec`` operators
+    ``_x_partial``, ``_xi_left`` and ``wedge``.  Each column is then a few
+    monomial shifts of them, written into the rows with cancelled entries
+    dropped.  For P = 0 the tables are empty, every column is zero and the
+    rows are the terms of Q, so the system is solvable exactly when Q = 0.
     """
     if q.nvars != p.nvars or q.nvars != spec.nvars:
         raise DimensionError("dimension mismatch between Q, P and the ansatz")
@@ -324,9 +365,27 @@ def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
         comps = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
         grid = [(c, m) for c in comps for m in monomials(r, out_deg)]
     basis = spec.basis()
-    columns = [schouten(Multivector._raw(r, {(i,): Poly._raw(r, {exps: 1})}), p)
-               for (i, exps) in basis]
-    matrix, rhs, row_labels, _ = multivector_columns_system(columns, q, grid)
+    matrix, rhs, row_labels, _ = multivector_columns_system([], q, grid)
+    index = {lab: k for k, lab in enumerate(row_labels)}
+    xi = [Multivector._raw(r, {(i,): Poly.constant(r, 1)}) for i in range(1, r + 1)]
+    dx = [_terms(_x_partial(p, i)) for i in range(1, r + 1)]
+    left = [_xi_left(p, k) for k in range(1, r + 1)]
+    dxi = [[_terms(wedge(x, lk)) for lk in left] for x in xi]
+    for col, (i, a) in enumerate(basis):
+        entries = {}
+        for idx, exps, c in dx[i - 1]:
+            key = (idx, tuple(map(add, exps, a)))
+            entries[key] = entries.get(key, 0) + c
+        for k, ak in enumerate(a):
+            if not ak:
+                continue
+            shift = a[:k] + (ak - 1,) + a[k + 1:]
+            for idx, exps, c in dxi[i - 1][k]:
+                key = (idx, tuple(map(add, exps, shift)))
+                entries[key] = entries.get(key, 0) - ak * c
+        for key, c in entries.items():
+            if c:
+                matrix[index[key]][col] = ratnorm(c)
     return AnsatzSystem(matrix, rhs, row_labels, basis, spec)
 
 

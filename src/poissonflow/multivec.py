@@ -22,12 +22,16 @@ With these choices the bracket
 
 restricts to the commutator on 1-vectors and satisfies the shifted-graded
 skew symmetry and Jacobi identities (property-tested, not assumed).
+``schouten`` computes it in one pass over pairs of components, applying
+the derivative and product rules above to index tuples and monomials
+directly, into a single accumulator.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import DimensionError, ParseError, PreconditionError
 from .ratpoly import ANY_DEGREE, Poly, parse_poly, ratnorm, render_poly
@@ -191,25 +195,6 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     return Multivector._raw(a.nvars, out)
 
 
-def _xi_right(mv: Multivector, i: int) -> Multivector:
-    """Right derivative (mv)<d/dxi_i; sign (-1)^(k-1-p)."""
-    out = {}
-    for idx, p in mv.components.items():
-        if i not in idx:
-            continue
-        pos = idx.index(i)
-        sign = -1 if (len(idx) - 1 - pos) & 1 else 1
-        key = idx[:pos] + idx[pos + 1:]
-        q = p if sign > 0 else -p
-        cur = out.get(key)
-        cur = q if cur is None else cur + q
-        if cur:
-            out[key] = cur
-        else:
-            out.pop(key, None)
-    return Multivector._raw(mv.nvars, out)
-
-
 def _xi_left(mv: Multivector, i: int) -> Multivector:
     """Left derivative d/dxi_i>(mv); sign (-1)^p."""
     out = {}
@@ -238,26 +223,77 @@ def _x_partial(mv: Multivector, i: int) -> Multivector:
     return Multivector._raw(mv.nvars, out)
 
 
+def _partial_terms(terms, i):
+    """(exponents, coefficient) pairs of d/dx^i of a term dict, 1-based i."""
+    k = i - 1
+    out = []
+    for exps, c in terms.items():
+        e = exps[k]
+        if e:
+            out.append((exps[:k] + (e - 1,) + exps[k + 1:], c * e))
+    return out
+
+
+def _accumulate(terms, sign, left, right):
+    """terms += sign * (left * right) over (exponents, coefficient) pairs."""
+    for e1, c1 in left:
+        c1 = sign * c1
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+
+
 def schouten(p: Multivector, q: Multivector) -> Multivector:
     """The odd graded bracket [[p,q]] of degree -1.
 
     Reduces to the commutator of vector fields on 1-vectors; on a bivector P
     the equation [[P,P]] = 0 is the Jacobi identity.
+
+    Computed in one pass over pairs of components (a of p, b of q): for
+    each position of an index i in a, the right derivative a<d/dxi_i times
+    d/dx^i of b; for each position of i in b, minus d/dx^i of a times the
+    left derivative d/dxi_i>b.  The merged index tuple and its sign are
+    found once per pair and position, and every product lands in a single
+    ``{index tuple: {exponents: coefficient}}`` accumulator.
     """
     p._check_compatible(q)
-    out = Multivector.zero(p.nvars)
-    for i in range(1, p.nvars + 1):
-        a = _xi_right(p, i)
-        if a:
-            b = _x_partial(q, i)
-            if b:
-                out = out + wedge(a, b)
-        c = _x_partial(p, i)
-        if c:
-            d = _xi_left(q, i)
-            if d:
-                out = out - wedge(c, d)
-    return out
+    out = {}
+    dp, dq = {}, {}  # (index tuple, variable) -> x-partial terms, on demand
+    for ia, fa in p.components.items():
+        ka = len(ia)
+        for ib, fb in q.components.items():
+            # (a)<d/dxi_i . d/dx^i(b), right derivative sign (-1)^(k-1-pos)
+            for pos, i in enumerate(ia):
+                merged = _merge_indices(ia[:pos] + ia[pos + 1:], ib)
+                if merged is None:
+                    continue
+                idx, sign = merged
+                if (ka - 1 - pos) & 1:
+                    sign = -sign
+                d = dq.get((ib, i))
+                if d is None:
+                    d = dq[(ib, i)] = _partial_terms(fb.terms, i)
+                if d:
+                    _accumulate(out.setdefault(idx, {}), sign, fa.terms.items(), d)
+            # -(d/dx^i a) . d/dxi_i>(b), left derivative sign (-1)^pos
+            for pos, i in enumerate(ib):
+                merged = _merge_indices(ia, ib[:pos] + ib[pos + 1:])
+                if merged is None:
+                    continue
+                idx, sign = merged
+                if not pos & 1:
+                    sign = -sign
+                d = dp.get((ia, i))
+                if d is None:
+                    d = dp[(ia, i)] = _partial_terms(fa.terms, i)
+                if d:
+                    _accumulate(out.setdefault(idx, {}), sign, d, fb.terms.items())
+    comps = {}
+    for idx, terms in out.items():
+        terms = {e: ratnorm(c) for e, c in terms.items() if c}
+        if terms:
+            comps[idx] = Poly._raw(p.nvars, terms)
+    return Multivector._raw(p.nvars, comps)
 
 
 def schouten_sym(f: Multivector, g: Multivector) -> Multivector:

@@ -66,6 +66,44 @@ def test_evaluate_bare_graph_keeps_its_vertex_labels():
     assert evaluate(GraphSum.single(Graph(3, [(2, 3)])), entries).is_zero()
 
 
+# -- cohomsolve: the ansatz shape ---------------------------------------------------
+
+
+def test_monomials_reject_a_negative_variable_count():
+    # recursed until RecursionError
+    for nvars in (-1, -3):
+        with pytest.raises(DimensionError):
+            monomials(nvars, 2)
+
+
+def test_monomials_of_negative_degree_are_none():
+    # one variable gave [(-1,)], a monomial with a negative exponent
+    for nvars in (0, 1, 2, 4):
+        assert monomials(nvars, -1) == []
+
+
+def test_ansatz_spec_needs_a_variable():
+    # AnsatzSpec(0, 1).unknown_count raised a bare ValueError from math.comb,
+    # while AnsatzSpec(0, 2).basis() returned []
+    for nvars, degree in ((0, 0), (0, 1), (0, 2), (-1, 1)):
+        with pytest.raises(PreconditionError, match="at least one variable"):
+            AnsatzSpec(nvars, degree)
+
+
+def test_cli_trivialize_without_variables_exits_2(capsys):
+    argv = ["trivialize", "--target", "0", "--poisson", "0", "--nvars", "0",
+            "--degree", "1"]
+    assert main(argv) == 2
+    assert "at least one variable" in capsys.readouterr().err
+
+
+def test_unknown_count_is_the_basis_length():
+    for nvars in range(1, 6):
+        for degree in range(6):
+            spec = AnsatzSpec(nvars, degree)
+            assert spec.unknown_count == len(spec.basis())
+
+
 # -- cohomsolve: systems without equations and membership ------------------------
 
 

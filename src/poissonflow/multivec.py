@@ -47,6 +47,8 @@ class Multivector:
     __slots__ = ("nvars", "components")
 
     def __init__(self, nvars: int, components=None):
+        if nvars < 0:
+            raise DimensionError("nvars must be nonnegative, got %d" % nvars)
         clean = {}
         for idx, p in (components or {}).items():
             idx = tuple(idx)
@@ -73,6 +75,8 @@ class Multivector:
 
     @classmethod
     def zero(cls, nvars: int) -> "Multivector":
+        if nvars < 0:
+            raise DimensionError("nvars must be nonnegative, got %d" % nvars)
         return cls._raw(nvars, {})
 
     @classmethod

@@ -31,16 +31,28 @@ term's coefficient is relative to that order.
   before b: the sign is the parity of the bits set below b.
 - Merge.  Collapsing sheets re-sorts the remaining odd factors by mu with
   the permutation's sign; two equal mu make the term structurally zero.
+- Placements.  A graph with v at vertex k and p at the others equals the
+  graph relabelled by k -> 1, a -> a + 1 for a < k (the rest fixed), with
+  v in sheet 1, times two signs: the parity of sorting the relabelled edge
+  list, and (-1)^((k-1) deg v deg p) for moving v's sheet past k - 1
+  copies of p.  E_ij is symmetric in i and j, so relabelling the graph and
+  its sheets alike changes nothing else.  ``_sum_over_placements`` adds
+  the signed coefficients of equal relabelled edge lists and evaluates
+  each such class once; the four placements on the tetrahedron, whose
+  automorphisms are all even, are one class with coefficient 4.
 
 Internally a sheeted polynomial groups its terms by odd mask,
 ``{odd_mask: {even_key: c}}``: one odd bit per (sheet, mu) and one field
 of ``width`` bits of even exponent per (sheet, mu) variable, both ordered
 sheet-major.  Every sign, target mask and exponent shift above depends on
 the odd mask alone, so ``apply_edge`` and ``merge`` compute them once per
-mask.  The width is 8 bits, widened to the bit length of the largest
-exponent of the vertex contents; edges only lower exponents, so no field
-can overflow into its neighbour.  Terms vanish as soon as a derivative
-misses, which is what keeps the expansion of dense cocycles tractable.
+mask.  The width is 8 bits, widened to the bit length of n times the
+largest exponent of the n vertex contents, so one field holds the sum of a
+variable's exponents over all sheets: edges only lower exponents, so no
+field overflows into its neighbour, and ``merge`` adds a key's sheet
+blocks as plain integers without a carry between fields.  Terms vanish as
+soon as a derivative misses, which is what keeps the expansion of dense
+cocycles tractable.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from functools import reduce
 from itertools import combinations
 
 from .errors import DimensionError, PreconditionError
-from .gracomplex import Graph, as_graphsum, is_cocycle
+from .gracomplex import Graph, _sort_parity, as_graphsum, is_cocycle
 from .multivec import Multivector, homogeneity_scale, jacobiator
 from .ratpoly import ANY_DEGREE, Poly, ratnorm
 
@@ -82,9 +94,10 @@ class SheetedPoly:
 
     ``groups`` maps each odd mask to its terms ``{even_key: c}``, nonzero
     and never empty; ``terms`` is the flat view (even_key, odd_mask) -> c.
-    Even exponents occupy ``width`` bits per variable: 8 for keys given to
-    the constructor, wider when a vertex content has a larger exponent.
-    Odd exponents are 0/1 and a term's sign is relative to ascending
+    Even exponents occupy ``width`` bits per variable, enough for the sum
+    of a variable's exponents over all sheets: 8 for keys given to the
+    constructor, which rejects larger sums, wider for ``lift``.  Odd
+    exponents are 0/1 and a term's sign is relative to ascending
     (sheet-major) odd order.
     """
 
@@ -95,7 +108,15 @@ class SheetedPoly:
         self.sheets = sheets
         self.width = 8
         self.groups = {}
+        fields = range(0, sheets * nvars * 8, 8)
         for (ev, om), c in (terms or {}).items():
+            sums = [0] * nvars
+            for v, shift in enumerate(fields):
+                sums[v % nvars] += (ev >> shift) & 255
+            if ev >> (sheets * nvars * 8) or max(sums, default=0) > 255:
+                raise DimensionError(
+                    "even key %d does not fit %d sheets of %d 8-bit exponents "
+                    "summing below 256" % (ev, sheets, nvars))
             c = ratnorm(c)
             if c:
                 self.groups.setdefault(om, {})[ev] = c
@@ -144,7 +165,8 @@ def _unit(entries) -> SheetedPoly:
             raise DimensionError("vertex contents over different dimensions")
     top = max((e for mv in entries for poly in mv.components.values()
                for exps in poly.terms for e in exps), default=0)
-    return SheetedPoly._raw(r, 0, {0: {0: 1}}, max(8, top.bit_length()))
+    width = max(8, (len(entries) * top).bit_length())
+    return SheetedPoly._raw(r, 0, {0: {0: 1}}, width)
 
 
 def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
@@ -226,10 +248,15 @@ def merge(sp: SheetedPoly) -> Multivector:
     """Collapse sheets: x^mu_(i) -> x^mu and xi^(i)_mu -> xi_mu.
 
     Remaining odd factors are re-sorted by mu with the permutation's sign;
-    a term keeping two odd factors with equal mu is structurally zero.
+    a term keeping two odd factors with equal mu is structurally zero.  A
+    key's sheet blocks are added as integers: the width holds the sum of a
+    variable's exponents over all sheets, so no field carries.
     """
     r, width = sp.nvars, sp.width
+    block = r * width
+    mask_b = (1 << block) - 1
     mask_e = (1 << width) - 1
+    shifts = range(block, sp.sheets * block, block)
     comps = {}
     for om, bucket in sp.groups.items():
         mus = []
@@ -244,24 +271,16 @@ def merge(sp: SheetedPoly) -> Multivector:
         sgn = -1 if inv & 1 else 1
         target = comps.setdefault(tuple(sorted(mu + 1 for mu in mus)), {})
         for ev, c in bucket.items():
-            exps = [0] * r
-            v = 0
-            while ev:
-                e = ev & mask_e
-                if e:
-                    exps[v % r] += e
-                ev >>= width
-                v += 1
-            key = tuple(exps)
-            cur = target.get(key, 0) + sgn * c
-            if cur:
-                target[key] = cur
-            else:
-                del target[key]
+            key = ev & mask_b
+            for s in shifts:
+                key += (ev >> s) & mask_b
+            target[key] = target.get(key, 0) + sgn * c
     out = {}
     for idx, bucket in comps.items():
-        if bucket:
-            out[idx] = Poly._raw(r, {e: ratnorm(k) for e, k in bucket.items()})
+        terms = {tuple((key >> (mu * width)) & mask_e for mu in range(r)):
+                 ratnorm(c) for key, c in bucket.items() if c}
+        if terms:
+            out[idx] = Poly._raw(r, terms)
     return Multivector._raw(r, out)
 
 
@@ -313,11 +332,29 @@ def _vertex_count(gamma) -> int:
 
 
 def _sum_over_placements(gamma, v: Multivector, p: Multivector) -> Multivector:
-    """Sum over k of gamma evaluated with v at vertex k and p at the others."""
+    """Sum over k of gamma evaluated with v at vertex k and p at the others.
+
+    Each placement is relabelled to put v's vertex first (see "Placements"
+    in the module docstring), placements that become the same edge list
+    are added up, and each such class is evaluated once on (v, p, ..., p).
+    The callers have checked that v and p have pure xi-degree.
+    """
     n = _vertex_count(gamma)
+    dv, dp = v.degree(), p.degree()
+    odd_swap = ANY_DEGREE not in (dv, dp) and dv * dp & 1
+    classes = {}
+    for k in range(1, n + 1):
+        lab = [0, *range(2, k + 1), 1, *range(k + 1, n + 1)]  # a -> lab[a]
+        sign_k = -1 if odd_swap and (k - 1) & 1 else 1
+        for graph, c in gamma.terms.items():
+            edges, sign = _sort_parity([tuple(sorted((lab[a], lab[b])))
+                                        for a, b in graph.edges])
+            classes[edges] = classes.get(edges, 0) + sign * sign_k * c
+    entries = (v,) + (p,) * (n - 1)
     out = Multivector.zero(p.nvars)
-    for k in range(n):
-        out = out + evaluate(gamma, tuple(v if t == k else p for t in range(n)))
+    for edges, c in classes.items():
+        if c:
+            out = out + evaluate(Graph(n, edges), entries).scale(c)
     return out
 
 
@@ -334,6 +371,11 @@ def flow(gamma, p: Multivector) -> Multivector:
 
 def directional_flow(gamma, p: Multivector, direction: Multivector) -> Multivector:
     """First variation of the flow at p along a bivector direction."""
+    if not (p.is_grade(2) and direction.is_grade(2)):
+        raise PreconditionError("directional flow expects two bivectors")
+    if p.nvars != direction.nvars:
+        raise DimensionError("bivector over %d variables, direction over %d"
+                             % (p.nvars, direction.nvars))
     return _sum_over_placements(as_graphsum(gamma), direction, p)
 
 

@@ -41,7 +41,7 @@ class Poly:
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+            raise DimensionError("nvars must be nonnegative, got %d" % nvars)
         clean = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
@@ -70,6 +70,8 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
+        if nvars < 0:
+            raise DimensionError("nvars must be nonnegative, got %d" % nvars)
         return cls._raw(nvars, {})
 
     @classmethod

@@ -54,6 +54,22 @@ def test_placement_sums_reject_mixed_vertex_counts(gamma3, gl2kk):
             cocycle1(mixed, minus_euler, gl2kk)
 
 
+def test_directional_flow_requires_two_bivectors(gamma3, P1, euler4):
+    # both orders returned 0 silently
+    with pytest.raises(PreconditionError, match="two bivectors"):
+        directional_flow(gamma3, euler4, P1)
+    with pytest.raises(PreconditionError, match="two bivectors"):
+        directional_flow(gamma3, P1, euler4)
+    with pytest.raises(PreconditionError, match="two bivectors"):
+        directional_flow(GraphSum.zero(), P1, euler4)
+    other = parse_multivector("(x1) xi1 xi2", 3)
+    with pytest.raises(DimensionError):
+        directional_flow(gamma3, P1, other)
+    with pytest.raises(DimensionError):
+        directional_flow(GraphSum.zero(), other, P1)
+    assert directional_flow(gamma3, P1, Multivector.zero(4)).is_zero()
+
+
 # -- orient: a bare Graph keeps its own labels -----------------------------------
 
 
@@ -64,6 +80,28 @@ def test_evaluate_bare_graph_keeps_its_vertex_labels():
     assert render_multivector(got) == "(2*x1*x2) xi1 + (-x2^2) xi2"
     # the sum over the canonical relabelling differs: slot 1 is a scalar there
     assert evaluate(GraphSum.single(Graph(3, [(2, 3)])), entries).is_zero()
+
+
+# -- negative dimensions ------------------------------------------------------------
+
+
+def test_negative_dimensions_raise_dimension_error():
+    # Multivector.zero(-3) and parse_multivector("0", nvars=-1) built values,
+    # and Poly(-1) raised a bare ValueError
+    for build in (lambda: Poly(-1), lambda: Poly.zero(-2),
+                  lambda: Multivector(-1), lambda: Multivector.zero(-3),
+                  lambda: parse_multivector("0", nvars=-1)):
+        with pytest.raises(DimensionError, match="nonnegative"):
+            build()
+    assert Multivector.zero(0).nvars == 0 and Poly(0).nvars == 0
+
+
+def test_cli_negative_nvars_exits_2(capsys):
+    # printed 0 and exited 0
+    assert main(["jacobi", "--poisson", "0", "--nvars", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: nvars must be nonnegative, got -1\n"
 
 
 # -- cohomsolve: the ansatz shape ---------------------------------------------------

@@ -14,11 +14,37 @@ Sign conventions here, validated by property tests rather than cited:
 * ``bracket(a, b) = insert(a, b) - (-1)^(E1*E2) insert(b, a)``;
 * ``differential = -bracket(stick, .)`` so that d(point) = -stick, and the
   new edge of a vertex split lands last in the edge order.
+
+The differential drops the raw terms of that definition that cancel in
+pairs before canonicalizing them.  Written out, d(g) = (-1)^E
+insert(g, stick) - insert(stick, g): each vertex v of g is split into two
+vertices joined by a new last edge, v's edge ends shared between them in
+every way, and a leaf is hung on each vertex of g by a new first edge,
+twice (once per end of the stick).  Two kinds of pairs cancel exactly:
+
+* leaf pairs: the two splits of v that put every edge end on one side
+  hang a leaf on v by a last edge; moving that edge first costs (-1)^E,
+  which the splits' sign undoes, so they equal the two leaves that
+  insert(stick, g) hangs on v, and are subtracted;
+* edge-isolating pairs: the split of v that moves the end of one edge
+  (v, w) alone to a new vertex subdivides that edge, and so does the split
+  of w that moves the other end alone; the isomorphism between the two
+  swaps the halves of the subdivided edge, which sit at its place and
+  last, so the two carry opposite signs.
+
+Both rules are used only at vertices v of valence >= 3, and an
+edge-isolating pair only when w too has valence >= 3, where each term
+belongs to one pair: at a bivalent vertex the split isolating one edge
+isolates the other as well, and at a univalent w the split isolating
+(v, w) is a leaf split.  On graphs of minimum valence 3 what is left is the
+standard form of d, the splits into two vertices of valence >= 3
+(Willwacher, arXiv:1009.1654).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from itertools import product
 
 from .errors import MalformedGraphError, ParseError
@@ -33,6 +59,8 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 1:
             raise MalformedGraphError("vertex count must be positive")
+        if n > sys.maxsize:
+            raise MalformedGraphError("vertex count %d exceeds %d" % (n, sys.maxsize))
         norm = []
         for (i, j) in edges:
             if i == j:
@@ -307,27 +335,18 @@ def insert_terms(g1: Graph, g2: Graph):
     g1's edges come first (redirected), g2's are appended.
     """
     n1, n2 = g1.n, g2.n
+    tail = [(n1 - 1 + i, n1 - 1 + j) for (i, j) in g2.edges]
     for v in range(1, n1 + 1):
-        slots = [k for k, (i, j) in enumerate(g1.edges) if i == v or j == v]
-        remap = {}
-        new = 1
-        for u in range(1, n1 + 1):
-            if u != v:
-                remap[u] = new
-                new += 1
-        offset = n1 - 1
-        for targets in product(range(1, n2 + 1), repeat=len(slots)):
-            chosen = dict(zip(slots, targets))
-            edges = []
-            for k, (i, j) in enumerate(g1.edges):
-                if k in chosen:
-                    other = j if i == v else i
-                    edges.append((remap[other], offset + chosen[k]))
-                else:
-                    edges.append((remap[i], remap[j]))
-            for (i, j) in g2.edges:
-                edges.append((offset + i, offset + j))
-            yield Graph(n1 + n2 - 1, edges)
+        # labels above v move down by one; v's own label stays, so the
+        # relabeled other end of an edge at v is its label sum minus v
+        moved = [(i - (i > v), j - (j > v)) for (i, j) in g1.edges]
+        slots = [k for k, (i, j) in enumerate(g1.edges) if v in (i, j)]
+        ends = [sum(moved[k]) - v for k in slots]
+        for targets in product(range(n1, n1 + n2), repeat=len(slots)):
+            edges = moved[:]
+            for k, end, t in zip(slots, ends, targets):
+                edges[k] = (end, t)
+            yield Graph(n1 + n2 - 1, edges + tail)
 
 
 def insert(g1, g2) -> GraphSum:
@@ -363,12 +382,58 @@ def bracket(s1, s2) -> GraphSum:
     return out
 
 
+def _split_cancels(h: Graph) -> bool:
+    """Whether the raw term h of ``insert_terms(g, stick())`` belongs to a
+    pair that cancels: a leaf split of a vertex of valence >= 3, or its
+    split isolating an edge whose other end also has valence >= 3.
+
+    The split vertex's two halves are h.n - 1 and h.n, joined by h's last
+    edge; every other vertex keeps its valence in g.
+    """
+    deg = h.degrees()
+    a, b = deg[h.n - 1] - 1, deg[h.n] - 1
+    if a + b < 3 or min(a, b) > 1:
+        return False
+    if min(a, b) == 0:
+        return True
+    lone = h.n - 1 if a == 1 else h.n
+    w = next(i + j - lone for (i, j) in h.edges[:-1] if lone in (i, j))
+    return deg[w] >= 3
+
+
 def differential(s) -> GraphSum:
     """Vertex-splitting differential, normalized by d(point) = -stick.
 
-    Realized as -[stick, .]; takes bi-grading (n, E) to (n+1, E+1).
+    Defined as -[stick, .] = (-1)^E insert(., stick) - insert(stick, .);
+    takes bi-grading (n, E) to (n+1, E+1).  Of the raw terms
+    ``insert_terms`` yields for that sum, two kinds of pairs that cancel
+    exactly are dropped before any canonicalization, judged by valences:
+
+    * leaf pairs, at a vertex v of valence >= 3: the two splits putting
+      all of v's edge ends on one side, which hang a leaf on v by the last
+      edge, and the two leaves insert(stick, g) hangs on v by the first
+      edge; moving that edge costs (-1)^E, the splits' own sign;
+    * edge-isolating pairs, for an edge (v, w) with v and w of valence
+      >= 3: the split of v moving the end of (v, w) alone and the split of
+      w moving the other end alone both subdivide the edge, and differ by
+      swapping its two halves, one transposition of the edge order.
+
+    On graphs of minimum valence 3 only the splits into two vertices of
+    valence >= 3 remain; every other term is added as it is.
     """
-    return -bracket(stick(), s)
+    out = GraphSum.zero()
+    edge = stick()
+    for g, c in as_graphsum(s).terms.items():
+        deg = g.degrees()
+        split_c = -c if g.n_edges % 2 else c
+        for h in insert_terms(g, edge):
+            if not _split_cancels(h):
+                out.add_term(h, split_c)
+        for h in insert_terms(edge, g):
+            # h's first edge hangs the leaf 1 on g's vertex h.edges[0][1] - 1
+            if deg[h.edges[0][1] - 1] < 3:
+                out.add_term(h, -c)
+    return out
 
 
 def is_cocycle(s) -> bool:

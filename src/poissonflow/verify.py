@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import catalog as _catalog
-from .gracomplex import Graph, GraphSum, differential, point, stick
+from .gracomplex import Graph, GraphSum, bracket, differential, point, stick
 from .multivec import (Multivector, euler_field, homogeneity_scale, jacobiator,
                        schouten)
 from .orient import cocycle1, flow
@@ -226,7 +226,9 @@ def run_checks(objects=None, fast=False) -> RunReport:
     def graph_checks():
         if differential(point()) != GraphSum.single(stick()).scale(-1):
             return False, "d(point) != -stick"
-        if not differential(g3).is_zero():
+        # differential drops every raw term of d(g3) as a cancelling pair,
+        # so the definition -[stick, g3] is checked as well
+        if not (differential(g3).is_zero() and bracket(stick(), g3).is_zero()):
             return False, "d(tetrahedron) != 0"
         for g in _connected_graphs_up_to(4):
             if not differential(differential(g)).is_zero():

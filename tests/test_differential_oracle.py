@@ -1,0 +1,120 @@
+"""``differential`` against its definition ``-bracket(stick(), .)``.
+
+``differential`` leaves out the raw insertion terms that cancel in pairs
+(leaf splits and stick leaves at vertices of valence >= 3, and splits
+isolating an edge between two such vertices) before canonicalizing;
+``bracket`` canonicalizes every term.  They must give the same GraphSum
+on graphs of every valence, isolated vertices and zero graphs included,
+on the nonzero min-valence-3 classes and every term of their d, and on
+sums mixing edge parities and rational coefficients.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from poissonflow.gracomplex import (Graph, GraphSum, bracket, canonicalize,
+                                    differential, point, stick, tetrahedron)
+
+
+def oracle(s):
+    return -bracket(stick(), s)
+
+
+def edge_subsets(n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    for r in range(len(pairs) + 1):
+        for edges in combinations(pairs, r):
+            yield Graph(n, edges)
+
+
+def present(rng, n, edges):
+    """The same graph under seeded vertex labels and edge order."""
+    labels = rng.sample(range(1, n + 1), n)
+    edges = [(labels[i - 1], labels[j - 1]) for (i, j) in edges]
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
+# Nonzero classes of connected graphs of minimum valence 3: both terms of
+# the pentagon-wheel cocycle at (6,10), then one class each at (6,11),
+# (7,12) and (7,13).
+CLASSES = {
+    "n6e10.wheel": (6, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
+                        (3, 5), (4, 6), (5, 6))),
+    "n6e10.other": (6, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6),
+                        (3, 5), (4, 6), (5, 6))),
+    "n6e11": (6, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5),
+                  (3, 4), (3, 6), (5, 6))),
+    "n7e12": (7, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4),
+                  (3, 4), (5, 6), (5, 7), (6, 7))),
+    "n7e13": (7, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5),
+                  (3, 7), (4, 6), (4, 7), (5, 6), (5, 7))),
+}
+
+
+# -- every edge subset of the complete graphs K1..K5 -------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_edge_subset_of_the_complete_graph(n):
+    valences = set()
+    zeros = 0
+    for g in edge_subsets(n):
+        assert differential(g) == oracle(g), g
+        valences.update(g.degrees()[1:])
+        zeros += canonicalize(g)[0] is None
+    assert valences == set(range(n))
+    if n >= 3:
+        assert zeros > 0
+
+
+def test_point_stick_and_tetrahedron():
+    assert differential(point()) == GraphSum.single(stick(), -1) == oracle(point())
+    assert differential(stick()) == oracle(stick())
+    assert differential(tetrahedron()).is_zero()
+    assert oracle(tetrahedron()).is_zero()
+
+
+# -- the min-valence-3 classes and every term of their d ---------------------------
+
+
+@pytest.mark.parametrize("label", sorted(CLASSES))
+def test_classes_and_the_terms_of_their_d(label):
+    n, edges = CLASSES[label]
+    rng = random.Random(label)
+    g = present(rng, n, edges)
+    dg = differential(g)
+    assert dg == oracle(g)
+    assert not dg.is_zero()
+    for term in dg.terms:
+        assert differential(term) == oracle(term), term
+    assert differential(dg) == oracle(dg)
+    assert differential(dg).is_zero()
+
+
+# -- sums mixing edge parities, valences and rational coefficients -----------------
+
+
+def random_graph(rng, n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    return Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n))))
+
+
+def test_mixed_graph_sums():
+    rng = random.Random(91)
+    for _ in range(40):
+        s = GraphSum.zero()
+        for _ in range(rng.randint(1, 5)):
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            s.add_term(random_graph(rng, rng.randint(1, 6)), c)
+        assert differential(s) == oracle(s), s
+    s = GraphSum.zero()
+    for n, edges in CLASSES.values():
+        s.add_term(Graph(n, edges), Fraction(len(edges), n))
+    s.add_term(tetrahedron(), Fraction(-3, 7))
+    s.add_term(Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 3))), Fraction(5, 2))
+    assert {g.n_edges % 2 for g in s.terms} == {0, 1}
+    assert differential(s) == oracle(s)

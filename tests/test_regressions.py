@@ -2,6 +2,7 @@
 failure exits."""
 
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from poissonflow.cli import main
 from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
                                     multivector_columns_system, solve_raw,
                                     trivialize)
-from poissonflow.errors import DimensionError, PreconditionError
+from poissonflow.errors import (DimensionError, MalformedGraphError,
+                               PreconditionError)
 from poissonflow.gracomplex import Graph, GraphSum, stick
 from poissonflow.multivec import (Multivector, euler_field, parse_multivector,
                                   render_multivector, schouten)
@@ -317,3 +319,29 @@ def test_cli_graph_d_with_many_isolated_vertices(capsys):
     # them aside instead of trying their orders
     assert main(["graph-d", "--graph", "graph{n=14; edges=(1,2); c=1}"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+# -- gracomplex: vertex counts past sys.maxsize ------------------------------------
+
+
+def test_graph_rejects_a_vertex_count_past_maxsize():
+    with pytest.raises(MalformedGraphError, match="vertex count"):
+        Graph(sys.maxsize + 1, ((1, 2),))
+
+
+HUGE_GRAPH = "graph{n=99999999999999999999; edges=(1,2); c=1}"
+
+
+@pytest.mark.parametrize("argv", [["graph-d", "--graph", HUGE_GRAPH],
+                                  ["graph-bracket", "--left", HUGE_GRAPH,
+                                   "--right", "graph{n=2; edges=(1,2); c=1}"],
+                                  ["graph-bracket", "--left", "graph{n=1; edges=; c=1}",
+                                   "--right", HUGE_GRAPH]],
+                         ids=["graph-d", "bracket-left", "bracket-right"])
+def test_cli_graph_with_a_vertex_count_past_maxsize_exits_2(argv, capsys):
+    assert 99999999999999999999 > sys.maxsize
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: vertex count 99999999999999999999 exceeds %d\n" % sys.maxsize

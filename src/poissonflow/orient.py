@@ -15,14 +15,30 @@ vertex holding the same Poisson bivector this yields its flow; with one
 Sign ledger.  Odd factors of a term are ordered sheet-major, ascending; a
 term's coefficient is relative to that order.
 
-- Sheet multiplication.  Sheets are multiplied in ascending order, each new
-  factor on the right.  Its odd factors sit above every earlier one, so the
-  product carries no Koszul sign.
+- Sheet multiplication.  Sheets 1..n-1 are multiplied in ascending order,
+  each new factor on the right.  Its odd factors sit above every earlier
+  one, so the product carries no Koszul sign.
 - Edges commute with later sheets.  E_ij only differentiates in sheets i
   and j, and a factor in the variables of sheet k > i, j on the right is a
   constant for it: E_ij(A . B) = E_ij(A) . B.  So an edge may act as soon
   as its larger endpoint's sheet is in, and ``evaluate`` interleaves:
   multiply in sheet k, then apply every edge whose larger endpoint is k.
+- Last vertex.  Sheet n is never multiplied in.  The state is a sum of
+  A . B, with A over sheets 1..n-1 and B a derivative of entry n in
+  sheet-n variables; every edge closing at n is (i, n), i < n, and by the
+  Leibniz rule
+      d/dxi_mu^(i) (A . B) = (d/dxi_mu^(i) A) . B,
+      d/dx^mu_(i)  (A . B) = (d/dx^mu_(i) A) . B,
+      d/dxi_mu^(n) (A . B) = (-1)^|A| A . (d/dxi_mu^(n) B),
+  with |A| the number of A's odd factors; d/dx^mu_(n) only shifts B.  So
+  the state is a map from a descriptor d of B's derivative to A_d.  A
+  descriptor is an x multi-index alpha and an ascending xi tuple s,
+  standing for d/dx^alpha d/dxi_s1 ... d/dxi_sk (s_k acting first).  A new
+  d/dxi_mu sorts into s past the indices below mu, at the sign of that many
+  transpositions; an index already in s gives zero.  A's with equal
+  descriptors are added, and a descriptor whose derivative of entry n is
+  zero is dropped.  ``merge`` is an algebra homomorphism, so the value is
+  the sum over d of merge(A_d) ^ d(entry n), the wedge in that order.
 - Edge order costs the permutation's parity.  Each E_ij is odd, so two
   edge operators anticommute; applying the edges grouped by larger endpoint
   (stable within a group) instead of in listed order multiplies the value
@@ -46,25 +62,28 @@ Internally a sheeted polynomial groups its terms by odd mask,
 of ``width`` bits of even exponent per (sheet, mu) variable, both ordered
 sheet-major.  Every sign, target mask and exponent shift above depends on
 the odd mask alone, so ``apply_edge`` and ``merge`` compute them once per
-mask.  The width is 8 bits, widened to the bit length of n times the
-largest exponent of the n vertex contents, so one field holds the sum of a
-variable's exponents over all sheets: edges only lower exponents, so no
-field overflows into its neighbour, and ``merge`` adds a key's sheet
-blocks as plain integers without a carry between fields.  Terms vanish as
-soon as a derivative misses, which is what keeps the expansion of dense
-cocycles tractable.
+mask.  The width is 8 bits, widened to the bit length of m times the
+largest exponent of the m lifted vertex contents (m = n for ``lift``,
+m = n-1 in ``evaluate``), so one field holds the sum of a variable's
+exponents over all lifted sheets: edges only lower exponents, so no field
+overflows into its neighbour, and ``merge`` adds a key's sheet blocks as
+plain integers without a carry between fields.  Terms vanish as soon as a
+derivative misses, which is what keeps the expansion of dense cocycles
+tractable.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections.abc import Mapping
 from functools import reduce
 from itertools import combinations
 
 from .errors import DimensionError, PreconditionError
 from .gracomplex import Graph, _sort_parity, as_graphsum, is_cocycle
-from .multivec import Multivector, homogeneity_scale, jacobiator
+from .multivec import (Multivector, _x_partial, _xi_left, homogeneity_scale,
+                       jacobiator, wedge)
 from .ratpoly import ANY_DEGREE, Poly, ratnorm
 
 
@@ -96,9 +115,9 @@ class SheetedPoly:
     and never empty; ``terms`` is the flat view (even_key, odd_mask) -> c.
     Even exponents occupy ``width`` bits per variable, enough for the sum
     of a variable's exponents over all sheets: 8 for keys given to the
-    constructor, which rejects larger sums, wider for ``lift``.  Odd
-    exponents are 0/1 and a term's sign is relative to ascending
-    (sheet-major) odd order.
+    constructor, which rejects larger sums, wider for ``lift`` and for
+    the n-1 sheets ``evaluate`` lifts.  Odd exponents are 0/1 and a term's
+    sign is relative to ascending (sheet-major) odd order.
     """
 
     __slots__ = ("nvars", "sheets", "groups", "width")
@@ -155,17 +174,18 @@ class SheetedPoly:
             self.nvars, self.sheets, len(self.terms))
 
 
-def _unit(entries) -> SheetedPoly:
-    """The product over no sheets, with the field width of ``entries``."""
+def _unit(entries, lifted) -> SheetedPoly:
+    """The product over no sheets, wide enough for the first ``lifted``
+    entries: the field width holds ``lifted`` times their largest exponent."""
     if not entries:
         raise PreconditionError("empty vertex tuple")
     r = entries[0].nvars
     for mv in entries:
         if mv.nvars != r:
             raise DimensionError("vertex contents over different dimensions")
-    top = max((e for mv in entries for poly in mv.components.values()
+    top = max((e for mv in entries[:lifted] for poly in mv.components.values()
                for exps in poly.terms for e in exps), default=0)
-    width = max(8, (len(entries) * top).bit_length())
+    width = max(8, (lifted * top).bit_length())
     return SheetedPoly._raw(r, 0, {0: {0: 1}}, width)
 
 
@@ -200,7 +220,7 @@ def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
 def lift(entries) -> SheetedPoly:
     """Product over sheets i of entry i rewritten in sheet-i variables."""
     entries = list(entries)
-    return reduce(_times_sheet, entries, _unit(entries))
+    return reduce(_times_sheet, entries, _unit(entries, len(entries)))
 
 
 def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
@@ -224,23 +244,8 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
                 bit = 1 << (abase + mu)
                 # left derivative: pass the odd factors standing before `bit`
                 sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
-                shift = ((b - 1) * r + mu) * width
-                one = 1 << shift
-                target = out.get(om ^ bit)
-                if target is None:
-                    out[om ^ bit] = {ev - one: sgn * e * c
-                                     for ev, c in bucket.items()
-                                     if (e := (ev >> shift) & mask_e)}
-                    continue
-                for ev, c in bucket.items():
-                    e = (ev >> shift) & mask_e
-                    if e:
-                        key = ev - one
-                        cur = target.get(key, 0) + sgn * e * c
-                        if cur:
-                            target[key] = cur
-                        else:
-                            del target[key]
+                _add_derivative(out, om ^ bit, bucket, sgn,
+                                ((b - 1) * r + mu) * width, mask_e)
     return SheetedPoly._raw(r, n, {om: t for om, t in out.items() if t}, width)
 
 
@@ -284,6 +289,114 @@ def merge(sp: SheetedPoly) -> Multivector:
     return Multivector._raw(r, out)
 
 
+class _Slots(tuple):
+    """Vertex contents, with the derivatives of the last one kept in a table.
+
+    ``derivative((alpha, s))`` is d/dx^alpha d/dxi_s1 ... d/dxi_sk of the
+    last entry, s ascending and 0-based (see "Last vertex" in the module
+    docstring).  Every evaluation on the same slots reads the one table.
+    """
+
+    def __new__(cls, entries):
+        slots = super().__new__(cls, entries)
+        slots.table = {}
+        return slots
+
+    def derivative(self, d):
+        got = self.table.get(d)
+        if got is None:
+            alpha, s = d
+            mu = next((m for m, e in enumerate(alpha) if e), None)
+            if mu is not None:
+                lower = alpha[:mu] + (alpha[mu] - 1,) + alpha[mu + 1:]
+                got = _x_partial(self.derivative((lower, s)), mu + 1)
+            elif s:
+                got = _xi_left(self.derivative((alpha, s[1:])), s[0] + 1)
+            else:
+                got = self[-1]
+            self.table[d] = got
+        return got
+
+
+def _add_signed(groups, om, bucket, sgn):
+    """groups[om] += sgn * bucket."""
+    target = groups.get(om)
+    if target is None:
+        groups[om] = dict(bucket) if sgn > 0 else {ev: -c for ev, c in bucket.items()}
+        return
+    for ev, c in bucket.items():
+        cur = target.get(ev, 0) + sgn * c
+        if cur:
+            target[ev] = cur
+        else:
+            del target[ev]
+
+
+def _add_derivative(groups, om, bucket, sgn, shift, mask_e):
+    """groups[om] += sgn * d/dx of bucket, x the exponent field at ``shift``."""
+    one = 1 << shift
+    target = groups.get(om)
+    if target is None:
+        groups[om] = {ev - one: sgn * e * c for ev, c in bucket.items()
+                      if (e := (ev >> shift) & mask_e)}
+        return
+    for ev, c in bucket.items():
+        e = (ev >> shift) & mask_e
+        if e:
+            key = ev - one
+            cur = target.get(key, 0) + sgn * e * c
+            if cur:
+                target[key] = cur
+            else:
+                del target[key]
+
+
+def _close_last_sheet(state, edges, slots) -> Multivector:
+    """The value of ``state`` times the last entry in sheet-n variables, with
+    the edges (i, n) acting by the Leibniz rule ("Last vertex" in the module
+    docstring): one sheeted A per derivative descriptor, merged and wedged
+    with that derivative of the entry at the end."""
+    r, width = state.nvars, state.width
+    mask_e = (1 << width) - 1
+    start = ((0,) * r, ())
+    descs = {start: state.groups} if state.groups and slots.derivative(start) else {}
+    for (i, _) in edges:
+        base = (i - 1) * r
+        out = {}
+        for (alpha, s), groups in descs.items():
+            for mu in range(r):
+                # d/dxi_mu^(i) A . d/dx^mu_(n) B
+                d = (alpha[:mu] + (alpha[mu] + 1,) + alpha[mu + 1:], s)
+                if slots.derivative(d):
+                    bit = 1 << (base + mu)
+                    target = out.setdefault(d, {})
+                    for om, bucket in groups.items():
+                        if om & bit:
+                            sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
+                            _add_signed(target, om ^ bit, bucket, sgn)
+                if mu in s:
+                    continue
+                # (-1)^(|A| + pos) d/dx^mu_(i) A . d/dxi_mu^(n) B
+                pos = bisect_left(s, mu)
+                d = (alpha, s[:pos] + (mu,) + s[pos:])
+                if slots.derivative(d):
+                    shift = (base + mu) * width
+                    target = out.setdefault(d, {})
+                    for om, bucket in groups.items():
+                        sgn = -1 if (om.bit_count() + pos) & 1 else 1
+                        _add_derivative(target, om, bucket, sgn, shift, mask_e)
+        descs = {}
+        for d, groups in out.items():
+            groups = {om: t for om, t in groups.items() if t}
+            if groups:
+                descs[d] = groups
+    value = Multivector.zero(r)
+    for d, groups in descs.items():
+        a = merge(SheetedPoly._raw(r, state.sheets, groups, width))
+        value = value + wedge(a, slots.derivative(d))
+    return value
+
+
 def evaluate(gamma, entries) -> Multivector:
     """Total evaluation of a graph sum, or of one graph as given, on a tuple
     of multivectors.
@@ -292,16 +405,18 @@ def evaluate(gamma, entries) -> Multivector:
     last; the output xi-degree is the tuple's total degree minus the edge
     count.  A bare ``Graph`` keeps its own vertex labels, edge order and
     coefficient 1; the terms of a ``GraphSum`` are canonical graphs.  Sheets
-    stream in one at a time, each edge acting as soon as both its endpoint
-    sheets exist (see the sign ledger in the module docstring).
+    1..n-1 stream in one at a time, each edge acting as soon as both its
+    endpoint sheets exist; the edges at vertex n act on the derivatives of
+    entry n by the Leibniz rule (see the sign ledger in the module
+    docstring).
     """
     terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
-    entries = tuple(entries)
-    for mv in entries:
+    slots = entries if isinstance(entries, _Slots) else _Slots(entries)
+    for mv in slots:
         if mv.degree() is None:
             raise PreconditionError("vertex contents must have pure xi-degree")
-    unit = _unit(entries)
-    n = len(entries)
+    n = len(slots)
+    unit = _unit(slots, n - 1)
     result = Multivector.zero(unit.nvars)
     for graph, c in terms:
         if graph.n != n:
@@ -313,13 +428,14 @@ def evaluate(gamma, entries) -> Multivector:
             closing[edge[1]].append(edge)
         swaps = sum(1 for s, t in combinations(graph.edges, 2) if s[1] > t[1])
         state = unit
-        for k, mv in enumerate(entries, 1):
-            state = _times_sheet(state, mv)
+        for k in range(1, n):
+            state = _times_sheet(state, slots[k - 1])
             for (i, j) in closing[k]:
                 state = apply_edge(state, i, j)
             if state.is_zero():
                 break
-        result = result + merge(state).scale(-c if swaps & 1 else c)
+        value = _close_last_sheet(state, closing[n], slots)
+        result = result + value.scale(-c if swaps & 1 else c)
     return result
 
 
@@ -350,7 +466,7 @@ def _sum_over_placements(gamma, v: Multivector, p: Multivector) -> Multivector:
             edges, sign = _sort_parity([tuple(sorted((lab[a], lab[b])))
                                         for a, b in graph.edges])
             classes[edges] = classes.get(edges, 0) + sign * sign_k * c
-    entries = (v,) + (p,) * (n - 1)
+    entries = _Slots((v,) + (p,) * (n - 1))
     out = Multivector.zero(p.nvars)
     for edges, c in classes.items():
         if c:
@@ -383,8 +499,8 @@ def cocycle1(gamma, v: Multivector, p: Multivector) -> Multivector:
     """The 1-vector evaluation with v in one slot, summed over placements.
 
     Requires [[v,p]] = p exactly and p Poisson; every graph term must sit in
-    bi-grading (n, 2n-2).  Plain sum over the n placements of v, with no
-    combinatorial prefactor.
+    bi-grading (n, 2n-2).  p = 0 satisfies both for any v.  Plain sum over
+    the n placements of v, with no combinatorial prefactor.
     """
     gamma = as_graphsum(gamma)
     if not v.is_grade(1):
@@ -392,7 +508,7 @@ def cocycle1(gamma, v: Multivector, p: Multivector) -> Multivector:
     if not p.is_grade(2):
         raise PreconditionError("third argument must be a bivector")
     scale = homogeneity_scale(v, p)
-    if scale != 1:
+    if scale not in (1, ANY_DEGREE):
         raise PreconditionError(
             "bivector is not homogeneous of scale 1 along the field "
             "(computed scale: %s)" % (scale,))

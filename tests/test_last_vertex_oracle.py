@@ -1,0 +1,214 @@
+"""The Leibniz-rule last vertex against the streaming evaluator it replaced.
+
+``evaluate`` never multiplies in the last sheet: the edges (i, n) act on
+pairs (A, derivative descriptor of entry n), and the value is the sum of
+merge(A_d) ^ d(entry n).  ``streaming_oracle`` is the evaluator it replaced,
+kept verbatim: it multiplies every sheet in, the last one included, and
+applies each edge right after its larger endpoint's sheet.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from poissonflow import orient
+from poissonflow.errors import PreconditionError
+from poissonflow.gracomplex import Graph, GraphSum, tetrahedron
+from poissonflow.multivec import Multivector
+from poissonflow.orient import (_sum_over_placements, _times_sheet, _vertex_count,
+                                apply_edge, directional_flow, evaluate, merge)
+from poissonflow.ratpoly import Poly
+
+from test_orient_oracle import rand_grade, rand_poly
+from test_placements_oracle import RawSum
+
+
+def _unit(entries):
+    """The unit as the oracle built it: wide enough for all n sheets."""
+    return orient._unit(entries, len(entries))
+
+
+def streaming_oracle(gamma, entries) -> Multivector:
+    terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
+    entries = tuple(entries)
+    for mv in entries:
+        if mv.degree() is None:
+            raise PreconditionError("vertex contents must have pure xi-degree")
+    unit = _unit(entries)
+    n = len(entries)
+    result = Multivector.zero(unit.nvars)
+    for graph, c in terms:
+        if graph.n != n:
+            raise PreconditionError(
+                "graph on %d vertices fed %d multivectors" % (graph.n, n))
+        # edges are stored (i, j) with i < j: edge (i, j) acts after sheet j
+        closing = [[] for _ in range(n + 1)]
+        for edge in graph.edges:
+            closing[edge[1]].append(edge)
+        swaps = sum(1 for s, t in combinations(graph.edges, 2) if s[1] > t[1])
+        state = unit
+        for k, mv in enumerate(entries, 1):
+            state = _times_sheet(state, mv)
+            for (i, j) in closing[k]:
+                state = apply_edge(state, i, j)
+            if state.is_zero():
+                break
+        result = result + merge(state).scale(-c if swaps & 1 else c)
+    return result
+
+
+def placements_oracle(gamma, v, p):
+    n = _vertex_count(gamma)
+    out = Multivector.zero(p.nvars)
+    for k in range(n):
+        out = out + streaming_oracle(gamma, tuple(v if t == k else p for t in range(n)))
+    return out
+
+
+def random_edges(rng, n, count, repeat):
+    """``count`` distinct edges, each reversed at random, plus one repeat."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = rng.sample(pairs, min(count, len(pairs)))
+    if repeat and edges:
+        edges.append(rng.choice(edges))
+    return [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges]
+
+
+def nonzero_grade(rng, r, grade):
+    while True:
+        mv = rand_grade(rng, r, grade)
+        if not mv.is_zero():
+            return mv
+
+
+def test_random_graphs_with_repeats_reversals_and_zero_entries():
+    rng = random.Random(1201)
+    nonzero = repeated = 0
+    for trial in range(120):
+        r = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        g = Graph(n, random_edges(rng, n, rng.randint(0, 5), trial % 7 == 0))
+        entries = [rand_grade(rng, r, rng.randint(0, r)) for _ in range(n)]
+        if trial % 10 == 0:
+            entries[rng.randrange(n)] = Multivector.zero(r)
+        got = evaluate(g, entries)
+        assert got == streaming_oracle(g, entries), (g.edges, entries)
+        nonzero += not got.is_zero()
+        repeated += len(set(g.edges)) < len(g.edges)
+    assert nonzero >= 30
+    assert repeated >= 10
+
+
+def test_single_vertex_and_isolated_last_vertex():
+    rng = random.Random(1202)
+    nonzero = 0
+    for _ in range(40):
+        r = rng.randint(1, 3)
+        entry = rand_grade(rng, r, rng.randint(0, r))
+        assert evaluate(Graph(1, []), [entry]) == entry
+        assert streaming_oracle(Graph(1, []), [entry]) == entry
+        entries = [nonzero_grade(rng, r, rng.randint(0, r)) for _ in range(3)]
+        # vertex 3 has no edge
+        g = Graph(3, random_edges(rng, 2, 1, False) if rng.random() < 0.8 else [])
+        got = evaluate(g, entries)
+        assert got == streaming_oracle(g, entries)
+        nonzero += not got.is_zero()
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("grade", [0, 1, 2, 3])
+def test_last_entries_of_every_grade(grade):
+    rng = random.Random(1210 + grade)
+    nonzero = 0
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        g = Graph(n, random_edges(rng, n, rng.randint(1, 4), False))
+        entries = [nonzero_grade(rng, 3, rng.randint(1, 3)) for _ in range(n - 1)]
+        entries.append(nonzero_grade(rng, 3, grade))
+        got = evaluate(g, entries)
+        assert got == streaming_oracle(g, entries)
+        nonzero += not got.is_zero()
+    assert nonzero >= 4
+
+
+def test_graph_sums_share_one_derivative_table(P1, P2):
+    a = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    b = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4)])
+    gamma = GraphSum.single(a, 3) + GraphSum.single(b, Fraction(-1, 2))
+    assert len(gamma.terms) == 2
+    v = nonzero_grade(random.Random(1221), 4, 1)
+    for entries in ((P2, v, P2, P2), (P1, P1, P1, P1)):
+        got = evaluate(gamma, entries)
+        assert got == streaming_oracle(gamma, entries)
+        assert not got.is_zero()
+
+
+# the two terms of the pentagon-wheel cocycle: the wheel, the other graph
+NONZERO_6_10 = (
+    ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 5), (4, 6), (5, 6)),
+    ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)),
+)
+
+
+def cubic_bivector(rng):
+    """A bivector on R^3 with one or two monomials of degree <= 3 each."""
+    return Multivector(3, {idx: rand_poly(rng, 3, maxdeg=3)
+                           for idx in ((1, 2), (1, 3), (2, 3))})
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_pentagon_wheel_terms_on_low_degree_bivectors(which):
+    rng = random.Random(1230 + which)
+    g = Graph(6, NONZERO_6_10[which])
+    nonzero = 0
+    for _ in range(6):
+        entries = [cubic_bivector(rng) for _ in range(6)]
+        got = evaluate(g, entries)
+        assert got == streaming_oracle(g, entries)
+        nonzero += not got.is_zero()
+    assert nonzero >= 2
+
+
+def test_cocycle1_placements(gamma3, P1, euler4):
+    rng = random.Random(1240)
+    assert _sum_over_placements(gamma3, euler4, P1) == placements_oracle(
+        gamma3, euler4, P1)
+    for _ in range(2):
+        v = nonzero_grade(rng, 4, 1)
+        want = placements_oracle(gamma3, v, P1)
+        assert not want.is_zero()
+        assert _sum_over_placements(gamma3, v, P1) == want
+
+
+@pytest.mark.parametrize("order", [("P1", "P2"), ("P2", "P1")])
+def test_directional_flow_placements(request, gamma3, order):
+    p, q = (request.getfixturevalue(name) for name in order)
+    want = placements_oracle(gamma3, q, p)
+    assert not want.is_zero()
+    assert directional_flow(gamma3, p, q) == want
+
+
+def test_placements_with_odd_slots():
+    # v and p of odd degree: the placement classes carry Koszul signs
+    rng = random.Random(1250)
+    path = RawSum({Graph(3, [(1, 2), (2, 3)]): 1})
+    star = RawSum({Graph(4, [(1, 4), (2, 4), (3, 4), (1, 2)]): 1,
+                   Graph(4, [(2, 4), (1, 3), (3, 4)]): -2})
+    nonzero = 0
+    for gamma in (path, star) * 3:
+        v, p = nonzero_grade(rng, 3, 1), nonzero_grade(rng, 3, rng.choice([1, 3]))
+        want = placements_oracle(gamma, v, p)
+        assert _sum_over_placements(gamma, v, p) == want
+        nonzero += not want.is_zero()
+    assert nonzero >= 2
+
+
+def test_tetrahedron_flows_match(P1, P2, gl2kk):
+    g3 = tetrahedron()
+    for p in (P1, P2, gl2kk):
+        assert evaluate(g3, (p,) * 4) == streaming_oracle(g3, (p,) * 4)
+    assert not evaluate(g3, (P2,) * 4).is_zero()
+    scalar = Multivector(4, {(): Poly.constant(4, 1)})
+    assert evaluate(g3, (P1, P1, P1, scalar)).is_zero()

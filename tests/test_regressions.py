@@ -56,6 +56,23 @@ def test_placement_sums_reject_mixed_vertex_counts(gamma3, gl2kk):
             cocycle1(mixed, minus_euler, gl2kk)
 
 
+def test_cocycle1_over_the_zero_bivector(gamma3, euler4):
+    # [[V,0]] = 0 = 0: the scale is "any", 0 is Poisson, and X = 0
+    zero = Multivector.zero(4)
+    assert cocycle1(gamma3, euler4, zero) == Multivector.zero(4)
+    k4_minus_edge = GraphSum.single(Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
+    assert not k4_minus_edge.is_zero()
+    with pytest.raises(PreconditionError, match="has 5 edges, expected 6"):
+        cocycle1(k4_minus_edge, euler4, zero)
+
+
+def test_cli_cocycle1_over_the_zero_bivector(capsys):
+    argv = ["cocycle1", "--graph", "tetrahedron", "--field", "euler",
+            "--poisson", "0", "--nvars", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_directional_flow_requires_two_bivectors(gamma3, P1, euler4):
     # both orders returned 0 silently
     with pytest.raises(PreconditionError, match="two bivectors"):

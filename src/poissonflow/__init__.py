@@ -11,7 +11,7 @@ from .errors import (DimensionError, MalformedGraphError, ParseError,
                      PreconditionError)
 from .ratpoly import ANY_DEGREE, Poly, parse_poly, render_poly
 from .multivec import (Multivector, euler_field, hamiltonian_field,
-                       homogeneity_scale, is_poisson, jacobiator,
+                       homogeneity_scale, jacobiator,
                        lie_derivative, parse_multivector, poisson_bracket,
                        render_multivector, schouten, schouten_sym, wedge)
 from .gracomplex import (Graph, GraphSum, bracket, canonicalize, differential,

@@ -83,14 +83,6 @@ class Multivector:
     def from_scalar(cls, p: Poly) -> "Multivector":
         return cls(p.nvars, {(): p})
 
-    @classmethod
-    def vector(cls, coefficients) -> "Multivector":
-        """1-vector from a list of r component polynomials."""
-        comps = {}
-        for k, p in enumerate(coefficients):
-            comps[(k + 1,)] = p
-        return cls(coefficients[0].nvars if coefficients else 0, comps)
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -318,10 +310,6 @@ def jacobiator(p: Multivector) -> Multivector:
     return schouten(p, p).scale(Fraction(1, 2))
 
 
-def is_poisson(p: Multivector) -> bool:
-    return jacobiator(p).is_zero()
-
-
 def euler_field(r: int) -> Multivector:
     """sum_i x^i d/dx^i on R^r."""
     if r < 1:
@@ -336,6 +324,18 @@ def lie_derivative(v: Multivector, omega: Multivector) -> Multivector:
     return schouten(v, omega)
 
 
+def _ratio(value: Multivector, reference: Multivector):
+    """The rational lam with value = lam*reference, or None; the reference
+    is nonzero.  lam is read off one term of the reference and checked on
+    all of them."""
+    idx = min(reference.components)
+    exps = min(reference.components[idx].terms)
+    got = value.components.get(idx)
+    num = got.terms.get(exps, 0) if got is not None else 0
+    lam = ratnorm(Fraction(num) / Fraction(reference.components[idx].terms[exps]))
+    return lam if value == reference.scale(lam) else None
+
+
 def homogeneity_scale(v: Multivector, p: Multivector):
     """The rational lam with [[v,p]] = lam*p, ANY_DEGREE for p = 0, else None."""
     if not v.is_grade(1):
@@ -343,15 +343,7 @@ def homogeneity_scale(v: Multivector, p: Multivector):
     b = schouten(v, p)
     if p.is_zero():
         return ANY_DEGREE
-    idx = min(p.components)
-    exps = min(p.components[idx].terms)
-    ref = p.components[idx].terms[exps]
-    cand = b.components.get(idx)
-    num = cand.terms.get(exps, 0) if cand is not None else 0
-    lam = ratnorm(Fraction(num, 1) / Fraction(ref, 1)) if num else 0
-    if b == p.scale(lam):
-        return lam
-    return None
+    return _ratio(b, p)
 
 
 def hamiltonian_field(p: Multivector, h: Poly) -> Multivector:

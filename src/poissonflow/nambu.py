@@ -9,7 +9,7 @@ degrees, which makes them the standard probe family for graph flows.
 from __future__ import annotations
 
 from .cohomsolve import monomials, multivector_columns_system, solve_raw
-from .errors import PreconditionError
+from .errors import DimensionError, PreconditionError
 from .multivec import Multivector, jacobiator
 from .ratpoly import Poly
 
@@ -44,7 +44,12 @@ def nambu_bivector(a: Poly, rho: Poly | None = None) -> Multivector:
 
 
 def weight_degree(p: Poly, weights):
-    """Common weighted degree of all terms, None if mixed, 'any' for 0."""
+    """Common weighted degree of all terms, None if mixed, 'any' for 0.
+
+    Takes one weight per variable of p."""
+    if len(weights) != p.nvars:
+        raise DimensionError("%d weights for a polynomial in %d variables"
+                             % (len(weights), p.nvars))
     if p.is_zero():
         return "any"
     degs = {sum(w * e for w, e in zip(weights, exps)) for exps in p.terms}

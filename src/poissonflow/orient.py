@@ -15,30 +15,28 @@ vertex holding the same Poisson bivector this yields its flow; with one
 Sign ledger.  Odd factors of a term are ordered sheet-major, ascending; a
 term's coefficient is relative to that order.
 
-- Sheet multiplication.  Sheets 1..n-1 are multiplied in ascending order,
-  each new factor on the right.  Its odd factors sit above every earlier
-  one, so the product carries no Koszul sign.
-- Edges commute with later sheets.  E_ij only differentiates in sheets i
-  and j, and a factor in the variables of sheet k > i, j on the right is a
-  constant for it: E_ij(A . B) = E_ij(A) . B.  So an edge may act as soon
-  as its larger endpoint's sheet is in, and ``evaluate`` interleaves:
-  multiply in sheet k, then apply every edge whose larger endpoint is k.
-- Last vertex.  Sheet n is never multiplied in.  The state is a sum of
-  A . B, with A over sheets 1..n-1 and B a derivative of entry n in
-  sheet-n variables; every edge closing at n is (i, n), i < n, and by the
-  Leibniz rule
+- Sheet multiplication.  Sheets are multiplied in ascending order, each
+  new factor on the right.  Its odd factors sit above every earlier one,
+  so the product carries no Koszul sign.
+- Closing a vertex.  ``evaluate`` closes vertices k = 1..n in turn with
+  their edges (i, k), i < k.  E_ij only differentiates in sheets i and j,
+  so sheet k may come in after the state S over sheets 1..k-1 has seen
+  every edge between them: the edges act on S . B, B a derivative of
+  entry k in sheet-k variables, by the Leibniz rule
       d/dxi_mu^(i) (A . B) = (d/dxi_mu^(i) A) . B,
       d/dx^mu_(i)  (A . B) = (d/dx^mu_(i) A) . B,
-      d/dxi_mu^(n) (A . B) = (-1)^|A| A . (d/dxi_mu^(n) B),
-  with |A| the number of A's odd factors; d/dx^mu_(n) only shifts B.  So
-  the state is a map from a descriptor d of B's derivative to A_d.  A
-  descriptor is an x multi-index alpha and an ascending xi tuple s,
-  standing for d/dx^alpha d/dxi_s1 ... d/dxi_sk (s_k acting first).  A new
-  d/dxi_mu sorts into s past the indices below mu, at the sign of that many
-  transpositions; an index already in s gives zero.  A's with equal
-  descriptors are added, and a descriptor whose derivative of entry n is
-  zero is dropped.  ``merge`` is an algebra homomorphism, so the value is
-  the sum over d of merge(A_d) ^ d(entry n), the wedge in that order.
+      d/dxi_mu^(k) (A . B) = (-1)^|A| A . (d/dxi_mu^(k) B),
+  with |A| the number of A's odd factors; d/dx^mu_(k) only shifts B.  So
+  they act on a map from a descriptor d of B's derivative to A_d, starting
+  from {none: S}.  A descriptor is an x multi-index alpha and an ascending
+  xi tuple s, standing for d/dx^alpha d/dxi_s1 ... d/dxi_sm (s_m acting
+  first).  A new d/dxi_mu sorts into s past the indices below mu, at the
+  sign of that many transpositions; an index already in s gives zero.
+  A's with equal descriptors are added, and a descriptor whose derivative
+  of entry k is zero is dropped.  For k < n the new state is the sum over
+  d of A_d . d(entry k), adding products that share a key.  ``merge`` is
+  an algebra homomorphism, so the value is the sum over d of
+  merge(A_d) ^ d(entry n), the wedge in that order.
 - Edge order costs the permutation's parity.  Each E_ij is odd, so two
   edge operators anticommute; applying the edges grouped by larger endpoint
   (stable within a group) instead of in listed order multiplies the value
@@ -180,9 +178,8 @@ def _unit(entries, lifted) -> SheetedPoly:
     if not entries:
         raise PreconditionError("empty vertex tuple")
     r = entries[0].nvars
-    for mv in entries:
-        if mv.nvars != r:
-            raise DimensionError("vertex contents over different dimensions")
+    if any(mv.nvars != r for mv in entries):
+        raise DimensionError("vertex contents over different dimensions")
     top = max((e for mv in entries[:lifted] for poly in mv.components.values()
                for exps in poly.terms for e in exps), default=0)
     width = max(8, (lifted * top).bit_length())
@@ -190,31 +187,27 @@ def _unit(entries, lifted) -> SheetedPoly:
 
 
 def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
-    """``sp`` times ``mv`` rewritten in the variables of a new last sheet.
-
-    The new odd bits and exponent fields are disjoint from those of ``sp``,
-    so each (mask, component) pair gives its own target mask and no two
-    products share a key: nothing is summed and no sign arises.
-    """
-    r, width = sp.nvars, sp.width
-    base = sp.sheets * r
+    """``sp`` times ``mv`` rewritten in the variables of a new last sheet."""
     groups = {}
+    _add_times_sheet(groups, sp.groups, mv, sp.sheets * sp.nvars, sp.width)
+    return SheetedPoly._raw(sp.nvars, sp.sheets + 1, groups, sp.width)
+
+
+def _add_times_sheet(groups, left, mv, base, width):
+    """groups += left times ``mv`` in the sheet whose odd bits start at
+    ``base``.  Its bits and exponent fields lie above those of ``left``,
+    so no sign arises and one product has no two terms with a common key."""
     for idx, poly in mv.components.items():
-        om2 = 0
-        for i in idx:
-            om2 |= 1 << (base + i - 1)
-        factor = []
-        for exps, c in poly.terms.items():
-            ev = 0
-            for mu, e in enumerate(exps):
-                if e:
-                    ev |= e << ((base + mu) * width)
-            factor.append((ev, c))
-        for om1, bucket in sp.groups.items():
-            groups[om1 | om2] = {ev1 + ev2: c1 * c2
-                                 for ev1, c1 in bucket.items()
-                                 for ev2, c2 in factor}
-    return SheetedPoly._raw(r, sp.sheets + 1, groups, width)
+        om2 = sum(1 << (base + i - 1) for i in idx)
+        factor = [(sum(e << ((base + mu) * width) for mu, e in enumerate(exps)), c)
+                  for exps, c in poly.terms.items()]
+        for om1, bucket in left.items():
+            prod = {ev1 + ev2: c1 * c2 for ev1, c1 in bucket.items()
+                    for ev2, c2 in factor}
+            if om1 | om2 in groups:
+                _add_signed(groups, om1 | om2, prod, 1)
+            else:
+                groups[om1 | om2] = prod
 
 
 def lift(entries) -> SheetedPoly:
@@ -290,31 +283,34 @@ def merge(sp: SheetedPoly) -> Multivector:
 
 
 class _Slots(tuple):
-    """Vertex contents, with the derivatives of the last one kept in a table.
+    """Vertex contents, with one table of derivatives per distinct entry.
 
-    ``derivative((alpha, s))`` is d/dx^alpha d/dxi_s1 ... d/dxi_sk of the
-    last entry, s ascending and 0-based (see "Last vertex" in the module
-    docstring).  Every evaluation on the same slots reads the one table.
+    ``derivative(k, (alpha, s))`` is d/dx^alpha d/dxi_s1 ... d/dxi_sm of
+    entry k, counted from 1, with s ascending and 0-based (see "Closing a
+    vertex" in the module docstring).  Entries that are one object share a
+    table, and every evaluation on the same slots reads the same tables.
     """
 
     def __new__(cls, entries):
         slots = super().__new__(cls, entries)
-        slots.table = {}
+        tables = {}
+        slots.tables = [tables.setdefault(id(mv), {}) for mv in slots]
         return slots
 
-    def derivative(self, d):
-        got = self.table.get(d)
+    def derivative(self, k, d):
+        table = self.tables[k - 1]
+        got = table.get(d)
         if got is None:
             alpha, s = d
             mu = next((m for m, e in enumerate(alpha) if e), None)
             if mu is not None:
                 lower = alpha[:mu] + (alpha[mu] - 1,) + alpha[mu + 1:]
-                got = _x_partial(self.derivative((lower, s)), mu + 1)
+                got = _x_partial(self.derivative(k, (lower, s)), mu + 1)
             elif s:
-                got = _xi_left(self.derivative((alpha, s[1:])), s[0] + 1)
+                got = _xi_left(self.derivative(k, (alpha, s[1:])), s[0] + 1)
             else:
-                got = self[-1]
-            self.table[d] = got
+                got = self[k - 1]
+            table[d] = got
         return got
 
 
@@ -351,23 +347,22 @@ def _add_derivative(groups, om, bucket, sgn, shift, mask_e):
                 del target[key]
 
 
-def _close_last_sheet(state, edges, slots) -> Multivector:
-    """The value of ``state`` times the last entry in sheet-n variables, with
-    the edges (i, n) acting by the Leibniz rule ("Last vertex" in the module
-    docstring): one sheeted A per derivative descriptor, merged and wedged
-    with that derivative of the entry at the end."""
+def _close_vertex(state, k, edges, slots):
+    """The edges (i, k) acting by the Leibniz rule on ``state`` times entry
+    k ("Closing a vertex" in the module docstring): the map from each
+    derivative descriptor d of entry k to the groups of A_d."""
     r, width = state.nvars, state.width
     mask_e = (1 << width) - 1
     start = ((0,) * r, ())
-    descs = {start: state.groups} if state.groups and slots.derivative(start) else {}
+    descs = {start: state.groups} if state.groups and slots.derivative(k, start) else {}
     for (i, _) in edges:
         base = (i - 1) * r
         out = {}
         for (alpha, s), groups in descs.items():
             for mu in range(r):
-                # d/dxi_mu^(i) A . d/dx^mu_(n) B
+                # d/dxi_mu^(i) A . d/dx^mu_(k) B
                 d = (alpha[:mu] + (alpha[mu] + 1,) + alpha[mu + 1:], s)
-                if slots.derivative(d):
+                if slots.derivative(k, d):
                     bit = 1 << (base + mu)
                     target = out.setdefault(d, {})
                     for om, bucket in groups.items():
@@ -376,25 +371,18 @@ def _close_last_sheet(state, edges, slots) -> Multivector:
                             _add_signed(target, om ^ bit, bucket, sgn)
                 if mu in s:
                     continue
-                # (-1)^(|A| + pos) d/dx^mu_(i) A . d/dxi_mu^(n) B
+                # (-1)^(|A| + pos) d/dx^mu_(i) A . d/dxi_mu^(k) B
                 pos = bisect_left(s, mu)
                 d = (alpha, s[:pos] + (mu,) + s[pos:])
-                if slots.derivative(d):
+                if slots.derivative(k, d):
                     shift = (base + mu) * width
                     target = out.setdefault(d, {})
                     for om, bucket in groups.items():
                         sgn = -1 if (om.bit_count() + pos) & 1 else 1
                         _add_derivative(target, om, bucket, sgn, shift, mask_e)
-        descs = {}
-        for d, groups in out.items():
-            groups = {om: t for om, t in groups.items() if t}
-            if groups:
-                descs[d] = groups
-    value = Multivector.zero(r)
-    for d, groups in descs.items():
-        a = merge(SheetedPoly._raw(r, state.sheets, groups, width))
-        value = value + wedge(a, slots.derivative(d))
-    return value
+        descs = {d: nonzero for d, groups in out.items()
+                 if (nonzero := {om: t for om, t in groups.items() if t})}
+    return descs
 
 
 def evaluate(gamma, entries) -> Multivector:
@@ -404,37 +392,40 @@ def evaluate(gamma, entries) -> Multivector:
     The value is that of the edges acting in their listed order, first to
     last; the output xi-degree is the tuple's total degree minus the edge
     count.  A bare ``Graph`` keeps its own vertex labels, edge order and
-    coefficient 1; the terms of a ``GraphSum`` are canonical graphs.  Sheets
-    1..n-1 stream in one at a time, each edge acting as soon as both its
-    endpoint sheets exist; the edges at vertex n act on the derivatives of
-    entry n by the Leibniz rule (see the sign ledger in the module
-    docstring).
+    coefficient 1; the terms of a ``GraphSum`` are canonical graphs.
+    Vertices close in label order: the edges (i, k), i < k, act by the
+    Leibniz rule on derivatives of entry k, and only then is sheet k
+    multiplied in, or, at vertex n, each merged state wedged with its
+    derivative (see the sign ledger in the module docstring).
     """
     terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
     slots = entries if isinstance(entries, _Slots) else _Slots(entries)
-    for mv in slots:
-        if mv.degree() is None:
-            raise PreconditionError("vertex contents must have pure xi-degree")
+    if any(mv.degree() is None for mv in slots):
+        raise PreconditionError("vertex contents must have pure xi-degree")
     n = len(slots)
     unit = _unit(slots, n - 1)
-    result = Multivector.zero(unit.nvars)
+    r, width = unit.nvars, unit.width
+    result = Multivector.zero(r)
     for graph, c in terms:
         if graph.n != n:
             raise PreconditionError(
                 "graph on %d vertices fed %d multivectors" % (graph.n, n))
-        # edges are stored (i, j) with i < j: edge (i, j) acts after sheet j
+        # edges are stored (i, j) with i < j: edge (i, j) closes vertex j
         closing = [[] for _ in range(n + 1)]
         for edge in graph.edges:
             closing[edge[1]].append(edge)
         swaps = sum(1 for s, t in combinations(graph.edges, 2) if s[1] > t[1])
         state = unit
         for k in range(1, n):
-            state = _times_sheet(state, slots[k - 1])
-            for (i, j) in closing[k]:
-                state = apply_edge(state, i, j)
-            if state.is_zero():
-                break
-        value = _close_last_sheet(state, closing[n], slots)
+            groups = {}
+            for d, a in _close_vertex(state, k, closing[k], slots).items():
+                _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r, width)
+            state = SheetedPoly._raw(r, k, {om: t for om, t in groups.items() if t},
+                                     width)
+        value = Multivector.zero(r)
+        for d, a in _close_vertex(state, n, closing[n], slots).items():
+            value = value + wedge(merge(SheetedPoly._raw(r, n - 1, a, width)),
+                                  slots.derivative(n, d))
         result = result + value.scale(-c if swaps & 1 else c)
     return result
 
@@ -498,9 +489,12 @@ def directional_flow(gamma, p: Multivector, direction: Multivector) -> Multivect
 def cocycle1(gamma, v: Multivector, p: Multivector) -> Multivector:
     """The 1-vector evaluation with v in one slot, summed over placements.
 
-    Requires [[v,p]] = p exactly and p Poisson; every graph term must sit in
-    bi-grading (n, 2n-2).  p = 0 satisfies both for any v.  Plain sum over
-    the n placements of v, with no combinatorial prefactor.
+    Requires [[v,p]] = p exactly, p Poisson and [[v,Q]] = nQ for the flow Q
+    of gamma at p; every graph term must sit in bi-grading (n, 2n-2).  p = 0
+    satisfies all three for any v.  For affine v the last follows from the
+    first, [[v,Q]] being directional_flow(gamma, p, [[v,p]]), so Q is only
+    computed when v has a coefficient of degree >= 2.  Plain sum over the n
+    placements of v, with no combinatorial prefactor.
     """
     gamma = as_graphsum(gamma)
     if not v.is_grade(1):
@@ -519,6 +513,12 @@ def cocycle1(gamma, v: Multivector, p: Multivector) -> Multivector:
             raise PreconditionError(
                 "graph term with %d vertices has %d edges, expected %d"
                 % (g.n, g.n_edges, 2 * g.n - 2))
+    if any(poly.degree() > 1 for poly in v.components.values()):
+        n, scale = _vertex_count(gamma), homogeneity_scale(v, flow(gamma, p))
+        if scale not in (n, ANY_DEGREE):
+            raise PreconditionError(
+                "flow of the graph sum is not homogeneous of scale %d along "
+                "the field (computed scale: %s)" % (n, scale))
     if not is_cocycle(gamma):
         warnings.warn(
             "input graph sum is not a cocycle under this package's sign "

@@ -16,8 +16,8 @@ from itertools import combinations
 
 from . import catalog as _catalog
 from .gracomplex import Graph, GraphSum, bracket, differential, point, stick
-from .multivec import (Multivector, euler_field, homogeneity_scale, jacobiator,
-                       schouten)
+from .multivec import (Multivector, _ratio, euler_field, homogeneity_scale,
+                       jacobiator, schouten)
 from .orient import cocycle1, flow
 from .cohomsolve import trivialize
 from .ratpoly import Poly, ratnorm
@@ -73,21 +73,10 @@ def default_objects():
 
 
 def uniform_ratio(value: Multivector, reference: Multivector):
-    """Single rational lam with value = lam*reference, or None."""
+    """Single nonzero rational lam with value = lam*reference, or None."""
     if reference.is_zero():
         return None
-    lams = set()
-    for idx, poly in reference.components.items():
-        got = value.components.get(idx)
-        for exps, c in poly.terms.items():
-            num = got.terms.get(exps, 0) if got is not None else 0
-            lams.add(Fraction(num) / Fraction(c))
-    if len(lams) != 1:
-        return None
-    lam = ratnorm(lams.pop())
-    if not lam:
-        return None
-    return lam if value == reference.scale(lam) else None
+    return _ratio(value, reference) or None
 
 
 # -- randomized inputs for the property suites ---------------------------

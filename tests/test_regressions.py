@@ -16,11 +16,14 @@ from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
 from poissonflow.errors import (DimensionError, MalformedGraphError,
                                PreconditionError)
 from poissonflow.gracomplex import Graph, GraphSum, stick
-from poissonflow.multivec import (Multivector, euler_field, parse_multivector,
+from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
+                                  homogeneity_scale, parse_multivector,
                                   render_multivector, schouten)
+from poissonflow.nambu import nambu_bivector, weight_degree
 from poissonflow.orient import (cocycle1, directional_flow, evaluate, flow,
                                 lift, merge)
-from poissonflow.ratpoly import Poly, parse_poly
+from poissonflow.ratpoly import ANY_DEGREE, Poly, parse_poly
+from poissonflow.verify import uniform_ratio
 from test_solve_sparse import dense_to_sparse
 
 
@@ -71,6 +74,70 @@ def test_cli_cocycle1_over_the_zero_bivector(capsys):
             "--poisson", "0", "--nvars", "4"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+# -- orient: the theorem's second hypothesis, [[V,Q]] = nQ ------------------------
+
+
+def sheared_determinant_bracket():
+    """The image of the (x1^3 + x2^3 + x3^3, density x1) bracket and its
+    Euler field under x3 -> x3 + x1^2: [[V,P]] = P, but [[V,Q]] != 4Q."""
+    x = lambda text: parse_poly(text, 3)
+    w = x("x3") - x("x1^2")
+    p = nambu_bivector(x("x1^3 + x2^3") + w * w * w, x("x1"))
+    v = parse_multivector("(x1) xi1 + (x2) xi2 + (x3 + x1^2) xi3", 3)
+    return v, p
+
+
+def test_cocycle1_checks_the_flow_hypothesis(gamma3, P1, euler4):
+    # E plus the Hamiltonian field of x1 has scale 1 on P1 and cubic
+    # coefficients; the flow of P1 is not homogeneous of scale 4 along it
+    v = euler4 + hamiltonian_field(P1, parse_poly("x1", 4))
+    assert homogeneity_scale(v, P1) == 1
+    cases = [(v, P1), sheared_determinant_bracket()]
+    for v, p in cases:
+        assert homogeneity_scale(v, p) == 1
+        with pytest.raises(PreconditionError, match="flow of the graph sum is "
+                           "not homogeneous of scale 4 along the field"):
+            cocycle1(gamma3, v, p)
+
+
+def test_cli_cocycle1_with_the_flow_hypothesis_failing_exits_2(tmp_path, capsys):
+    v, p = sheared_determinant_bracket()
+    field, poisson = tmp_path / "field.txt", tmp_path / "poisson.txt"
+    field.write_text(render_multivector(v))
+    poisson.write_text(render_multivector(p))
+    code = main(["cocycle1", "--graph", "tetrahedron", "--field", str(field),
+                 "--poisson", str(poisson), "--nvars", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "not homogeneous of scale 4" in err
+
+
+def random_affine_field(rng, r):
+    comps = {}
+    for i in range(1, r + 1):
+        terms = {(0,) * r: rng.randint(-3, 3)}
+        for j in range(r):
+            terms[tuple(int(k == j) for k in range(r))] = rng.randint(-3, 3)
+        comps[(i,)] = Poly(r, terms)
+    return Multivector(r, comps)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_affine_fields_move_the_flow_by_its_directional_flow(request, gamma3, name):
+    # why cocycle1 evaluates the flow only for fields of degree >= 2: for
+    # affine V, [[V, flow(P)]] = directional_flow(P, [[V,P]]), which is n flow(P)
+    # once [[V,P]] = P
+    p = request.getfixturevalue(name)
+    q = flow(gamma3, p)
+    rng = random.Random(1300 + int(name[1]))
+    for _ in range(2):
+        v = random_affine_field(rng, 4)
+        lhs = schouten(v, q)
+        assert not lhs.is_zero()
+        assert lhs == directional_flow(gamma3, p, schouten(v, p))
 
 
 def test_directional_flow_requires_two_bivectors(gamma3, P1, euler4):
@@ -326,6 +393,43 @@ def test_cli_catalog_entry_of_the_wrong_kind_exits_2(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+# -- nambu: one weight per variable -------------------------------------------------
+
+
+def test_weight_degree_needs_one_weight_per_variable():
+    p = parse_poly("x1^3 + x2^3 + x3^3", 3)
+    for weights in ((1, 1, 1, 1), (1, 1)):
+        with pytest.raises(DimensionError, match="%d weights" % len(weights)):
+            weight_degree(p, weights)
+        with pytest.raises(DimensionError):
+            weight_degree(Poly.zero(3), weights)
+
+
+@pytest.mark.parametrize("weights", ["1,1,1,1", "1,1"])
+def test_cli_nambu_with_the_wrong_weight_count_exits_2(weights, capsys):
+    code = main(["nambu", "--casimir", "x1^3+x2^3+x3^3", "--weights", weights])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: %d weights for a polynomial in 3 variables\n" % (
+        weights.count(",") + 1)
+
+
+# -- multivec: one ratio routine ----------------------------------------------------
+
+
+def test_ratio_edge_cases(P1, QP1, euler4):
+    zero = Multivector.zero(4)
+    assert uniform_ratio(QP1.scale(Fraction(-2, 3)), QP1) == Fraction(-2, 3)
+    assert uniform_ratio(zero, QP1) is None  # lam = 0
+    assert uniform_ratio(QP1, zero) is None  # zero reference
+    assert uniform_ratio(QP1 + P1, QP1) is None
+    assert homogeneity_scale(hamiltonian_field(P1, parse_poly("x1", 4)), P1) == 0
+    assert homogeneity_scale(euler4, zero) == ANY_DEGREE
+    with pytest.raises(DimensionError):
+        homogeneity_scale(euler_field(3), zero)
 
 
 # -- gracomplex: isolated vertices -------------------------------------------------

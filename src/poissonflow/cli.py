@@ -166,16 +166,15 @@ def cmd_nambu(args):
     p = nambu_bivector(a, rho)
     note = ""
     weights = tuple(int(w) for w in args.weights.split(","))
-    if rho is None:
-        try:
-            wa, exists = homogenizing_field_exists(a, weights)
-        except PreconditionError:
-            exists = None
-        if exists is False:
-            note = ("no polynomial homogenizing field exists "
-                    "(weight degree %s equals the weight sum %d)"
-                    % (wa, sum(weights)))
-            _note(args, note)
+    try:
+        wa, exists = homogenizing_field_exists(a, weights)
+    except PreconditionError:
+        exists = None
+    if exists is False and rho is None:
+        note = ("no polynomial homogenizing field exists "
+                "(weight degree %s equals the weight sum %d)"
+                % (wa, sum(weights)))
+        _note(args, note)
     text = render_multivector(p)
     return text, {"bivector": text, "note": note}
 

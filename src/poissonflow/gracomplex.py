@@ -360,25 +360,19 @@ def insert(g1, g2) -> GraphSum:
     return out
 
 
-def _parity_parts(s: GraphSum):
-    """The terms of s split by edge-count parity: {parity: GraphSum}."""
-    parts = {}
-    for g, c in s.terms.items():
-        parts.setdefault(g.n_edges % 2, {})[g] = c
-    return {parity: GraphSum._raw(terms) for parity, terms in parts.items()}
-
-
 def bracket(s1, s2) -> GraphSum:
     """Graded bracket [s1,s2] with degree = edge count.
 
-    insert(s1, s2) - (-1)^(p1*p2) insert(s2, s1), summed over the parts of
-    s1 and s2 of edge-count parities p1 and p2.
+    insert(s1, s2) minus (-1)^(E_a*E_b) c_a c_b insert(b, a) for each term
+    c_a a of s1 and c_b b of s2, with E_a and E_b their edge counts.
     """
     s1, s2 = as_graphsum(s1), as_graphsum(s2)
     out = insert(s1, s2)
-    for p1, a in _parity_parts(s1).items():
-        for p2, b in _parity_parts(s2).items():
-            out = out + insert(b, a).scale(1 if p1 and p2 else -1)
+    for b, cb in s2.terms.items():
+        for a, ca in s1.terms.items():
+            c = ca * cb if a.n_edges & b.n_edges & 1 else -ca * cb
+            for term in insert_terms(b, a):
+                out.add_term(term, c)
     return out
 
 

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from collections.abc import Mapping
 from functools import reduce
 from itertools import combinations
 
@@ -85,32 +84,11 @@ from .multivec import (Multivector, _x_partial, _xi_left, homogeneity_scale,
 from .ratpoly import ANY_DEGREE, Poly, ratnorm
 
 
-class _FlatTerms(Mapping):
-    """Read-only view of grouped terms as (even_key, odd_mask) -> c."""
-
-    __slots__ = ("_groups",)
-
-    def __init__(self, groups):
-        self._groups = groups
-
-    def __getitem__(self, key):
-        ev, om = key
-        return self._groups[om][ev]
-
-    def __iter__(self):
-        for om, bucket in self._groups.items():
-            for ev in bucket:
-                yield ev, om
-
-    def __len__(self):
-        return sum(map(len, self._groups.values()))
-
-
 class SheetedPoly:
     """Polynomial over n sheets of (x_(i), xi^(i)) variables.
 
     ``groups`` maps each odd mask to its terms ``{even_key: c}``, nonzero
-    and never empty; ``terms`` is the flat view (even_key, odd_mask) -> c.
+    and never empty; ``terms`` is a flat copy (even_key, odd_mask) -> c.
     Even exponents occupy ``width`` bits per variable, enough for the sum
     of a variable's exponents over all sheets: 8 for keys given to the
     constructor, which rejects larger sums, wider for ``lift`` and for
@@ -148,8 +126,9 @@ class SheetedPoly:
         return sp
 
     @property
-    def terms(self) -> Mapping:
-        return _FlatTerms(self.groups)
+    def terms(self) -> dict:
+        return {(ev, om): c for om, bucket in self.groups.items()
+                for ev, c in bucket.items()}
 
     def is_zero(self) -> bool:
         return not self.groups
@@ -288,7 +267,7 @@ class _Slots(tuple):
     ``derivative(k, (alpha, s))`` is d/dx^alpha d/dxi_s1 ... d/dxi_sm of
     entry k, counted from 1, with s ascending and 0-based (see "Closing a
     vertex" in the module docstring).  Entries that are one object share a
-    table, and every evaluation on the same slots reads the same tables.
+    table; the tables live as long as one ``evaluate`` call.
     """
 
     def __new__(cls, entries):
@@ -399,7 +378,7 @@ def evaluate(gamma, entries) -> Multivector:
     derivative (see the sign ledger in the module docstring).
     """
     terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
-    slots = entries if isinstance(entries, _Slots) else _Slots(entries)
+    slots = _Slots(entries)
     if any(mv.degree() is None for mv in slots):
         raise PreconditionError("vertex contents must have pure xi-degree")
     n = len(slots)
@@ -457,7 +436,7 @@ def _sum_over_placements(gamma, v: Multivector, p: Multivector) -> Multivector:
             edges, sign = _sort_parity([tuple(sorted((lab[a], lab[b])))
                                         for a, b in graph.edges])
             classes[edges] = classes.get(edges, 0) + sign * sign_k * c
-    entries = _Slots((v,) + (p,) * (n - 1))
+    entries = (v,) + (p,) * (n - 1)
     out = Multivector.zero(p.nvars)
     for edges, c in classes.items():
         if c:

@@ -228,126 +228,81 @@ def render_poly(p: Poly) -> str:
     return " ".join(chunks)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^()])|(?P<bad>\S))")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad"):
-            raise ParseError("unexpected character %r" % m.group("bad"), m.start("bad"))
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("var"):
-            tokens.append(("var", int(m.group("var")[1:]), m.start("var")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
-        self.k = 0
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def next(self):
-        t = self.peek()
-        if t is not None:
-            self.k += 1
-        return t
-
-    def position(self):
-        t = self.peek()
-        return t[2] if t is not None else self.length
-
-
-def _parse_term(ts: _TokenStream):
-    """One signed product: [sign] factor (* factor)*; returns (coeff, {var: exp})."""
-    coeff = 1
-    sign = 1
-    while True:
-        t = ts.peek()
-        if t is not None and t[0] == "op" and t[1] in "+-":
-            ts.next()
-            if t[1] == "-":
-                sign = -sign
-        else:
-            break
-    exps = {}
-    saw_factor = False
-    while True:
-        t = ts.peek()
-        if t is None:
-            break
-        if t[0] == "int":
-            ts.next()
-            num = t[1]
-            nxt = ts.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-                ts.next()
-                den = ts.next()
-                if den is None or den[0] != "int":
-                    raise ParseError("expected denominator after '/'", ts.position())
-                if den[1] == 0:
-                    raise ParseError("zero denominator", den[2])
-                coeff *= Fraction(num, den[1])
-            else:
-                coeff *= num
-        elif t[0] == "var":
-            ts.next()
-            idx = t[1]
-            if idx < 1:
-                raise ParseError("variable index must be >= 1", t[2])
-            exp = 1
-            nxt = ts.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-                ts.next()
-                e = ts.next()
-                if e is None or e[0] != "int":
-                    raise ParseError("expected integer exponent after '^'", ts.position())
-                exp = e[1]
-            exps[idx] = exps.get(idx, 0) + exp
-        else:
-            raise ParseError("unexpected token %r" % (t[1],), t[2])
-        saw_factor = True
-        nxt = ts.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
-            ts.next()
-            continue
-        if nxt is not None and (nxt[0] in ("int", "var")):
-            # implicit products like "2 x1" are accepted
-            continue
-        break
-    if not saw_factor:
-        raise ParseError("expected a term", ts.position())
-    return ratnorm(sign * coeff), exps
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^])|(?P<bad>\S))")
 
 
 def parse_poly(text: str, nvars=None) -> Poly:
     """Parse a polynomial in the rendered grammar.
 
-    When ``nvars`` is omitted it is inferred as the largest variable index
-    mentioned (0 for a constant).
+    A term is any number of signs and then factors joined by ``*`` or by
+    juxtaposition (``2 x1``); a factor is ``n``, ``n/m`` or ``xi`` with an
+    optional ``^e``.  There is no grouping.  When ``nvars`` is omitted it is
+    inferred as the largest variable index mentioned (0 for a constant).
     """
-    tokens = _tokenize(text)
-    ts = _TokenStream(tokens, len(text))
-    if ts.peek() is None:
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % value, m.start(kind))
+        if kind != "op":
+            value = int(value.lstrip("x"))
+        tokens.append((kind, value, m.start(kind)))
+    if not tokens:
         raise ParseError("empty polynomial", 0)
+    count = len(tokens)
+    # two end markers, so that the operand after '/' or '^' and the token
+    # after it, where a missing operand is reported, always exist
+    tokens += [("end", None, len(text))] * 2
+
     raw_terms = []
-    while ts.peek() is not None:
-        t = ts.peek()
-        if t[0] == "op" and t[1] not in "+-":
-            raise ParseError("unexpected %r" % (t[1],), t[2])
-        raw_terms.append(_parse_term(ts))
+    sign, coeff, exps = 1, 1, {}
+    state = "start"  # or after a "sign", a "*" or a "factor"
+    k = 0
+    while k < count:
+        kind, value, pos = tokens[k]
+        k += 1
+        if kind == "op":
+            if value == "*" and state == "factor":
+                state = "*"
+            elif value in "+-" and state != "*":
+                if state == "factor":
+                    raw_terms.append((ratnorm(sign * coeff), exps))
+                    sign, coeff, exps = 1, 1, {}
+                if value == "-":
+                    sign = -sign
+                state = "sign"
+            elif state in ("start", "factor"):
+                raise ParseError("unexpected %r" % (value,), pos)
+            else:
+                raise ParseError("unexpected token %r" % (value,), pos)
+            continue
+        state = "factor"
+        if kind == "int":
+            if tokens[k][1] == "/":
+                den = tokens[k + 1]
+                k += 2
+                if den[0] != "int":
+                    raise ParseError("expected denominator after '/'", tokens[k][2])
+                if den[1] == 0:
+                    raise ParseError("zero denominator", den[2])
+                value = Fraction(value, den[1])
+            coeff *= value
+        else:
+            if value < 1:
+                raise ParseError("variable index must be >= 1", pos)
+            exp = 1
+            if tokens[k][1] == "^":
+                e = tokens[k + 1]
+                k += 2
+                if e[0] != "int":
+                    raise ParseError("expected integer exponent after '^'", tokens[k][2])
+                exp = e[1]
+            exps[value] = exps.get(value, 0) + exp
+    if state == "sign":
+        raise ParseError("expected a term", len(text))
+    raw_terms.append((ratnorm(sign * coeff), exps))
+
     maxvar = max((max(e) for _, e in raw_terms if e), default=0)
     if nvars is None:
         nvars = maxvar

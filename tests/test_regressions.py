@@ -417,6 +417,15 @@ def test_cli_nambu_with_the_wrong_weight_count_exits_2(weights, capsys):
         weights.count(",") + 1)
 
 
+def test_cli_nambu_checks_the_weight_count_with_a_density(capsys):
+    code = main(["nambu", "--casimir", "x1^3+x2^3+x3^3", "--density", "x1",
+                 "--weights", "1,1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: 2 weights for a polynomial in 3 variables\n"
+
+
 # -- multivec: one ratio routine ----------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from .multivec import (Multivector, homogeneity_scale, jacobiator,
                        parse_multivector, render_multivector, schouten)
 from .nambu import homogenizing_field_exists, nambu_bivector
 from .orient import cocycle1, flow
-from .ratpoly import parse_poly
+from .ratpoly import _number_text, parse_poly
 from .verify import run_checks
 
 
@@ -106,7 +106,7 @@ def cmd_scale(args):
     v = load_multivector(args.field, args.nvars)
     p = load_multivector(args.poisson, args.nvars)
     lam = homogeneity_scale(v, p)
-    text = "none" if lam is None else str(lam)
+    text = "none" if lam is None else _number_text(lam)
     return text, {"scale": text}
 
 
@@ -248,8 +248,10 @@ COMMANDS = (
 COMMON = (
     ("--output", {"help": "write the result to a file"}),
     ("--format", {"choices": ("text", "machine"), "default": "text"}),
-    ("--nvars", {"type": int, "help": "dimension for parsed multivectors"}),
 )
+# after COMMON, in the subcommands that parse multivector text
+_NVARS = ("--nvars", {"type": int, "help": "dimension for parsed multivectors"})
+_MULTIVECTOR_INPUT = ("schouten", "jacobi", "scale", "flow", "cocycle1", "trivialize")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, fn, arguments in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments + COMMON:
+        extra = (_NVARS,) if name in _MULTIVECTOR_INPUT else ()
+        for flag, options in arguments + COMMON + extra:
             p.add_argument(flag, **options)
         p.set_defaults(fn=fn)
     return parser

@@ -48,7 +48,7 @@ import sys
 from itertools import product
 
 from .errors import MalformedGraphError, ParseError
-from .ratpoly import parse_rational, ratnorm
+from .ratpoly import _number_text, parse_poly, ratnorm
 
 
 class Graph:
@@ -439,7 +439,7 @@ def is_cocycle(s) -> bool:
 
 def render_graph(g: Graph, c) -> str:
     edges = "".join("(%d,%d)" % e for e in g.edges)
-    return "graph{n=%d; edges=%s; c=%s}" % (g.n, edges, c)
+    return "graph{n=%d; edges=%s; c=%s}" % (g.n, edges, _number_text(c))
 
 
 def render_graphsum(s: GraphSum) -> str:
@@ -462,7 +462,7 @@ def parse_graph(text: str):
         raise ParseError("expected graph{n=..; edges=..; c=..} in %r" % text.strip(), 0)
     n = int(m.group(1))
     edges = [(int(a), int(b)) for a, b in _EDGE_RE.findall(m.group(2))]
-    c = parse_rational(m.group(3))
+    c = parse_poly(m.group(3), 0).terms.get((), 0)
     return Graph(n, edges), c
 
 

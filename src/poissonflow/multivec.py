@@ -192,21 +192,12 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
 
 
 def _xi_left(mv: Multivector, i: int) -> Multivector:
-    """Left derivative d/dxi_i>(mv); sign (-1)^p."""
+    """Left derivative d/dxi_i>(mv), sign (-1)^p; dropping i keeps keys distinct."""
     out = {}
     for idx, p in mv.components.items():
-        if i not in idx:
-            continue
-        pos = idx.index(i)
-        sign = -1 if pos & 1 else 1
-        key = idx[:pos] + idx[pos + 1:]
-        q = p if sign > 0 else -p
-        cur = out.get(key)
-        cur = q if cur is None else cur + q
-        if cur:
-            out[key] = cur
-        else:
-            out.pop(key, None)
+        if i in idx:
+            pos = idx.index(i)
+            out[idx[:pos] + idx[pos + 1:]] = -p if pos & 1 else p
     return Multivector._raw(mv.nvars, out)
 
 
@@ -409,6 +400,8 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
         if not first and sign == "":
             raise ParseError("missing '+' or '-' between terms", m.start())
         idx = tuple(int(s) for s in re.findall(r"xi(\d+)", xis))
+        if idx[:1] == (0,):
+            raise ParseError("xi index must be >= 1", m.start(3) + xis.index("xi"))
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ParseError("xi indices must be strictly increasing", m.start(3))
         pieces.append((sign, poly_text, idx))

@@ -8,10 +8,10 @@ degrees, which makes them the standard probe family for graph flows.
 
 from __future__ import annotations
 
-from .cohomsolve import monomials, multivector_columns_system, solve_raw
+from .cohomsolve import _homdeg, monomials, multivector_columns_system, solve_raw
 from .errors import DimensionError, PreconditionError
 from .multivec import Multivector, jacobiator
-from .ratpoly import Poly
+from .ratpoly import ANY_DEGREE, Poly
 
 _EPS = {(1, 2): 3, (1, 3): 2, (2, 3): 1}
 _EPS_SIGN = {(1, 2): 1, (1, 3): -1, (2, 3): 1}
@@ -44,14 +44,14 @@ def nambu_bivector(a: Poly, rho: Poly | None = None) -> Multivector:
 
 
 def weight_degree(p: Poly, weights):
-    """Common weighted degree of all terms, None if mixed, 'any' for 0.
+    """Common weighted degree of all terms, None if mixed, ANY_DEGREE for 0.
 
     Takes one weight per variable of p."""
     if len(weights) != p.nvars:
         raise DimensionError("%d weights for a polynomial in %d variables"
                              % (len(weights), p.nvars))
     if p.is_zero():
-        return "any"
+        return ANY_DEGREE
     degs = {sum(w * e for w, e in zip(weights, exps)) for exps in p.terms}
     return degs.pop() if len(degs) == 1 else None
 
@@ -68,7 +68,7 @@ def homogenizing_field_exists(a: Poly, weights=(1, 1, 1)):
     if wa is None:
         raise PreconditionError(
             "Casimir is not weight-homogeneous for weights %r" % (weights,))
-    if wa == "any":
+    if wa == ANY_DEGREE:
         return wa, False
     return wa, wa != sum(weights)
 
@@ -89,10 +89,7 @@ def tangent_fit(q: Multivector, a: Poly, rho: Poly | None = None):
         raise PreconditionError("tangent fit lives on R^3")
     if q.is_zero():
         return "solved", Poly.zero(3), Poly.zero(3)
-    dq = {poly.is_homogeneous() for poly in q.components.values()}
-    if len(dq) != 1 or None in dq:
-        raise PreconditionError("target must have homogeneous coefficients")
-    dq = dq.pop()
+    dq = _homdeg(q, "target bivector")
     da, drho = a.degree(), rho.degree()
 
     columns = []

@@ -207,6 +207,29 @@ def _monomial_text(exps) -> str:
     return "*".join(parts)
 
 
+# long integers go to and from text in chunks below Python's 4300-digit limit
+_CHUNK = 4000
+_CHUNK_BASE = 10 ** _CHUNK
+
+
+def _number_text(c) -> str:
+    """``n`` or ``p/q`` for an int or Fraction coefficient."""
+    if isinstance(c, Fraction):
+        return _number_text(c.numerator) + "/" + _number_text(c.denominator)
+    n, chunks = abs(c), []
+    while n >= _CHUNK_BASE:
+        n, low = divmod(n, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    return ("-" if c < 0 else "") + str(n) + "".join(reversed(chunks))
+
+
+def _text_int(digits: str) -> int:
+    n = int(digits[:len(digits) % _CHUNK] or 0)
+    for k in range(len(digits) % _CHUNK, len(digits), _CHUNK):
+        n = n * _CHUNK_BASE + int(digits[k:k + _CHUNK])
+    return n
+
+
 def render_poly(p: Poly) -> str:
     """Deterministic text form: grlex-descending terms, ``p/q`` coefficients."""
     if p.is_zero():
@@ -218,9 +241,9 @@ def render_poly(p: Poly) -> str:
         if mono and mag == 1:
             body = mono
         elif mono:
-            body = "%s*%s" % (mag, mono)
+            body = _number_text(mag) + "*" + mono
         else:
-            body = str(mag)
+            body = _number_text(mag)
         if not chunks:
             chunks.append(body if c > 0 else "-" + body)
         else:
@@ -246,7 +269,7 @@ def parse_poly(text: str, nvars=None) -> Poly:
         if kind == "bad":
             raise ParseError("unexpected character %r" % value, m.start(kind))
         if kind != "op":
-            value = int(value.lstrip("x"))
+            value = _text_int(value) if kind == "int" else int(value[1:])
         tokens.append((kind, value, m.start(kind)))
     if not tokens:
         raise ParseError("empty polynomial", 0)
@@ -317,17 +340,3 @@ def parse_poly(text: str, nvars=None) -> Poly:
         else:
             terms.pop(key, None)
     return Poly._raw(nvars, terms)
-
-
-def parse_rational(text: str):
-    """Parse ``p`` or ``p/q`` with optional sign into int or Fraction."""
-    m = re.fullmatch(r"\s*([+-]?\d+)\s*(?:/\s*(\d+))?\s*", text)
-    if m is None:
-        raise ParseError("bad rational %r" % text, 0)
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return num
-    den = int(m.group(2))
-    if den == 0:
-        raise ParseError("zero denominator", 0)
-    return ratnorm(Fraction(num, den))

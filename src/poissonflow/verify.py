@@ -36,8 +36,6 @@ class CheckResult:
 
 @dataclass
 class RunReport:
-    command: str
-    inputs: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
 
@@ -135,8 +133,7 @@ def run_checks(objects=None, fast=False) -> RunReport:
         obj.update(objects)
     frozen = _catalog.derived_constants()
     g3, E = obj["gamma3"], obj["E"]
-    report = RunReport(command="verify-paper" + (" --fast" if fast else ""),
-                       inputs={k: type(v).__name__ for k, v in obj.items()})
+    report = RunReport()
     add = report.checks.append
 
     # 1: Jacobi identities

@@ -111,7 +111,12 @@ def test_criterion_08_nambu_regime(gamma3, nambu_quartic):
     assert schouten(x, nambu_quartic).is_zero()
     assert x.is_zero() == FROZEN["x_nambu_quartic_is_zero"]
     assert dt < 60.0
-    report("criterion 8: [[X,P_N]] = 0 exactly; X = 0 recorded; < 60 s")
+    q = flow(gamma3, nambu_quartic)
+    assert q.is_zero() == FROZEN["flow_nambu_quartic_is_zero"]
+    sol = trivialize(q, nambu_quartic, 4)
+    assert sol.status == FROZEN["trivialize_flow_nambu_quartic_d4_status"]
+    report("criterion 8: [[X,P_N]] = 0 exactly; X = 0 recorded; < 60 s; "
+           "flow(g3,P_N) = 0 and its D = 4 trivialization status recorded")
 
 
 def test_criterion_09_graph_complex(gamma3):

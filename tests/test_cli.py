@@ -7,7 +7,7 @@ import pytest
 from poissonflow import catalog
 from poissonflow.cli import main
 from poissonflow.multivec import parse_multivector, render_multivector, schouten
-from poissonflow.verify import run_checks
+from poissonflow.verify import _run, run_checks
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,17 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trivialize", "--target", "QP1", "--poisson", "P1", "--degree", "-1"],
+    ["graph-d", "--graph", "graph{n=0; edges=; c=1}"],
+    ["graph-d", "--graph", "graph{n=1; edges=; c=1/0}"],
+], ids=["negative-degree", "no-vertices", "zero-denominator"])
+def test_bad_input_exits_2(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_byte_determinism(capsys):
     outs = set()
     for _ in range(2):
@@ -175,6 +186,22 @@ def test_fault_injection_isolates_failures(P1):
     assert by_id["coboundary-p2"] is True
     assert by_id["graph-complex"] is True
     assert report.passed is False
+
+
+def _raise():
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("fn, budget, passed, detail", [
+    (lambda: (True, ""), None, True, ""),
+    (lambda: (True, "x=1"), 0.0, False, "x=1; over time budget"),
+    (lambda: (True, ""), 0.0, False, "over time budget"),
+    (_raise, None, False, "error: boom"),
+], ids=["pass", "over-budget-with-detail", "over-budget", "raises"])
+def test_run_contains_failures_and_budgets(fn, budget, passed, detail):
+    result = _run("ident", "description", fn, budget=budget)
+    assert (result.passed, result.detail) == (passed, detail)
+    assert result.seconds >= 0
 
 
 def test_machine_format_verify(capsys):

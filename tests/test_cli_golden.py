@@ -82,6 +82,7 @@ CASES = [
     ["catalog", "nambu-cubic"],
     ["catalog", "nope"],
     ["verify-paper", "--fast"],
+    ["verify-paper"],
     # errors
     ["jacobi", "--poisson", "(x1@) xi1 xi2"],
     ["jacobi", "--poisson", "{dir}/bad.txt"],

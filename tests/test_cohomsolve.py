@@ -8,7 +8,7 @@ import pytest
 
 from poissonflow.cohomsolve import (AnsatzSpec, assemble, default_degree,
                                     monomials, solve, solve_raw, trivialize)
-from poissonflow.errors import PreconditionError
+from poissonflow.errors import DimensionError, PreconditionError
 from poissonflow.multivec import (Multivector, hamiltonian_field,
                                   parse_multivector, schouten)
 from poissonflow.ratpoly import Poly, parse_poly
@@ -141,6 +141,21 @@ def test_assemble_row_and_column_counts(P1, QP1):
 def test_assemble_structural_degree_mismatch(P1, QP1):
     with pytest.raises(PreconditionError):
         assemble(QP1, P1, AnsatzSpec(4, 3))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda p1, q: assemble(mv(3, i12="x1"), p1, AnsatzSpec(4, 2)),
+     DimensionError, "dimension mismatch"),
+    (lambda p1, q: assemble(q, mv(4, i1="x1"), AnsatzSpec(4, 2)),
+     PreconditionError, "P must be a bivector"),
+    (lambda p1, q: assemble(mv(4, i1="x1"), p1, AnsatzSpec(4, 2)),
+     PreconditionError, "Q must be a bivector"),
+    (lambda p1, q: AnsatzSpec(4, -1), PreconditionError, "nonnegative"),
+], ids=["dimension-mismatch", "p-not-bivector", "q-not-bivector",
+        "negative-degree"])
+def test_malformed_systems_rejected(call, error, match, P1, QP1):
+    with pytest.raises(error, match=match):
+        call(P1, QP1)
 
 
 # -- trivialization -----------------------------------------------------------

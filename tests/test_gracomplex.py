@@ -1,6 +1,7 @@
 """Graph complex: canonical forms, signs, insertion, differential."""
 
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -267,6 +268,25 @@ def test_graphsum_format_cases():
     assert render_graphsum(s) == two_line
     with pytest.raises(ParseError):
         parse_graph("graph{n=2; edges=(1,2)}")
+
+
+def test_parse_graph_coefficient_uses_polynomial_numbers():
+    _, c = parse_graph("graph{n=1; edges=; c=-3/6}")
+    assert c == Fraction(-1, 2)
+    _, c = parse_graph("graph{n=1; edges=; c=4/2}")
+    assert c == 2 and type(c) is int
+    with pytest.raises(ParseError):
+        parse_graph("graph{n=1; edges=; c=1/0}")
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: Graph(0, ()), MalformedGraphError),
+    (lambda: parse_graph("graph{n=1; edges=; c=1/2/3}"), ParseError),
+    (lambda: parse_graph("graph{n=1; edges=; c=x1}"), ParseError),
+], ids=["no-vertices", "double-slash", "variable-coefficient"])
+def test_malformed_graphs_rejected(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_edge_order_is_the_file_order():

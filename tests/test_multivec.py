@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from poissonflow.errors import DimensionError, PreconditionError
+from poissonflow.errors import DimensionError, ParseError, PreconditionError
 from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
                                   homogeneity_scale, jacobiator,
                                   lie_derivative, parse_multivector,
@@ -310,6 +310,31 @@ def test_parse_rejects_bad_input():
     with pytest.raises(ParseError):
         parse_multivector("")
     assert parse_multivector("0", nvars=3).is_zero()
+
+
+@pytest.mark.parametrize("text, nvars, expected", [
+    ("x1*x2 - 3", None, mv(2, i="x1*x2 - 3")),           # bare polynomial
+    ("x1", 3, mv(3, i="x1")),
+    ("(x1) xi1 - (x2) xi2", None, mv(2, i1="x1", i2="-x2")),
+    ("(x1) xi1 + x2", None, ParseError),    # expected '(poly) xi...'
+    ("(x1) xi1 (x2) xi2", None, ParseError),  # missing '+' or '-'
+    ("(1) xi0 xi1", None, ParseError),      # xi indices start at 1
+    ("(1) xi0", 2, ParseError),
+    ("(x3) xi1", 2, ParseError),            # index beyond nvars
+])
+def test_parse_multivector_cases(text, nvars, expected):
+    if isinstance(expected, Multivector):
+        assert parse_multivector(text, nvars) == expected
+    else:
+        with pytest.raises(expected):
+            parse_multivector(text, nvars)
+
+
+def test_xi_index_below_one_reported_at_its_position():
+    text = "(x1) xi1 + (1) xi0 xi2"
+    with pytest.raises(ParseError) as exc:
+        parse_multivector(text)
+    assert exc.value.position == text.index("xi0") == 15
 
 
 def test_dimension_mismatch_raises():

@@ -4,8 +4,8 @@ import pytest
 
 from poissonflow.errors import PreconditionError
 from poissonflow.gracomplex import tetrahedron
-from poissonflow.multivec import (euler_field, homogeneity_scale, jacobiator,
-                                  schouten)
+from poissonflow.multivec import (Multivector, euler_field, homogeneity_scale,
+                                  jacobiator, schouten)
 from poissonflow.nambu import (homogenizing_field_exists, nambu_bivector,
                                tangent_fit, weight_degree)
 from poissonflow.orient import flow
@@ -96,6 +96,28 @@ def test_tangent_fit_reconstructs_nonzero_flow(gamma3):
     status, adot, rhodot = tangent_fit(q, a, rho)
     assert status == "solved"
     assert _bivector(a, rhodot) + _bivector(adot, rho) == q
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: nambu_bivector(poly3("x3"), Poly.constant(2, 1)),
+     (PreconditionError, "density")),
+    (lambda: tangent_fit(Multivector(4, {(1, 2): Poly.variable(4, 1)}),
+                         poly3("x3")), (PreconditionError, "R\\^3")),
+    (lambda: tangent_fit(Multivector(3, {(1, 2): poly3("x1 + x2^2")}),
+                         poly3("x3")), (PreconditionError, "non-homogeneous")),
+    (lambda: tangent_fit(Multivector(3, {(1, 2): poly3("x1"),
+                                         (1, 3): poly3("x2^2")}),
+                         poly3("x3")), (PreconditionError, "mixed")),
+    (lambda: tangent_fit(Multivector(3, {(1, 2): poly3("x1")}),
+                         poly3("x1^3 + x2^3 + x3^3")), "infeasible"),
+], ids=["density-not-on-r3", "target-not-on-r3",
+        "non-homogeneous-target", "mixed-degree-target", "infeasible"])
+def test_nambu_preconditions_and_statuses(call, expected):
+    if isinstance(expected, str):
+        assert call()[0] == expected
+    else:
+        with pytest.raises(expected[0], match=expected[1]):
+            call()
 
 
 def test_tangent_fit_zero_target():

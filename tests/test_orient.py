@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from poissonflow.errors import PreconditionError
+from poissonflow.errors import DimensionError, PreconditionError
 from poissonflow.gracomplex import Graph, GraphSum, bracket, stick, tetrahedron
 from poissonflow.multivec import (Multivector, euler_field, jacobiator,
                                   parse_multivector, schouten)
@@ -280,6 +280,22 @@ def test_cocycle1_preconditions(gamma3, P1, euler4):
     with pytest.raises(PreconditionError):
         cocycle1(stick(), euler_field(3),
                  nambu_bivector(parse_poly("x1^4 + x2^4 + x3^4", 3)))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda p1, e: evaluate(Graph(1, ()), ()), PreconditionError,
+     "empty vertex tuple"),
+    (lambda p1, e: evaluate(stick(), (euler_field(3), euler_field(4))),
+     DimensionError, "different dimensions"),
+    (lambda p1, e: cocycle1(tetrahedron(), p1, p1), PreconditionError,
+     "1-vector"),
+    (lambda p1, e: cocycle1(tetrahedron(), e, e), PreconditionError,
+     "bivector"),
+], ids=["empty-vertex-tuple", "mixed-dimensions", "field-not-1-vector",
+        "poisson-not-bivector"])
+def test_malformed_vertex_contents(call, error, match, P1, euler4):
+    with pytest.raises(error, match=match):
+        call(P1, euler4)
 
 
 def test_cocycle1_warns_on_non_cocycle_input():

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonflow.errors import DimensionError, ParseError
-from poissonflow.ratpoly import (ANY_DEGREE, Poly, parse_poly, parse_rational,
-                                 render_poly)
+from poissonflow.ratpoly import ANY_DEGREE, Poly, parse_poly, render_poly
 
 
 def P(text, nvars=None):
@@ -176,8 +175,25 @@ def test_render_omits_unit_denominator_and_exponent_one():
 
 def test_parse_whitespace_and_fractions():
     assert P("  - 48*x1^5 *x2  + 1/2 * x3 ") == P("-48*x1^5*x2 + 1/2*x3")
-    assert parse_rational("-3/6") == Fraction(-1, 2)
-    assert parse_rational("4/2") == 2
+
+
+NINES = "9" * 5000  # 10**5000 - 1
+
+
+@pytest.mark.parametrize("text, value", [
+    (NINES, 10 ** 5000 - 1),
+    ("-" + NINES, 1 - 10 ** 5000),
+    ("2/" + NINES, Fraction(2, 10 ** 5000 - 1)),
+    ("-" + NINES + "/2", Fraction(1 - 10 ** 5000, 2)),
+    ("1" + "0" * 8000, 10 ** 8000),
+], ids=["int", "negative", "denominator", "numerator", "three-chunks"])
+def test_long_coefficients_round_trip(text, value):
+    # past the interpreter's default int <-> str digit limit of 4300
+    p = Poly.constant(0, value)
+    assert parse_poly(text) == p
+    assert render_poly(p) == text
+    q = Poly.monomial(2, (1, 2), value)
+    assert parse_poly(render_poly(q), 2) == q
 
 
 def test_parse_round_trip_random():

@@ -475,3 +475,60 @@ def test_cli_graph_with_a_vertex_count_past_maxsize_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: vertex count 99999999999999999999 exceeds %d\n" % sys.maxsize
+
+
+# -- multivec: xi indices start at 1 -------------------------------------------------
+
+
+def test_cli_xi_index_zero_is_a_parse_error(capsys):
+    code = main(["jacobi", "--poisson", "(1) xi0 xi1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: xi index must be >= 1 (at position 4)\n"
+
+
+# -- ratpoly: coefficients past the interpreter's int <-> str digit limit -----------
+
+
+DIGITS = "1234567890" * 500
+
+
+def test_cli_schouten_prints_a_5000_digit_coefficient(capsys):
+    code = main(["schouten", "--left", "(%s) xi1" % DIGITS,
+                 "--right", "(x1) xi1", "--nvars", "1"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == "(%s) xi1\n" % DIGITS
+
+
+def test_cli_graph_d_negates_a_5000_digit_coefficient(capsys):
+    code = main(["graph-d", "--graph", "graph{n=1; edges=; c=%s}" % DIGITS])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out == "graph{n=2; edges=(1,2); c=-%s}\n" % DIGITS
+
+
+def test_cli_scale_prints_a_5000_digit_ratio(capsys):
+    field = "(%s*x1) xi1 + (%s*x2) xi2" % (DIGITS, DIGITS)
+    code = main(["scale", "--field", field, "--poisson", "(x1^3) xi1 xi2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == "%s\n" % DIGITS
+
+
+# -- cli: --nvars only where multivector text is parsed -------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph-d", "--graph", "tetrahedron"],
+    ["graph-bracket", "--left", "tetrahedron", "--right", "tetrahedron"],
+    ["nambu", "--casimir", "x3"],
+    ["catalog"],
+    ["verify-paper", "--fast"],
+], ids=lambda argv: argv[0])
+def test_cli_nvars_rejected_where_no_multivector_is_parsed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--nvars", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nvars" in capsys.readouterr().err

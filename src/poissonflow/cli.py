@@ -29,7 +29,7 @@ from .multivec import (Multivector, homogeneity_scale, jacobiator,
                        parse_multivector, render_multivector, schouten)
 from .nambu import homogenizing_field_exists, nambu_bivector
 from .orient import cocycle1, flow
-from .ratpoly import _number_text, parse_poly
+from .ratpoly import ANY_DEGREE, _number_text, parse_poly
 from .verify import run_checks
 
 
@@ -106,7 +106,8 @@ def cmd_scale(args):
     v = load_multivector(args.field, args.nvars)
     p = load_multivector(args.poisson, args.nvars)
     lam = homogeneity_scale(v, p)
-    text = "none" if lam is None else _number_text(lam)
+    text = ("none" if lam is None else
+            ANY_DEGREE if lam is ANY_DEGREE else _number_text(lam))
     return text, {"scale": text}
 
 

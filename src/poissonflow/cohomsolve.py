@@ -39,7 +39,7 @@ from operator import add
 
 from .errors import DimensionError, PreconditionError
 from .multivec import Multivector, _x_partial, _xi_left, schouten, wedge
-from .ratpoly import Poly, ratnorm
+from .ratpoly import ANY_DEGREE, Poly, common_degree, ratnorm
 
 
 def monomials(nvars: int, degree: int):
@@ -295,18 +295,16 @@ class Solution:
 
 
 def _homdeg(p: Multivector, what: str) -> int:
-    if p.is_zero():
+    degs = [poly.is_homogeneous() for poly in p.components.values()]
+    if None in degs:
+        raise PreconditionError("%s has non-homogeneous coefficients" % what)
+    d = common_degree(degs)
+    if d is None:
+        raise PreconditionError("%s has mixed coefficient degrees" % what)
+    if d is ANY_DEGREE:
         raise PreconditionError("%s is zero, so it has no coefficient degree"
                                 % what)
-    degs = set()
-    for poly in p.components.values():
-        d = poly.is_homogeneous()
-        if d is None:
-            raise PreconditionError("%s has non-homogeneous coefficients" % what)
-        degs.add(d)
-    if len(degs) != 1:
-        raise PreconditionError("%s has mixed coefficient degrees" % what)
-    return degs.pop()
+    return d
 
 
 def default_degree(q: Multivector, p: Multivector) -> int:

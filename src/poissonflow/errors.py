@@ -14,10 +14,15 @@ class PreconditionError(ValueError):
 
 
 class ParseError(ValueError):
-    """Text input rejected; carries the offending position."""
+    """Text input rejected; carries the offending position, which a caller
+    parsing a slice of its text may shift before re-raising."""
 
     def __init__(self, message, position=None):
-        if position is not None:
-            message = "%s (at position %d)" % (message, position)
         super().__init__(message)
         self.position = position
+
+    def __str__(self):
+        message = super().__str__()
+        if self.position is None:
+            return message
+        return "%s (at position %d)" % (message, self.position)

@@ -34,7 +34,8 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DimensionError, ParseError, PreconditionError
-from .ratpoly import ANY_DEGREE, Poly, parse_poly, ratnorm, render_poly
+from .ratpoly import (ANY_DEGREE, Poly, common_degree, parse_poly, ratnorm,
+                      render_poly)
 
 
 class Multivector:
@@ -98,15 +99,10 @@ class Multivector:
 
     def degree(self):
         """Common xi-degree; ANY_DEGREE for 0, None when degrees are mixed."""
-        if not self.components:
-            return ANY_DEGREE
-        degs = {len(idx) for idx in self.components}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return common_degree(len(idx) for idx in self.components)
 
     def is_grade(self, k: int) -> bool:
-        return all(len(idx) == k for idx in self.components)
+        return self.degree() in (k, ANY_DEGREE)
 
     def component(self, idx) -> Poly:
         return self.components.get(tuple(idx), Poly.zero(self.nvars))
@@ -288,10 +284,8 @@ def schouten_sym(f: Multivector, g: Multivector) -> Multivector:
     deg = f.degree()
     if deg is None:
         raise PreconditionError("left argument has mixed xi-degree")
-    if deg is ANY_DEGREE:
-        return Multivector.zero(f.nvars)
     b = schouten(f, g)
-    return b if (deg - 1) % 2 == 0 else -b
+    return b if deg is ANY_DEGREE or deg & 1 else -b
 
 
 def jacobiator(p: Multivector) -> Multivector:
@@ -379,22 +373,19 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
     to the largest x- or xi-index seen; pass it explicitly to round-trip
     values whose trailing variables do not occur.
     """
-    stripped = text.strip()
-    if not stripped:
+    if not text.strip():
         raise ParseError("empty multivector", 0)
-    if stripped == "0":
-        return Multivector.zero(nvars or 0)
 
-    pieces = []  # (poly text, [xi indices]) chunks
+    pieces = []  # (sign, poly text start, poly text, [xi indices]) chunks
     pos = 0
     first = True
-    while pos < len(stripped):
-        m = _TERM_RE.match(stripped, pos)
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
         if m is None:
-            # allow a bare polynomial as the scalar part
+            # allow a bare polynomial, 0 included, as the scalar part
             if first:
-                p = parse_poly(stripped, nvars)
-                return Multivector(p.nvars if nvars is None else nvars, {(): p})
+                p = parse_poly(text, nvars)
+                return Multivector(p.nvars, {(): p})
             raise ParseError("expected '(poly) xi...' term", pos)
         sign, poly_text, xis = m.group(1), m.group(2), m.group(3)
         if not first and sign == "":
@@ -404,24 +395,28 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
             raise ParseError("xi index must be >= 1", m.start(3) + xis.index("xi"))
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ParseError("xi indices must be strictly increasing", m.start(3))
-        pieces.append((sign, poly_text, idx))
+        pieces.append((sign, m.start(2), poly_text, idx))
         pos = m.end()
         first = False
 
     maxvar = 0
-    for _, poly_text, idx in pieces:
+    for _, _, poly_text, idx in pieces:
         if idx:
             maxvar = max(maxvar, max(idx))
         for v in re.findall(r"x(\d+)(?![\d])", poly_text):
             maxvar = max(maxvar, int(v))
     if nvars is None:
         nvars = maxvar
-    elif maxvar > nvars:
+    out = Multivector.zero(nvars)  # a negative nvars raises DimensionError
+    if maxvar > nvars:
         raise ParseError("index %d exceeds declared dimension %d" % (maxvar, nvars))
-
-    out = Multivector.zero(nvars)
-    for sign, poly_text, idx in pieces:
-        p = parse_poly(poly_text, nvars)
+    for sign, start, poly_text, idx in pieces:
+        try:
+            p = parse_poly(poly_text, nvars)
+        except ParseError as exc:
+            if exc.position is not None:
+                exc.position += start
+            raise
         if sign == "-":
             p = -p
         out = out + Multivector(nvars, {idx: p})

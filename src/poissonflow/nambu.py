@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cohomsolve import _homdeg, monomials, multivector_columns_system, solve_raw
 from .errors import DimensionError, PreconditionError
 from .multivec import Multivector, jacobiator
-from .ratpoly import ANY_DEGREE, Poly
+from .ratpoly import Poly, common_degree
 
 _EPS = {(1, 2): 3, (1, 3): 2, (2, 3): 1}
 _EPS_SIGN = {(1, 2): 1, (1, 3): -1, (2, 3): 1}
@@ -50,10 +50,8 @@ def weight_degree(p: Poly, weights):
     if len(weights) != p.nvars:
         raise DimensionError("%d weights for a polynomial in %d variables"
                              % (len(weights), p.nvars))
-    if p.is_zero():
-        return ANY_DEGREE
-    degs = {sum(w * e for w, e in zip(weights, exps)) for exps in p.terms}
-    return degs.pop() if len(degs) == 1 else None
+    return common_degree(sum(w * e for w, e in zip(weights, exps))
+                         for exps in p.terms)
 
 
 def homogenizing_field_exists(a: Poly, weights=(1, 1, 1)):
@@ -61,15 +59,14 @@ def homogenizing_field_exists(a: Poly, weights=(1, 1, 1)):
     density-one bracket of a weight-homogeneous Casimir a.
 
     Returns (weight degree of a, flag); the solvability criterion is that
-    the weight degree differs from the sum of the coordinate weights.
+    the weight degree differs from the sum of the coordinate weights, which
+    holds for a = 0, where P = 0 and every V solves.
     Raises when a is not weight-homogeneous for the given weights.
     """
     wa = weight_degree(a, weights)
     if wa is None:
         raise PreconditionError(
             "Casimir is not weight-homogeneous for weights %r" % (weights,))
-    if wa == ANY_DEGREE:
-        return wa, False
     return wa, wa != sum(weights)
 
 
@@ -79,9 +76,10 @@ def tangent_fit(q: Multivector, a: Poly, rho: Poly | None = None):
         Q = P(a, rho_dot) + P(a_dot, rho)
 
     with homogeneous polynomial unknowns (a_dot, rho_dot) of the degrees
-    forced by the target.  Returns (status, a_dot, rho_dot): "solved"
-    exhibits Q as an infinitesimal motion of Casimir and density,
-    "infeasible" means no fit exists at those degrees.
+    forced by the target (no columns for a zero factor: P(0,.) = P(.,0) = 0).
+    Returns (status, a_dot, rho_dot): "solved" exhibits Q as an
+    infinitesimal motion of Casimir and density, "infeasible" means no fit
+    exists at those degrees.
     """
     if rho is None:
         rho = Poly.constant(3, 1)
@@ -90,18 +88,14 @@ def tangent_fit(q: Multivector, a: Poly, rho: Poly | None = None):
     if q.is_zero():
         return "solved", Poly.zero(3), Poly.zero(3)
     dq = _homdeg(q, "target bivector")
-    da, drho = a.degree(), rho.degree()
 
-    columns = []
-    kinds = []
-    deg_rhodot = dq - (da - 1)
-    if deg_rhodot >= 0:
-        for exps in monomials(3, deg_rhodot):
+    columns, kinds = [], []
+    if a:
+        for exps in monomials(3, dq + 1 - a.degree()):
             columns.append(_bivector(a, Poly.monomial(3, exps)))
             kinds.append(("rho", exps))
-    deg_adot = dq + 1 - drho
-    if deg_adot >= 1:
-        for exps in monomials(3, deg_adot):
+    if rho and dq + 1 > rho.degree():  # a constant a_dot moves nothing
+        for exps in monomials(3, dq + 1 - rho.degree()):
             columns.append(_bivector(Poly.monomial(3, exps), rho))
             kinds.append(("a", exps))
     raw = solve_raw(*multivector_columns_system(columns, q))

@@ -81,7 +81,7 @@ from .errors import DimensionError, PreconditionError
 from .gracomplex import Graph, _sort_parity, as_graphsum, is_cocycle
 from .multivec import (Multivector, _x_partial, _xi_left, homogeneity_scale,
                        jacobiator, wedge)
-from .ratpoly import ANY_DEGREE, Poly, ratnorm
+from .ratpoly import ANY_DEGREE, Poly, common_degree, ratnorm
 
 
 class SheetedPoly:
@@ -135,10 +135,7 @@ class SheetedPoly:
 
     def total_odd_degree(self):
         """Common number of odd factors; ANY_DEGREE if empty, None if mixed."""
-        if not self.groups:
-            return ANY_DEGREE
-        degs = {om.bit_count() for om in self.groups}
-        return degs.pop() if len(degs) == 1 else None
+        return common_degree(om.bit_count() for om in self.groups)
 
     def __eq__(self, other):
         if not isinstance(other, SheetedPoly):

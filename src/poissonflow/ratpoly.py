@@ -29,6 +29,15 @@ def ratnorm(c):
     return c
 
 
+def common_degree(degrees):
+    """The value all of ``degrees`` share: ANY_DEGREE when there are none,
+    None when two differ."""
+    shared = set(degrees)
+    if not shared:
+        return ANY_DEGREE
+    return shared.pop() if len(shared) == 1 else None
+
+
 class Poly:
     """Sparse polynomial with exact rational coefficients.
 
@@ -176,12 +185,7 @@ class Poly:
 
     def is_homogeneous(self):
         """Common total degree of all terms, ANY_DEGREE for 0, None if mixed."""
-        if not self.terms:
-            return ANY_DEGREE
-        degs = {sum(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return common_degree(sum(e) for e in self.terms)
 
     # -- rendering ------------------------------------------------------
 
@@ -329,6 +333,8 @@ def parse_poly(text: str, nvars=None) -> Poly:
     maxvar = max((max(e) for _, e in raw_terms if e), default=0)
     if nvars is None:
         nvars = maxvar
+    elif nvars < 0:
+        raise DimensionError("nvars must be nonnegative, got %d" % nvars)
     elif maxvar > nvars:
         raise ParseError("variable x%d exceeds declared dimension %d" % (maxvar, nvars))
     terms = {}

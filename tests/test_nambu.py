@@ -2,6 +2,7 @@
 
 import pytest
 
+from poissonflow.cli import main
 from poissonflow.errors import PreconditionError
 from poissonflow.gracomplex import tetrahedron
 from poissonflow.multivec import (Multivector, euler_field, homogeneity_scale,
@@ -10,7 +11,7 @@ from poissonflow.nambu import (homogenizing_field_exists, nambu_bivector,
                                tangent_fit, weight_degree)
 from poissonflow.orient import flow
 from poissonflow.cohomsolve import trivialize
-from poissonflow.ratpoly import Poly, parse_poly
+from poissonflow.ratpoly import ANY_DEGREE, Poly, parse_poly
 
 
 def poly3(text):
@@ -60,6 +61,13 @@ def test_weight_degree():
     assert weight_degree(Poly.zero(3), (1, 1, 1)) == "any"
 
 
+def test_zero_casimir_has_a_homogenizing_field(capsys):
+    # P = 0, so every V solves [[V, P]] = P
+    assert homogenizing_field_exists(Poly.zero(3)) == (ANY_DEGREE, True)
+    assert main(["nambu", "--casimir", "0"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+
+
 def test_homogenizing_field_criterion():
     # cubic Casimir: weight degree equals the weight sum, no polynomial field
     wa, exists = homogenizing_field_exists(poly3("1/3*x1^3 + 1/3*x2^3 + 1/3*x3^3"))
@@ -96,6 +104,21 @@ def test_tangent_fit_reconstructs_nonzero_flow(gamma3):
     status, adot, rhodot = tangent_fit(q, a, rho)
     assert status == "solved"
     assert _bivector(a, rhodot) + _bivector(adot, rho) == q
+
+
+@pytest.mark.parametrize("a, rho, adot, rhodot", [
+    ("0", "1", "x1^3", "0"),
+    ("x1^3", "0", "0", "1"),
+], ids=["zero-casimir", "zero-density"])
+def test_tangent_fit_with_a_zero_factor(a, rho, adot, rhodot):
+    # only the nonzero factor has columns: P(0, .) = P(., 0) = 0
+    from poissonflow.nambu import _bivector
+
+    q = nambu_bivector(poly3("x1^3"))
+    a, rho = poly3(a), poly3(rho)
+    fit = tangent_fit(q, a, rho)
+    assert fit == ("solved", poly3(adot), poly3(rhodot))
+    assert _bivector(a, fit[2]) + _bivector(fit[1], rho) == q
 
 
 @pytest.mark.parametrize("call, expected", [

@@ -14,11 +14,11 @@ from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
                                     multivector_columns_system, solve_raw,
                                     trivialize)
 from poissonflow.errors import (DimensionError, MalformedGraphError,
-                               PreconditionError)
+                               ParseError, PreconditionError)
 from poissonflow.gracomplex import Graph, GraphSum, stick
 from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
                                   homogeneity_scale, parse_multivector,
-                                  render_multivector, schouten)
+                                  render_multivector, schouten, schouten_sym)
 from poissonflow.nambu import nambu_bivector, weight_degree
 from poissonflow.orient import (cocycle1, directional_flow, evaluate, flow,
                                 lift, merge)
@@ -515,6 +515,58 @@ def test_cli_scale_prints_a_5000_digit_ratio(capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out == "%s\n" % DIGITS
+
+
+# -- cli: the scale of the zero bivector ----------------------------------------------
+
+
+@pytest.mark.parametrize("fmt, printed", [("text", "any"),
+                                          ("machine", '{"scale": "any"}')])
+def test_cli_scale_of_the_zero_bivector_is_any(fmt, printed, capsys):
+    code = main(["scale", "--field", "euler", "--poisson", "0", "--nvars", "4",
+                 "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == printed + "\n"
+
+
+# -- multivec: zero through the general path ----------------------------------------
+
+
+def test_parse_multivector_zero_takes_the_polynomial_path():
+    assert parse_multivector("0", nvars=3) == Multivector.zero(3)
+    assert parse_multivector(" 0 ") == Multivector.zero(0)
+    for text in ("0", "(1) xi1"):
+        with pytest.raises(DimensionError, match="nonnegative"):
+            parse_multivector(text, nvars=-1)
+    with pytest.raises(DimensionError, match="nonnegative"):
+        parse_poly("1", -1)
+
+
+def test_schouten_sym_of_zero_checks_the_dimension(P1):
+    assert schouten_sym(Multivector.zero(4), P1) == Multivector.zero(4)
+    with pytest.raises(DimensionError):
+        schouten_sym(Multivector.zero(3), P1)
+
+
+# -- multivec: parse positions count from the given text ------------------------------
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("   (1) xi0", "xi index must be >= 1", 7),
+    ("(x1@) xi1 xi2", "unexpected character '@'", 3),
+    ("  (x1) xi1 + (x1 @) xi2", "unexpected character '@'", 17),
+    ("  (x1) xi1 (1) xi2", "missing '+' or '-' between terms", 11),
+    ("  (x1) xi1 + x1", "expected '(poly) xi...' term", 11),
+    ("  x1 + ", "expected a term", 7),
+    ("(x1 +) xi1", "expected a term", 5),
+])
+def test_parse_multivector_positions_count_from_the_given_text(text, message,
+                                                               position):
+    with pytest.raises(ParseError) as exc:
+        parse_multivector(text)
+    assert exc.value.position == position
+    assert str(exc.value) == "%s (at position %d)" % (message, position)
 
 
 # -- cli: --nvars only where multivector text is parsed -------------------------------

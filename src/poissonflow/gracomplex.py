@@ -15,40 +15,28 @@ Sign conventions here, validated by property tests rather than cited:
 * ``differential = -bracket(stick, .)`` so that d(point) = -stick, and the
   new edge of a vertex split lands last in the edge order.
 
-The differential drops the raw terms of that definition that cancel in
-pairs before canonicalizing them.  Written out, d(g) = (-1)^E
-insert(g, stick) - insert(stick, g): each vertex v of g is split into two
-vertices joined by a new last edge, v's edge ends shared between them in
-every way, and a leaf is hung on each vertex of g by a new first edge,
-twice (once per end of the stick).  Two kinds of pairs cancel exactly:
-
-* leaf pairs: the two splits of v that put every edge end on one side
-  hang a leaf on v by a last edge; moving that edge first costs (-1)^E,
-  which the splits' sign undoes, so they equal the two leaves that
-  insert(stick, g) hangs on v, and are subtracted;
-* edge-isolating pairs: the split of v that moves the end of one edge
-  (v, w) alone to a new vertex subdivides that edge, and so does the split
-  of w that moves the other end alone; the isomorphism between the two
-  swaps the halves of the subdivided edge, which sit at its place and
-  last, so the two carry opposite signs.
-
-Both rules are used only at vertices v of valence >= 3, and an
-edge-isolating pair only when w too has valence >= 3, where each term
-belongs to one pair: at a bivalent vertex the split isolating one edge
-isolates the other as well, and at a univalent w the split isolating
-(v, w) is a leaf split.  On graphs of minimum valence 3 what is left is the
-standard form of d, the splits into two vertices of valence >= 3
-(Willwacher, arXiv:1009.1654).
+The differential builds only the terms of that definition that survive
+cancellation, each once.  Written out, d(g) = (-1)^E insert(g, stick) -
+insert(stick, g): each vertex v of g is split into two vertices joined by a
+new last edge, v's edge ends shared between them in every way, and a leaf
+is hung on each vertex of g by a new first edge, twice (once per end of the
+stick).  Three exact facts remove the rest: a split equals its mirror image
+(the two new vertices swapped, which moves no edge); the two splits of v
+putting every edge end on one side cancel the two leaves on v; and for an
+edge (v, w) between vertices of valence >= 3, the split of v and the split
+of w that each move one end of that edge alone cancel.  On graphs of
+minimum valence 3 what is left is the standard form of d, the splits into
+two vertices of valence >= 3 (Willwacher, arXiv:1009.1654).
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from itertools import product
+from itertools import combinations, product
 
 from .errors import MalformedGraphError, ParseError
-from .ratpoly import _number_text, parse_poly, ratnorm
+from .ratpoly import _number_text, _text_int, parse_poly, ratnorm
 
 
 class Graph:
@@ -60,13 +48,16 @@ class Graph:
         if n < 1:
             raise MalformedGraphError("vertex count must be positive")
         if n > sys.maxsize:
-            raise MalformedGraphError("vertex count %d exceeds %d" % (n, sys.maxsize))
+            raise MalformedGraphError("vertex count %s exceeds %d"
+                                     % (_number_text(n), sys.maxsize))
         norm = []
         for (i, j) in edges:
             if i == j:
-                raise MalformedGraphError("loop edge (%d,%d)" % (i, j))
+                raise MalformedGraphError("loop edge (%s,%s)"
+                                         % (_number_text(i), _number_text(j)))
             if not (1 <= i <= n and 1 <= j <= n):
-                raise MalformedGraphError("edge (%d,%d) outside 1..%d" % (i, j, n))
+                raise MalformedGraphError("edge (%s,%s) outside 1..%d"
+                                         % (_number_text(i), _number_text(j), n))
             norm.append((i, j) if i < j else (j, i))
         self.n = n
         self.edges = tuple(norm)
@@ -376,57 +367,53 @@ def bracket(s1, s2) -> GraphSum:
     return out
 
 
-def _split_cancels(h: Graph) -> bool:
-    """Whether the raw term h of ``insert_terms(g, stick())`` belongs to a
-    pair that cancels: a leaf split of a vertex of valence >= 3, or its
-    split isolating an edge whose other end also has valence >= 3.
-
-    The split vertex's two halves are h.n - 1 and h.n, joined by h's last
-    edge; every other vertex keeps its valence in g.
-    """
-    deg = h.degrees()
-    a, b = deg[h.n - 1] - 1, deg[h.n] - 1
-    if a + b < 3 or min(a, b) > 1:
-        return False
-    if min(a, b) == 0:
-        return True
-    lone = h.n - 1 if a == 1 else h.n
-    w = next(i + j - lone for (i, j) in h.edges[:-1] if lone in (i, j))
-    return deg[w] >= 3
-
-
 def differential(s) -> GraphSum:
     """Vertex-splitting differential, normalized by d(point) = -stick.
 
     Defined as -[stick, .] = (-1)^E insert(., stick) - insert(stick, .);
-    takes bi-grading (n, E) to (n+1, E+1).  Of the raw terms
-    ``insert_terms`` yields for that sum, two kinds of pairs that cancel
-    exactly are dropped before any canonicalization, judged by valences:
+    takes bi-grading (n, E) to (n+1, E+1).  Only the terms that survive
+    cancellation are built, each once, in g's own labels: a split of the
+    vertex v of g moves the edge ends in a set B to the new vertex n+1,
+    keeping every edge in its place, and appends the edge (v, n+1).
 
-    * leaf pairs, at a vertex v of valence >= 3: the two splits putting
-      all of v's edge ends on one side, which hang a leaf on v by the last
-      edge, and the two leaves insert(stick, g) hangs on v by the first
-      edge; moving that edge costs (-1)^E, the splits' own sign;
-    * edge-isolating pairs, for an edge (v, w) with v and w of valence
-      >= 3: the split of v moving the end of (v, w) alone and the split of
-      w moving the other end alone both subdivide the edge, and differ by
-      swapping its two halves, one transposition of the edge order.
+    * B and its complement give the same graph with the same sign, since
+      swapping v and n+1 fixes every edge position, so only the B that
+      leave out v's first edge are built, with coefficient 2 (-1)^E c;
+    * B empty hangs a leaf on v by the last edge; with its mirror it
+      cancels the two leaves insert(stick, g) hangs on v by the first edge,
+      since moving that edge costs (-1)^E.  At an isolated v the split is
+      its own mirror, and -(-1)^E c times the leaf is left;
+    * when v and its neighbour w both have valence >= 3, the split of v
+      moving the end of one edge (v, w) alone, |B| = 1 or B every edge but
+      the first, cancels the split of w that moves the other end alone:
+      both subdivide the edge, and differ by swapping its two halves, one
+      transposition of the edge order.
 
-    On graphs of minimum valence 3 only the splits into two vertices of
-    valence >= 3 remain; every other term is added as it is.
+    On graphs of minimum valence 3 the terms left are the splits into two
+    vertices of valence >= 3, one per unordered pair of parts.
     """
     out = GraphSum.zero()
-    edge = stick()
     for g, c in as_graphsum(s).terms.items():
-        deg = g.degrees()
-        split_c = -c if g.n_edges % 2 else c
-        for h in insert_terms(g, edge):
-            if not _split_cancels(h):
-                out.add_term(h, split_c)
-        for h in insert_terms(edge, g):
-            # h's first edge hangs the leaf 1 on g's vertex h.edges[0][1] - 1
-            if deg[h.edges[0][1] - 1] < 3:
-                out.add_term(h, -c)
+        n, edges, deg = g.n, list(g.edges), g.degrees()
+        split_c = -c if len(edges) % 2 else c
+        for v in range(1, n + 1):
+            slots = [k for k, e in enumerate(edges) if v in e]
+            if not slots:
+                out.add_term(Graph(n + 1, edges + [(v, n + 1)]), -split_c)
+                continue
+            far = {k: sum(edges[k]) - v for k in slots}
+            first, rest = slots[0], slots[1:]
+            for size in range(1, len(rest) + 1):
+                for moved in combinations(rest, size):
+                    # the edge whose end is alone on its side, if one is
+                    lone = (moved[0] if size == 1 else
+                            first if size == len(rest) else None)
+                    if lone is not None and deg[v] >= 3 and deg[far[lone]] >= 3:
+                        continue
+                    split = edges[:]
+                    for k in moved:
+                        split[k] = (far[k], n + 1)
+                    out.add_term(Graph(n + 1, split + [(v, n + 1)]), 2 * split_c)
     return out
 
 
@@ -460,8 +447,8 @@ def parse_graph(text: str):
     m = _GRAPH_RE.fullmatch(text.strip())
     if m is None:
         raise ParseError("expected graph{n=..; edges=..; c=..} in %r" % text.strip(), 0)
-    n = int(m.group(1))
-    edges = [(int(a), int(b)) for a, b in _EDGE_RE.findall(m.group(2))]
+    n = _text_int(m.group(1))
+    edges = [(_text_int(a), _text_int(b)) for a, b in _EDGE_RE.findall(m.group(2))]
     c = parse_poly(m.group(3), 0).terms.get((), 0)
     return Graph(n, edges), c
 

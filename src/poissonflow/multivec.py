@@ -34,8 +34,8 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DimensionError, ParseError, PreconditionError
-from .ratpoly import (ANY_DEGREE, Poly, common_degree, parse_poly, ratnorm,
-                      render_poly)
+from .ratpoly import (ANY_DEGREE, Poly, _check_nvars, _number_text, _text_int,
+                      common_degree, parse_poly, ratnorm, render_poly)
 
 
 class Multivector:
@@ -48,8 +48,7 @@ class Multivector:
     __slots__ = ("nvars", "components")
 
     def __init__(self, nvars: int, components=None):
-        if nvars < 0:
-            raise DimensionError("nvars must be nonnegative, got %d" % nvars)
+        _check_nvars(nvars)
         clean = {}
         for idx, p in (components or {}).items():
             idx = tuple(idx)
@@ -76,8 +75,7 @@ class Multivector:
 
     @classmethod
     def zero(cls, nvars: int) -> "Multivector":
-        if nvars < 0:
-            raise DimensionError("nvars must be nonnegative, got %d" % nvars)
+        _check_nvars(nvars)
         return cls._raw(nvars, {})
 
     @classmethod
@@ -390,7 +388,7 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
         sign, poly_text, xis = m.group(1), m.group(2), m.group(3)
         if not first and sign == "":
             raise ParseError("missing '+' or '-' between terms", m.start())
-        idx = tuple(int(s) for s in re.findall(r"xi(\d+)", xis))
+        idx = tuple(_text_int(s) for s in re.findall(r"xi(\d+)", xis))
         if idx[:1] == (0,):
             raise ParseError("xi index must be >= 1", m.start(3) + xis.index("xi"))
         if any(a >= b for a, b in zip(idx, idx[1:])):
@@ -404,12 +402,13 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
         if idx:
             maxvar = max(maxvar, max(idx))
         for v in re.findall(r"x(\d+)(?![\d])", poly_text):
-            maxvar = max(maxvar, int(v))
+            maxvar = max(maxvar, _text_int(v))
     if nvars is None:
         nvars = maxvar
-    out = Multivector.zero(nvars)  # a negative nvars raises DimensionError
+    out = Multivector.zero(nvars)  # DimensionError past 0..MAX_NVARS
     if maxvar > nvars:
-        raise ParseError("index %d exceeds declared dimension %d" % (maxvar, nvars))
+        raise ParseError("index %s exceeds declared dimension %d"
+                         % (_number_text(maxvar), nvars))
     for sign, start, poly_text, idx in pieces:
         try:
             p = parse_poly(poly_text, nvars)

@@ -21,6 +21,9 @@ from .errors import DimensionError, ParseError
 #: distinguished homogeneity degree of the zero polynomial
 ANY_DEGREE = "any"
 
+#: largest number of variables; exponent tuples are this long
+MAX_NVARS = 10_000
+
 
 def ratnorm(c):
     """Collapse a Fraction with unit denominator to a plain int."""
@@ -38,6 +41,15 @@ def common_degree(degrees):
     return shared.pop() if len(shared) == 1 else None
 
 
+def _check_nvars(nvars):
+    """Raise DimensionError unless 0 <= nvars <= MAX_NVARS."""
+    if nvars < 0:
+        raise DimensionError("nvars must be nonnegative, got %s" % _number_text(nvars))
+    if nvars > MAX_NVARS:
+        raise DimensionError("nvars must be at most %d, got %s"
+                             % (MAX_NVARS, _number_text(nvars)))
+
+
 class Poly:
     """Sparse polynomial with exact rational coefficients.
 
@@ -49,8 +61,7 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
-        if nvars < 0:
-            raise DimensionError("nvars must be nonnegative, got %d" % nvars)
+        _check_nvars(nvars)
         clean = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
@@ -79,20 +90,19 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        if nvars < 0:
-            raise DimensionError("nvars must be nonnegative, got %d" % nvars)
+        _check_nvars(nvars)
         return cls._raw(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
+        _check_nvars(nvars)
         c = ratnorm(c)
-        if not c:
-            return cls.zero(nvars)
-        return cls._raw(nvars, {(0,) * nvars: c})
+        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         """The monomial x_i, 1-based index."""
+        _check_nvars(nvars)
         if not 1 <= i <= nvars:
             raise IndexError("variable index %d out of range 1..%d" % (i, nvars))
         exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))
@@ -207,7 +217,7 @@ def _monomial_text(exps) -> str:
         if e == 1:
             parts.append("x%d" % (k + 1))
         elif e > 1:
-            parts.append("x%d^%d" % (k + 1, e))
+            parts.append("x%d^%s" % (k + 1, _number_text(e)))
     return "*".join(parts)
 
 
@@ -273,7 +283,7 @@ def parse_poly(text: str, nvars=None) -> Poly:
         if kind == "bad":
             raise ParseError("unexpected character %r" % value, m.start(kind))
         if kind != "op":
-            value = _text_int(value) if kind == "int" else int(value[1:])
+            value = _text_int(value if kind == "int" else value[1:])
         tokens.append((kind, value, m.start(kind)))
     if not tokens:
         raise ParseError("empty polynomial", 0)
@@ -333,10 +343,10 @@ def parse_poly(text: str, nvars=None) -> Poly:
     maxvar = max((max(e) for _, e in raw_terms if e), default=0)
     if nvars is None:
         nvars = maxvar
-    elif nvars < 0:
-        raise DimensionError("nvars must be nonnegative, got %d" % nvars)
-    elif maxvar > nvars:
-        raise ParseError("variable x%d exceeds declared dimension %d" % (maxvar, nvars))
+    _check_nvars(nvars)
+    if maxvar > nvars:
+        raise ParseError("variable x%s exceeds declared dimension %d"
+                         % (_number_text(maxvar), nvars))
     terms = {}
     for c, exps in raw_terms:
         key = tuple(exps.get(i + 1, 0) for i in range(nvars))

@@ -212,8 +212,9 @@ def run_checks(objects=None, fast=False) -> RunReport:
     def graph_checks():
         if differential(point()) != GraphSum.single(stick()).scale(-1):
             return False, "d(point) != -stick"
-        # differential drops every raw term of d(g3) as a cancelling pair,
-        # so the definition -[stick, g3] is checked as well
+        # differential builds no term of d(g3), every split of the
+        # tetrahedron cancelling, so the definition -[stick, g3] is checked
+        # as well
         if not (differential(g3).is_zero() and bracket(stick(), g3).is_zero()):
             return False, "d(tetrahedron) != 0"
         for g in _connected_graphs_up_to(4):

@@ -1,12 +1,13 @@
 """``differential`` against its definition ``-bracket(stick(), .)``.
 
-``differential`` leaves out the raw insertion terms that cancel in pairs
-(leaf splits and stick leaves at vertices of valence >= 3, and splits
-isolating an edge between two such vertices) before canonicalizing;
-``bracket`` canonicalizes every term.  They must give the same GraphSum
-on graphs of every valence, isolated vertices and zero graphs included,
-on the nonzero min-valence-3 classes and every term of their d, and on
-sums mixing edge parities and rational coefficients.
+``differential`` builds each vertex split that survives cancellation once,
+in the graph's own labels: one of each mirror pair at twice the
+coefficient, no leaf splits or stick leaves, and no split isolating an edge
+between two vertices of valence >= 3; ``bracket`` canonicalizes every raw
+insertion term.  They must give the same GraphSum on graphs of every
+valence, isolated vertices and zero graphs included, on the nonzero
+min-valence-3 classes and every term of their d, and on sums mixing edge
+parities and rational coefficients.
 """
 
 import random

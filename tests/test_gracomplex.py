@@ -6,12 +6,15 @@ from itertools import permutations, product
 
 import pytest
 
+import poissonflow.gracomplex as gracomplex
 from poissonflow.errors import MalformedGraphError, ParseError
 from poissonflow.gracomplex import (Graph, GraphSum, bracket, canonicalize,
                                     differential, insert, insert_terms,
                                     is_cocycle, parse_graph, parse_graphsum,
                                     point, render_graph, render_graphsum,
                                     stick, tetrahedron)
+
+from test_differential_oracle import CLASSES
 
 
 def perm_parity(seq):
@@ -303,3 +306,31 @@ def test_canonicalize_idempotent():
             continue
         again, s2 = canonicalize(canon)
         assert again == canon and s2 == 1
+
+
+# -- differential: one canonicalization per surviving split ------------------------
+
+
+@pytest.mark.parametrize("graph, calls", [
+    (Graph(*CLASSES["n6e10.wheel"]), 10),
+    (Graph(*CLASSES["n6e10.other"]), 6),
+    (tetrahedron(), 0),
+    (point(), 1),
+    (Graph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))), 6),
+], ids=["pentagon-wheel", "n6e10-other", "tetrahedron", "point", "K4-minus-edge"])
+def test_differential_canonicalizes_each_surviving_split_once(graph, calls,
+                                                              monkeypatch):
+    # on graphs of minimum valence 3, one call per unordered split of a
+    # vertex into two parts of >= 2 edge ends; each mirror pair was two
+    s = GraphSum.single(graph)
+    seen = []
+
+    def counted(g):
+        seen.append(g)
+        return canonicalize(g)
+
+    monkeypatch.setattr(gracomplex, "canonicalize", counted)
+    d = differential(s)
+    assert len(seen) == calls
+    monkeypatch.undo()
+    assert d == -bracket(stick(), s)

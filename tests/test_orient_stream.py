@@ -1,10 +1,13 @@
 """The streaming evaluator against the listed-order pipeline and the oracle.
 
-``evaluate`` multiplies the sheets in one at a time and applies each edge
-as soon as both its endpoints exist, correcting by the parity of that edge
-reordering.  ``pipeline`` below lifts every sheet first and then applies
-the edges in their listed order; ``evaluate_oracle`` re-derives the whole
-evaluation on the multivector calculus over n*r variables.
+``evaluate`` closes the vertices k = 1..n in turn: the edges (i, k), i < k,
+act by the Leibniz rule on a map from derivatives of entry k to states over
+sheets 1..k-1, each state is then multiplied by its derivative of entry k
+(at the last vertex, merged and wedged with it), and the value is corrected
+by the parity of grouping the edges by their larger endpoint.  ``pipeline``
+below lifts every sheet first and then applies the edges in their listed
+order; ``evaluate_oracle`` re-derives the whole evaluation on the
+multivector calculus over n*r variables.
 """
 
 import random

@@ -15,14 +15,14 @@ from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
                                     trivialize)
 from poissonflow.errors import (DimensionError, MalformedGraphError,
                                ParseError, PreconditionError)
-from poissonflow.gracomplex import Graph, GraphSum, stick
+from poissonflow.gracomplex import Graph, GraphSum, parse_graph, stick
 from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
                                   homogeneity_scale, parse_multivector,
                                   render_multivector, schouten, schouten_sym)
 from poissonflow.nambu import nambu_bivector, weight_degree
 from poissonflow.orient import (cocycle1, directional_flow, evaluate, flow,
                                 lift, merge)
-from poissonflow.ratpoly import ANY_DEGREE, Poly, parse_poly
+from poissonflow.ratpoly import ANY_DEGREE, Poly, parse_poly, render_poly
 from poissonflow.verify import uniform_ratio
 from test_solve_sparse import dense_to_sparse
 
@@ -584,3 +584,76 @@ def test_cli_nvars_rejected_where_no_multivector_is_parsed(argv, capsys):
         main(argv + ["--nvars", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --nvars" in capsys.readouterr().err
+
+
+# -- one dimension bound; indices and labels past the int <-> str digit limit -------
+
+
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: parse_poly("x" + HUGE), DimensionError,
+     "nvars must be at most 10000, got " + HUGE),
+    (lambda: parse_multivector("(1) xi" + HUGE), DimensionError,
+     "nvars must be at most 10000, got " + HUGE),
+    (lambda: parse_multivector("(x%s) xi1" % HUGE), DimensionError,
+     "nvars must be at most 10000, got " + HUGE),
+    (lambda: parse_poly("x" + HUGE, 3), ParseError,
+     "variable x%s exceeds declared dimension 3" % HUGE),
+    (lambda: parse_multivector("(1) xi" + HUGE, 3), ParseError,
+     "index %s exceeds declared dimension 3" % HUGE),
+    (lambda: Poly(10 ** 5000), DimensionError,
+     "nvars must be at most 10000, got 1" + "0" * 5000),
+    (lambda: Multivector.zero(-10 ** 5000), DimensionError,
+     "nvars must be nonnegative, got -1" + "0" * 5000),
+    (lambda: parse_graph("graph{n=%s; edges=; c=1}" % HUGE), MalformedGraphError,
+     "vertex count %s exceeds %d" % (HUGE, sys.maxsize)),
+    (lambda: parse_graph("graph{n=2; edges=(1,%s); c=1}" % HUGE), MalformedGraphError,
+     "edge (1,%s) outside 1..2" % HUGE),
+    (lambda: parse_graph("graph{n=2; edges=(%s,%s); c=1}" % (HUGE, HUGE)),
+     MalformedGraphError, "loop edge (%s,%s)" % (HUGE, HUGE)),
+    (lambda: Graph(10 ** 5000, ()), MalformedGraphError,
+     "vertex count 1%s exceeds %d" % ("0" * 5000, sys.maxsize)),
+], ids=["poly-x", "mv-xi", "mv-x", "poly-x-declared", "mv-xi-declared", "Poly",
+        "Multivector-negative", "graph-n", "graph-edge", "graph-loop", "Graph"])
+def test_5000_digit_indices_raise_named_errors(build, error, message):
+    # a bare ValueError from int/str conversion; the omitted dimension was
+    # inferred from the index and an exponent tuple that long was built
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value).split(" (at position")[0] == message
+
+
+def test_dimension_bound_is_inclusive():
+    assert parse_poly("x10000").nvars == 10000
+    assert Multivector.zero(10000).nvars == 10000
+    with pytest.raises(DimensionError, match="at most 10000, got 10001"):
+        parse_poly("x10001")
+
+
+def test_poly_constant_and_variable_check_the_dimension():
+    # Poly.constant(-1, 5) built a value with nvars = -1
+    for build in (lambda: Poly.constant(-1, 5), lambda: Poly.constant(-1, 0),
+                  lambda: Poly.variable(-1, 1)):
+        with pytest.raises(DimensionError, match="nonnegative"):
+            build()
+    with pytest.raises(DimensionError, match="at most 10000"):
+        Poly.variable(10 ** 5000, 1)
+
+
+def test_render_poly_prints_a_5000_digit_exponent():
+    assert render_poly(parse_poly("x1^" + HUGE)) == "x1^" + HUGE
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["jacobi", "--poisson", "(1) xi" + HUGE],
+     "error: nvars must be at most 10000, got %s\n" % HUGE),
+    (["graph-d", "--graph", "graph{n=%s; edges=; c=1}" % HUGE],
+     "error: vertex count %s exceeds %d\n" % (HUGE, sys.maxsize)),
+    (["graph-d", "--graph", "graph{n=2; edges=(1,%s); c=1}" % HUGE],
+     "error: edge (1,%s) outside 1..2\n" % HUGE),
+], ids=["jacobi-xi", "graph-d-n", "graph-d-edge"])
+def test_cli_5000_digit_indices_exit_2(argv, err, capsys):
+    code = main(argv)
+    assert (code,) + capsys.readouterr() == (2, "", err)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -29,7 +30,7 @@ from .multivec import (Multivector, homogeneity_scale, jacobiator,
                        parse_multivector, render_multivector, schouten)
 from .nambu import homogenizing_field_exists, nambu_bivector
 from .orient import cocycle1, flow
-from .ratpoly import ANY_DEGREE, _number_text, parse_poly
+from .ratpoly import ANY_DEGREE, _number_text, _text_int, parse_poly
 from .verify import run_checks
 
 
@@ -161,20 +162,37 @@ def cmd_graph_bracket(args):
     return text, {"bracket": text}
 
 
+_WEIGHT = re.compile(r"\s*([+-]?)(\d+)\s*")
+
+
+def _weights(text):
+    """``--weights``: comma-separated integers, each an optional sign and
+    decimal digits of any length."""
+    weights, pos = [], 0
+    for item in text.split(","):
+        m = _WEIGHT.fullmatch(item)
+        if m is None:
+            raise ParseError("weight %r is not an integer" % item.strip(), pos)
+        w = _text_int(m.group(2))
+        weights.append(-w if m.group(1) == "-" else w)
+        pos += len(item) + 1
+    return tuple(weights)
+
+
 def cmd_nambu(args):
     a = parse_poly(args.casimir, 3)
     rho = parse_poly(args.density, 3) if args.density else None
     p = nambu_bivector(a, rho)
     note = ""
-    weights = tuple(int(w) for w in args.weights.split(","))
+    weights = _weights(args.weights)
     try:
         wa, exists = homogenizing_field_exists(a, weights)
     except PreconditionError:
         exists = None
     if exists is False and rho is None:
         note = ("no polynomial homogenizing field exists "
-                "(weight degree %s equals the weight sum %d)"
-                % (wa, sum(weights)))
+                "(weight degree %s equals the weight sum %s)"
+                % (_number_text(wa), _number_text(sum(weights))))
         _note(args, note)
     text = render_multivector(p)
     return text, {"bivector": text, "note": note}

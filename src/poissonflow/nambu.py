@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cohomsolve import _homdeg, monomials, multivector_columns_system, solve_raw
 from .errors import DimensionError, PreconditionError
 from .multivec import Multivector, jacobiator
-from .ratpoly import Poly, common_degree
+from .ratpoly import Poly, _number_text, common_degree
 
 _EPS = {(1, 2): 3, (1, 3): 2, (2, 3): 1}
 _EPS_SIGN = {(1, 2): 1, (1, 3): -1, (2, 3): 1}
@@ -66,7 +66,8 @@ def homogenizing_field_exists(a: Poly, weights=(1, 1, 1)):
     wa = weight_degree(a, weights)
     if wa is None:
         raise PreconditionError(
-            "Casimir is not weight-homogeneous for weights %r" % (weights,))
+            "Casimir is not weight-homogeneous for weights (%s)"
+            % ", ".join(_number_text(w) for w in weights))
     return wa, wa != sum(weights)
 
 

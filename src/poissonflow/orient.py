@@ -19,10 +19,11 @@ term's coefficient is relative to that order.
   new factor on the right.  Its odd factors sit above every earlier one,
   so the product carries no Koszul sign.
 - Closing a vertex.  ``evaluate`` closes vertices k = 1..n in turn with
-  their edges (i, k), i < k.  E_ij only differentiates in sheets i and j,
-  so sheet k may come in after the state S over sheets 1..k-1 has seen
-  every edge between them: the edges act on S . B, B a derivative of
-  entry k in sheet-k variables, by the Leibniz rule
+  their edges (i, k), i < k, in ascending order of i.  E_ij only
+  differentiates in sheets i and j, so sheet k may come in after the
+  state S over sheets 1..k-1 has seen every edge between them: the edges
+  act on S . B, B a derivative of entry k in sheet-k variables, by the
+  Leibniz rule
       d/dxi_mu^(i) (A . B) = (d/dxi_mu^(i) A) . B,
       d/dx^mu_(i)  (A . B) = (d/dx^mu_(i) A) . B,
       d/dxi_mu^(k) (A . B) = (-1)^|A| A . (d/dxi_mu^(k) B),
@@ -34,13 +35,27 @@ term's coefficient is relative to that order.
   sign of that many transpositions; an index already in s gives zero.
   A's with equal descriptors are added, and a descriptor whose derivative
   of entry k is zero is dropped.  For k < n the new state is the sum over
-  d of A_d . d(entry k), adding products that share a key.  ``merge`` is
-  an algebra homomorphism, so the value is the sum over d of
-  merge(A_d) ^ d(entry n), the wedge in that order.
+  d of A_d . d(entry k), adding products that share a key.  At k = n the
+  sheets fold into slot 1 as they finish (next item), so every A_d ends in
+  one slot; each is multiplied by d(entry n) in that slot, B's odd factors
+  sorted in past A's larger ones at that many transpositions (a shared mu
+  gives zero), into one accumulator for all d and graph terms, and
+  ``merge`` of that one-slot accumulator is the value.
+- Folding a finished sheet.  At vertex n the edges act in ascending order
+  of i, so once the edges at i have acted no later edge touches sheet i or
+  a sheet below it.  Each such finished sheet is folded into slot 1 in the
+  edge step that finishes it (a sheet below the first edge's end before
+  the first edge): its odd factors join slot 1's, re-sorted by mu with the
+  sign ``merge`` uses (a repeated mu kills the term), and its even block is
+  added into block 1.  Every sheet below it is already folded and every
+  sheet above keeps its place, so no other sign arises, and the
+  left-derivative sign of a later edge counts the same factors.  ``merge``
+  of a folded state is ``merge`` of the unfolded one, and terms that agree
+  after folding are added before the next edge acts.
 - Edge order costs the permutation's parity.  Each E_ij is odd, so two
-  edge operators anticommute; applying the edges grouped by larger endpoint
-  (stable within a group) instead of in listed order multiplies the value
-  by (-1)^(inversions of that reordering).
+  edge operators anticommute; applying the edges sorted by (larger
+  endpoint, smaller endpoint) instead of in listed order multiplies the
+  value by (-1)^(inversions of that sort).
 - Left derivative.  d/dxi at odd bit b passes the odd factors standing
   before b: the sign is the parity of the bits set below b.
 - Merge.  Collapsing sheets re-sorts the remaining odd factors by mu with
@@ -59,14 +74,14 @@ Internally a sheeted polynomial groups its terms by odd mask,
 ``{odd_mask: {even_key: c}}``: one odd bit per (sheet, mu) and one field
 of ``width`` bits of even exponent per (sheet, mu) variable, both ordered
 sheet-major.  Every sign, target mask and exponent shift above depends on
-the odd mask alone, so ``apply_edge`` and ``merge`` compute them once per
-mask.  The width is 8 bits, widened to the bit length of m times the
-largest exponent of the m lifted vertex contents (m = n for ``lift``,
-m = n-1 in ``evaluate``), so one field holds the sum of a variable's
-exponents over all lifted sheets: edges only lower exponents, so no field
-overflows into its neighbour, and ``merge`` adds a key's sheet blocks as
-plain integers without a carry between fields.  Terms vanish as soon as a
-derivative misses, which is what keeps the expansion of dense cocycles
+the odd mask alone, so ``apply_edge``, ``merge`` and a fold compute them
+once per mask.  The width is 8 bits, widened to the bit length of n times
+the largest exponent of the n vertex contents, so one field holds the sum
+of a variable's exponents over all sheets: edges only lower exponents, so
+no field overflows into its neighbour, and ``merge``, a fold and the
+product with entry n in slot 1 add a key's blocks as plain integers
+without a carry between fields.  Terms vanish as soon as a derivative
+misses, which is what keeps the expansion of dense cocycles
 tractable.
 """
 
@@ -80,7 +95,7 @@ from itertools import combinations
 from .errors import DimensionError, PreconditionError
 from .gracomplex import Graph, _sort_parity, as_graphsum, is_cocycle
 from .multivec import (Multivector, _x_partial, _xi_left, homogeneity_scale,
-                       jacobiator, wedge)
+                       jacobiator)
 from .ratpoly import ANY_DEGREE, Poly, common_degree, ratnorm
 
 
@@ -91,9 +106,12 @@ class SheetedPoly:
     and never empty; ``terms`` is a flat copy (even_key, odd_mask) -> c.
     Even exponents occupy ``width`` bits per variable, enough for the sum
     of a variable's exponents over all sheets: 8 for keys given to the
-    constructor, which rejects larger sums, wider for ``lift`` and for
-    the n-1 sheets ``evaluate`` lifts.  Odd exponents are 0/1 and a term's
-    sign is relative to ascending (sheet-major) odd order.
+    constructor, which rejects larger sums, and wide enough for all n
+    vertex contents in ``lift`` and ``evaluate``.  Odd exponents are 0/1
+    and a term's sign is relative to ascending (sheet-major) odd order.
+    Inside ``evaluate`` the sheets of the last vertex fold into slot 1, so
+    slot 1 may hold the odd factors (sorted by mu) and summed exponents of
+    several entries, up to all n of them.
     """
 
     __slots__ = ("nvars", "sheets", "groups", "width")
@@ -148,17 +166,17 @@ class SheetedPoly:
             self.nvars, self.sheets, len(self.terms))
 
 
-def _unit(entries, lifted) -> SheetedPoly:
-    """The product over no sheets, wide enough for the first ``lifted``
-    entries: the field width holds ``lifted`` times their largest exponent."""
+def _unit(entries) -> SheetedPoly:
+    """The product over no sheets, wide enough for the n entries: the field
+    width holds n times their largest exponent."""
     if not entries:
         raise PreconditionError("empty vertex tuple")
     r = entries[0].nvars
     if any(mv.nvars != r for mv in entries):
         raise DimensionError("vertex contents over different dimensions")
-    top = max((e for mv in entries[:lifted] for poly in mv.components.values()
+    top = max((e for mv in entries for poly in mv.components.values()
                for exps in poly.terms for e in exps), default=0)
-    width = max(8, (lifted * top).bit_length())
+    width = max(8, (len(entries) * top).bit_length())
     return SheetedPoly._raw(r, 0, {0: {0: 1}}, width)
 
 
@@ -189,7 +207,7 @@ def _add_times_sheet(groups, left, mv, base, width):
 def lift(entries) -> SheetedPoly:
     """Product over sheets i of entry i rewritten in sheet-i variables."""
     entries = list(entries)
-    return reduce(_times_sheet, entries, _unit(entries, len(entries)))
+    return reduce(_times_sheet, entries, _unit(entries))
 
 
 def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
@@ -218,6 +236,20 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
     return SheetedPoly._raw(r, n, {om: t for om, t in out.items() if t}, width)
 
 
+def _sorted_mus(om, r):
+    """The mu of each odd bit of ``om``, sorted, and the sign of sorting
+    them from sheet-major order; None when two bits share a mu."""
+    mus = []
+    while om:
+        low = om & (-om)
+        om ^= low
+        mus.append((low.bit_length() - 1) % r)
+    if len(set(mus)) != len(mus):
+        return None
+    inv = sum(1 for p, q in combinations(mus, 2) if p > q)
+    return sorted(mus), -1 if inv & 1 else 1
+
+
 def merge(sp: SheetedPoly) -> Multivector:
     """Collapse sheets: x^mu_(i) -> x^mu and xi^(i)_mu -> xi_mu.
 
@@ -233,17 +265,11 @@ def merge(sp: SheetedPoly) -> Multivector:
     shifts = range(block, sp.sheets * block, block)
     comps = {}
     for om, bucket in sp.groups.items():
-        mus = []
-        m = om
-        while m:
-            low = m & (-m)
-            m ^= low
-            mus.append((low.bit_length() - 1) % r)
-        if len(set(mus)) != len(mus):
+        got = _sorted_mus(om, r)
+        if got is None:
             continue
-        inv = sum(1 for p, q in combinations(mus, 2) if p > q)
-        sgn = -1 if inv & 1 else 1
-        target = comps.setdefault(tuple(sorted(mu + 1 for mu in mus)), {})
+        mus, sgn = got
+        target = comps.setdefault(tuple(mu + 1 for mu in mus), {})
         for ev, c in bucket.items():
             key = ev & mask_b
             for s in shifts:
@@ -323,42 +349,153 @@ def _add_derivative(groups, om, bucket, sgn, shift, mask_e):
                 del target[key]
 
 
-def _close_vertex(state, k, edges, slots):
-    """The edges (i, k) acting by the Leibniz rule on ``state`` times entry
-    k ("Closing a vertex" in the module docstring): the map from each
-    derivative descriptor d of entry k to the groups of A_d."""
+class _Fold(dict):
+    """Folding sheets lo..hi into slot 1 inside an edge step, sheets 2..lo-1
+    being folded already ("Folding a finished sheet" in the module
+    docstring).  Maps an odd mask to (folded mask, sign), or to None when
+    two folded factors share a mu.  ``terms`` folds a bucket's keys once,
+    as (folded key, key, c); ``signed`` and ``derivative`` then add like
+    ``_add_signed`` and ``_add_derivative``, into folded keys.  The edge's
+    derivative is in slot 1 or in sheet lo, which folds in this step, so it
+    lowers slot 1's field of the same mu: folding adds without a carry."""
+
+    def __init__(self, r, width, lo, hi):
+        super().__init__()
+        self.r = r
+        self.block = block = r * width
+        self.region = (1 << (hi * r)) - 1
+        # blocks lo..hi read as one integer m; the digit of m * rep at top
+        # is their sum, no field carrying
+        self.lo = (lo - 1) * block
+        self.mid = (1 << ((hi - lo + 1) * block)) - 1
+        self.rep = sum(1 << (j * block) for j in range(hi - lo + 1))
+        self.top = (hi - lo) * block
+        self.mask_b = (1 << block) - 1
+
+    def __missing__(self, om):
+        low = om & self.region
+        got = _sorted_mus(low, self.r)
+        if got is not None:
+            got = (om ^ low | sum(1 << mu for mu in got[0]), got[1])
+        self[om] = got
+        return got
+
+    def terms(self, bucket):
+        lo, mid, rep, top, mask_b = self.lo, self.mid, self.rep, self.top, self.mask_b
+        return [(ev - (m << lo) + ((m * rep) >> top & mask_b), ev, c)
+                for ev, c in bucket.items() for m in [(ev >> lo) & mid]]
+
+    def signed(self, groups, om, terms, sgn):
+        got = self[om]
+        if got is None:
+            return
+        om, fsgn = got
+        sgn *= fsgn
+        target = groups.setdefault(om, {})
+        for fev, _, c in terms:
+            cur = target.get(fev, 0) + sgn * c
+            if cur:
+                target[fev] = cur
+            else:
+                del target[fev]
+
+    def derivative(self, groups, om, terms, sgn, shift, mask_e):
+        got = self[om]
+        if got is None:
+            return
+        om, fsgn = got
+        sgn *= fsgn
+        one = 1 << (shift % self.block)
+        target = groups.setdefault(om, {})
+        for fev, ev, c in terms:
+            e = (ev >> shift) & mask_e
+            if e:
+                key = fev - one
+                cur = target.get(key, 0) + sgn * e * c
+                if cur:
+                    target[key] = cur
+                else:
+                    del target[key]
+
+
+class _NoFold:
+    """An edge step that folds no sheet: plain buckets, plain adds."""
+    terms = staticmethod(lambda bucket: bucket)
+    signed = staticmethod(_add_signed)
+    derivative = staticmethod(_add_derivative)
+
+
+def _close_vertex(state, k, edges, slots, fold):
+    """The edges (i, k), ascending in i, acting by the Leibniz rule on
+    ``state`` times entry k ("Closing a vertex" in the module docstring):
+    the map from each derivative descriptor d of entry k to the groups of
+    A_d.  With ``fold`` each sheet is folded into slot 1 as soon as no edge
+    is left to act on it, so every A_d comes back in one slot."""
     r, width = state.nvars, state.width
     mask_e = (1 << width) - 1
+    # sheets below ends[t] are finished before edge t acts, all after the last
+    ends = [i for i, _ in edges] + [k]
+    groups = state.groups
+    if fold and ends[0] > 2:
+        folding, groups = _Fold(r, width, 2, ends[0] - 1), {}
+        for om, bucket in state.groups.items():
+            folding.signed(groups, om, folding.terms(bucket), 1)
+        groups = {om: t for om, t in groups.items() if t}
     start = ((0,) * r, ())
-    descs = {start: state.groups} if state.groups and slots.derivative(k, start) else {}
-    for (i, _) in edges:
+    descs = {start: groups} if groups and slots.derivative(k, start) else {}
+    for t, (i, _) in enumerate(edges):
         base = (i - 1) * r
+        lo, hi = max(i, 2), ends[t + 1] - 1
+        folding = _Fold(r, width, lo, hi) if fold and lo <= hi else _NoFold
         out = {}
         for (alpha, s), groups in descs.items():
+            xis, xs = [], []
             for mu in range(r):
                 # d/dxi_mu^(i) A . d/dx^mu_(k) B
                 d = (alpha[:mu] + (alpha[mu] + 1,) + alpha[mu + 1:], s)
                 if slots.derivative(k, d):
-                    bit = 1 << (base + mu)
-                    target = out.setdefault(d, {})
-                    for om, bucket in groups.items():
-                        if om & bit:
-                            sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
-                            _add_signed(target, om ^ bit, bucket, sgn)
+                    xis.append((1 << (base + mu), out.setdefault(d, {})))
                 if mu in s:
                     continue
                 # (-1)^(|A| + pos) d/dx^mu_(i) A . d/dxi_mu^(k) B
                 pos = bisect_left(s, mu)
                 d = (alpha, s[:pos] + (mu,) + s[pos:])
                 if slots.derivative(k, d):
-                    shift = (base + mu) * width
-                    target = out.setdefault(d, {})
-                    for om, bucket in groups.items():
-                        sgn = -1 if (om.bit_count() + pos) & 1 else 1
-                        _add_derivative(target, om, bucket, sgn, shift, mask_e)
+                    xs.append(((base + mu) * width, pos, out.setdefault(d, {})))
+            for om, bucket in groups.items():
+                terms = folding.terms(bucket)
+                for bit, target in xis:
+                    if om & bit:
+                        sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
+                        folding.signed(target, om ^ bit, terms, sgn)
+                for shift, pos, target in xs:
+                    sgn = -1 if (om.bit_count() + pos) & 1 else 1
+                    folding.derivative(target, om, terms, sgn, shift, mask_e)
         descs = {d: nonzero for d, groups in out.items()
                  if (nonzero := {om: t for om, t in groups.items() if t})}
     return descs
+
+
+def _add_product(acc, left, mv, c, width):
+    """acc += c * left . mv, with ``left`` and ``acc`` in one slot: each
+    factor of mv moves past the odd factors of ``left`` with larger mu, and
+    a shared mu gives zero."""
+    for idx, poly in mv.components.items():
+        om2 = sum(1 << (mu - 1) for mu in idx)
+        factor = [(sum(e << (mu * width) for mu, e in enumerate(exps)), c * c2)
+                  for exps, c2 in poly.terms.items()]
+        for om1, bucket in left.items():
+            if om1 & om2:
+                continue
+            if sum((om1 >> mu).bit_count() for mu in idx) & 1:
+                signed = [(ev2, -c2) for ev2, c2 in factor]
+            else:
+                signed = factor
+            target = acc.setdefault(om1 | om2, {})
+            for ev1, c1 in bucket.items():
+                for ev2, c2 in signed:
+                    key = ev1 + ev2
+                    target[key] = target.get(key, 0) + c1 * c2
 
 
 def evaluate(gamma, entries) -> Multivector:
@@ -371,39 +508,42 @@ def evaluate(gamma, entries) -> Multivector:
     coefficient 1; the terms of a ``GraphSum`` are canonical graphs.
     Vertices close in label order: the edges (i, k), i < k, act by the
     Leibniz rule on derivatives of entry k, and only then is sheet k
-    multiplied in, or, at vertex n, each merged state wedged with its
-    derivative (see the sign ledger in the module docstring).
+    multiplied in; at vertex n the sheets fold into slot 1 as they finish,
+    and each folded state is multiplied by its derivative of entry n into
+    one accumulator that is merged once (see the sign ledger in the module
+    docstring).
     """
     terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
     slots = _Slots(entries)
     if any(mv.degree() is None for mv in slots):
         raise PreconditionError("vertex contents must have pure xi-degree")
     n = len(slots)
-    unit = _unit(slots, n - 1)
+    unit = _unit(slots)
     r, width = unit.nvars, unit.width
-    result = Multivector.zero(r)
+    acc = {}
     for graph, c in terms:
         if graph.n != n:
             raise PreconditionError(
                 "graph on %d vertices fed %d multivectors" % (graph.n, n))
         # edges are stored (i, j) with i < j: edge (i, j) closes vertex j
+        order = [(j, i) for i, j in graph.edges]
+        swaps = sum(1 for s, t in combinations(order, 2) if s > t)
         closing = [[] for _ in range(n + 1)]
-        for edge in graph.edges:
-            closing[edge[1]].append(edge)
-        swaps = sum(1 for s, t in combinations(graph.edges, 2) if s[1] > t[1])
+        for j, i in sorted(order):
+            closing[j].append((i, j))
         state = unit
         for k in range(1, n):
             groups = {}
-            for d, a in _close_vertex(state, k, closing[k], slots).items():
+            for d, a in _close_vertex(state, k, closing[k], slots, False).items():
                 _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r, width)
             state = SheetedPoly._raw(r, k, {om: t for om, t in groups.items() if t},
                                      width)
-        value = Multivector.zero(r)
-        for d, a in _close_vertex(state, n, closing[n], slots).items():
-            value = value + wedge(merge(SheetedPoly._raw(r, n - 1, a, width)),
-                                  slots.derivative(n, d))
-        result = result + value.scale(-c if swaps & 1 else c)
-    return result
+        for d, a in _close_vertex(state, n, closing[n], slots, True).items():
+            _add_product(acc, a, slots.derivative(n, d), -c if swaps & 1 else c,
+                         width)
+    acc = {om: nonzero for om, bucket in acc.items()
+           if (nonzero := {ev: c for ev, c in bucket.items() if c})}
+    return merge(SheetedPoly._raw(r, 1, acc, width))
 
 
 def _vertex_count(gamma) -> int:

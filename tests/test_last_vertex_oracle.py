@@ -1,10 +1,14 @@
 """The Leibniz-rule last vertex against the streaming evaluator it replaced.
 
 ``evaluate`` never multiplies in the last sheet: the edges (i, n) act on
-pairs (A, derivative descriptor of entry n), and the value is the sum of
-merge(A_d) ^ d(entry n).  ``streaming_oracle`` is the evaluator it replaced,
-kept verbatim: it multiplies every sheet in, the last one included, and
-applies each edge right after its larger endpoint's sheet.
+pairs (A, derivative descriptor of entry n), in ascending order of i, and
+each sheet folds into slot 1 once no edge is left to act on it; every A_d
+then lives in one slot and is multiplied by d(entry n) into one
+accumulator.  ``streaming_oracle`` is the evaluator it replaced, kept as
+written: it multiplies every sheet in, the last one included, applies
+each edge right after its larger endpoint's sheet and merges at the end.
+The fold tests also check ``evaluate_oracle``, which shares nothing with
+the bit-packed representation.
 """
 
 import random
@@ -18,16 +22,12 @@ from poissonflow.errors import PreconditionError
 from poissonflow.gracomplex import Graph, GraphSum, tetrahedron
 from poissonflow.multivec import Multivector
 from poissonflow.orient import (_sum_over_placements, _times_sheet, _vertex_count,
-                                apply_edge, directional_flow, evaluate, merge)
+                                apply_edge, cocycle1, directional_flow, evaluate,
+                                merge)
 from poissonflow.ratpoly import Poly
 
-from test_orient_oracle import rand_grade, rand_poly
+from test_orient_oracle import evaluate_oracle, rand_grade, rand_poly
 from test_placements_oracle import RawSum
-
-
-def _unit(entries):
-    """The unit as the oracle built it: wide enough for all n sheets."""
-    return orient._unit(entries, len(entries))
 
 
 def streaming_oracle(gamma, entries) -> Multivector:
@@ -36,7 +36,7 @@ def streaming_oracle(gamma, entries) -> Multivector:
     for mv in entries:
         if mv.degree() is None:
             raise PreconditionError("vertex contents must have pure xi-degree")
-    unit = _unit(entries)
+    unit = orient._unit(entries)
     n = len(entries)
     result = Multivector.zero(unit.nvars)
     for graph, c in terms:
@@ -212,3 +212,122 @@ def test_tetrahedron_flows_match(P1, P2, gl2kk):
     assert not evaluate(g3, (P2,) * 4).is_zero()
     scalar = Multivector(4, {(): Poly.constant(4, 1)})
     assert evaluate(g3, (P1, P1, P1, scalar)).is_zero()
+
+
+# -- folding finished sheets into slot 1 at the last vertex ---------------------
+
+
+def both_oracles(gamma, entries):
+    """The streaming value, checked against the multivector calculus."""
+    want = streaming_oracle(gamma, entries)
+    terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
+    calc = Multivector.zero(entries[0].nvars)
+    for g, c in terms:
+        calc = calc + evaluate_oracle(g, entries).scale(c)
+    assert calc == want
+    return want
+
+
+def with_last_vertex(rng, n, neighbours):
+    """Random edges among 1..n-1, then (i, n) for the given i, all shuffled."""
+    inner = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    edges = rng.sample(inner, rng.randint(0, len(inner)))
+    edges += [(i, n) for i in neighbours]
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
+def entries_for(rng, r, n, n_edges):
+    """n entries whose grades exceed the edge count by at most r in sum, so
+    that the value can be nonzero."""
+    while True:
+        grades = [rng.randint(0, r) for _ in range(n)]
+        if 0 <= sum(grades) - n_edges <= r:
+            return [Multivector(r, {idx: rand_poly(rng, r, maxdeg=3)
+                                    for idx in combinations(range(1, r + 1), k)})
+                    for k in grades]
+
+
+@pytest.mark.parametrize("n, neighbours", [
+    (3, [2]), (4, [2, 3]), (4, [3]),  # sheet 1 has no edge to n
+    (4, [1, 3]), (5, [1, 4]), (5, [2, 4]),  # a middle sheet has none
+    (4, []),  # every sheet folds before the first edge
+], ids=["skip-1-n3", "skip-1-n4", "skip-1-2", "skip-2", "skip-2-3", "skip-1-3",
+        "no-edge"])
+def test_sheets_without_an_edge_to_the_last_vertex(n, neighbours):
+    rng = random.Random(1260 + 10 * n + len(neighbours))
+    nonzero = 0
+    for _ in range(12):
+        g = with_last_vertex(rng, n, neighbours)
+        entries = entries_for(rng, rng.randint(2, 3), n, g.n_edges)
+        got = evaluate(g, entries)
+        assert got == both_oracles(g, entries), (g.edges, entries)
+        nonzero += not got.is_zero()
+    assert nonzero >= 2
+
+
+def test_last_vertex_edges_listed_out_of_order():
+    rng = random.Random(1270)
+    orders = ([(3, 4), (1, 2), (1, 4), (2, 3), (2, 4), (1, 3)],
+              [(2, 4), (1, 4), (3, 4), (1, 2), (1, 3), (2, 3)],
+              [(4, 5), (1, 5), (3, 5), (1, 2), (2, 5), (3, 4), (1, 3)])
+    nonzero = 0
+    for edges in orders * 3:
+        g = Graph(max(map(max, edges)), edges)
+        entries = entries_for(rng, 3, g.n, g.n_edges)
+        got = evaluate(g, entries)
+        assert got == both_oracles(g, entries)
+        nonzero += not got.is_zero()
+    assert nonzero >= 3
+
+
+def test_graph_sums_with_rational_coefficients():
+    rng = random.Random(1280)
+    nonzero = 0
+    for _ in range(6):
+        # five edges each; 3, 2, 2 and 2 at the last vertex, the last two
+        # terms listing theirs out of order
+        gamma = RawSum({g: c for g, c in zip(
+            (Graph(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]),
+             Graph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+             Graph(4, [(1, 2), (1, 3), (2, 3), (3, 4), (1, 4)]),
+             Graph(4, [(2, 4), (1, 2), (1, 3), (2, 3), (1, 4)])),
+            (Fraction(3, 2), Fraction(-2, 5), 7, Fraction(1, 3)))})
+        entries = entries_for(rng, 3, 4, 5)
+        got = evaluate(gamma, entries)
+        assert got == both_oracles(gamma, entries)
+        nonzero += not got.is_zero()
+    assert nonzero >= 2
+
+
+def placements_calculus(gamma, v, p):
+    n = _vertex_count(gamma)
+    out = Multivector.zero(p.nvars)
+    for k in range(n):
+        entries = tuple(v if t == k else p for t in range(n))
+        for g, c in gamma.terms.items():
+            out = out + evaluate_oracle(g, entries).scale(c)
+    return out
+
+
+def test_cocycle1_placements_against_the_calculus(gamma3, P1, euler4):
+    rng = random.Random(1290)
+    assert cocycle1(gamma3, euler4, P1) == placements_calculus(gamma3, euler4, P1)
+    v = nonzero_grade(rng, 4, 1)
+    want = placements_calculus(gamma3, v, P1)
+    assert not want.is_zero()
+    assert want == placements_oracle(gamma3, v, P1)
+    assert _sum_over_placements(gamma3, v, P1) == want
+
+
+def test_directional_flow_placements_against_the_calculus(gamma3):
+    rng = random.Random(1291)
+    nonzero = 0
+    for _ in range(3):
+        p, q = (Multivector(2, {(1, 2): rand_poly(rng, 2, maxdeg=3)})
+                for _ in range(2))
+        want = placements_calculus(gamma3, q, p)
+        assert want == placements_oracle(gamma3, q, p)
+        assert directional_flow(gamma3, p, q) == want
+        nonzero += not want.is_zero()
+    assert nonzero >= 1

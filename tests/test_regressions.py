@@ -19,7 +19,8 @@ from poissonflow.gracomplex import Graph, GraphSum, parse_graph, stick
 from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
                                   homogeneity_scale, parse_multivector,
                                   render_multivector, schouten, schouten_sym)
-from poissonflow.nambu import nambu_bivector, weight_degree
+from poissonflow.nambu import (homogenizing_field_exists, nambu_bivector,
+                               weight_degree)
 from poissonflow.orient import (cocycle1, directional_flow, evaluate, flow,
                                 lift, merge)
 from poissonflow.ratpoly import ANY_DEGREE, Poly, parse_poly, render_poly
@@ -39,6 +40,19 @@ def test_lift_and_merge_keep_exponents_past_eight_bits():
 def test_stick_flow_with_large_exponents(e):
     p = parse_multivector("(x1^%d*x3) xi1 xi2 + (x2) xi2 xi3" % e, 3)
     assert flow(stick(), p) == -schouten(p, p)
+
+
+@pytest.mark.parametrize("edges, want", [
+    ([(1, 3)], "(4*x1^257 + 8*x1^10)"),
+    ([], "(x1^258 + 2*x1^11) xi1"),
+])
+def test_large_exponent_in_the_last_entry_alone(edges, want):
+    # entry n is multiplied into slot 1 with the others: a width counting
+    # only entries 1..n-1 (8 bits here) carried x1^257 into x2's field
+    g = Graph(3, edges)
+    entries = [parse_multivector("(x1^4)", 2)] * 2 + [
+        parse_multivector("(x1^250 + 2*x1^3) xi1", 2)]
+    assert render_multivector(evaluate(g, entries)) == want
 
 
 # -- orient: one vertex-count check for every placement sum ----------------------
@@ -424,6 +438,39 @@ def test_cli_nambu_checks_the_weight_count_with_a_density(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: 2 weights for a polynomial in 3 variables\n"
+
+
+def test_cli_nambu_reads_5000_digit_weights(capsys):
+    # int() on a weight exited 2 with the interpreter's digit-limit message
+    huge = "9" * 5000
+    bracket = "(3*x3^2) xi1 xi2 + (-3*x2^2) xi1 xi3 + (3*x1^2) xi2 xi3\n"
+    argv = ["nambu", "--casimir", "x1^3+x2^3+x3^3", "--weights"]
+    assert main(argv + ["1,1," + huge]) == 0
+    assert capsys.readouterr() == (bracket, "")
+    # equal weights w: the weight degree 3w equals the weight sum 3w
+    assert main(argv + [",".join([huge] * 3)]) == 0
+    three_w = "2" + "9" * 4999 + "7"
+    assert capsys.readouterr() == (bracket, (
+        "note: no polynomial homogenizing field exists (weight degree %s "
+        "equals the weight sum %s)\n" % (three_w, three_w)))
+
+
+@pytest.mark.parametrize("weights, err", [
+    ("1,1x,1", "weight '1x' is not an integer (at position 2)"),
+    ("1,1,", "weight '' is not an integer (at position 4)"),
+    ("1,--1,1", "weight '--1' is not an integer (at position 2)"),
+])
+def test_cli_nambu_rejects_malformed_weights(weights, err, capsys):
+    code = main(["nambu", "--casimir", "x1^3+x2^3+x3^3", "--weights", weights])
+    assert (code,) + capsys.readouterr() == (2, "", "parse error: %s\n" % err)
+
+
+def test_weight_homogeneity_error_prints_a_5000_digit_weight():
+    a = parse_poly("x1^3 + x2^3 + x3^3", 3)
+    with pytest.raises(PreconditionError) as exc:
+        homogenizing_field_exists(a, (1, -1, 10 ** 5000))
+    assert str(exc.value) == ("Casimir is not weight-homogeneous for weights "
+                              "(1, -1, 1%s)" % ("0" * 5000))
 
 
 # -- multivec: one ratio routine ----------------------------------------------------

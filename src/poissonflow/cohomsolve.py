@@ -25,9 +25,16 @@ the column.  Every eliminated row is a nonzero multiple of the row that
 plain Gaussian elimination (or fraction-free Bareiss elimination) would
 hold at the same step, so all three see the same zero pattern: the same
 pivot columns, the same row order and the same inconsistent row, which is
-reported as the infeasibility witness.  The pivot columns fix the answer:
-the particular solution sets every free unknown to 0 and each kernel
-vector sets one free unknown to 1, and both are unique.
+reported as the infeasibility witness.  The rows to update at a pivot
+column are read from an index, not found by scanning every row: a row
+that is not yet a pivot row is filed under its leading column, the
+smallest column it holds, and moves to a later one when an update clears
+it.  The pivot columns fix the answer: the particular solution sets every
+free unknown to 0 and each kernel vector sets one free unknown to 1, and
+both are unique.  Back-substitution stays in integers: one bottom-up pass
+over the pivot rows serves the particular solution and every kernel
+vector, each held as integer numerators over its own denominator, and
+Fractions are built only for the returned values.
 """
 
 from __future__ import annotations
@@ -39,19 +46,29 @@ from operator import add
 
 from .errors import DimensionError, PreconditionError
 from .multivec import Multivector, _x_partial, _xi_left, schouten, wedge
-from .ratpoly import ANY_DEGREE, Poly, common_degree, ratnorm
+from .ratpoly import (ANY_DEGREE, MAX_MONOMIALS, Poly, _number_text,
+                      common_degree, ratnorm)
 
 
 def monomials(nvars: int, degree: int):
     """Exponent tuples of total degree ``degree`` in descending grlex order.
 
-    A negative degree has no monomials; a negative ``nvars`` raises
-    ``DimensionError``.
+    A negative degree has no monomials; a negative ``nvars``, or more than
+    ``MAX_MONOMIALS`` monomials, raises ``DimensionError`` before any tuple
+    is built.
     """
     if nvars < 0:
         raise DimensionError("monomials in %d variables" % nvars)
     if degree < 0:
         return []
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    # the count is comb(degree + k, k) >= 2**k, with k the smaller of
+    # nvars - 1 and degree, so a k past the bound's bit length needs no count
+    k = min(nvars - 1, degree)
+    if k >= MAX_MONOMIALS.bit_length() or comb(degree + nvars - 1, k) > MAX_MONOMIALS:
+        raise DimensionError("more than %d monomials of degree %s in %d variables"
+                             % (MAX_MONOMIALS, _number_text(degree), nvars))
     out = []
 
     def rec(prefix, remaining, slots):
@@ -61,8 +78,6 @@ def monomials(nvars: int, degree: int):
         for e in range(remaining, -1, -1):
             rec(prefix + (e,), remaining - e, slots - 1)
 
-    if nvars == 0:
-        return [()] if degree == 0 else []
     rec((), degree, nvars)
     return out
 
@@ -87,14 +102,24 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     negative ``ncols``, or ``rhs`` and ``row_labels`` not having one entry
     per row raise ``DimensionError``.
 
-    Each row is scaled by the lcm of its denominators to integers, and its
-    zero values are dropped: they must never become pivot candidates.  The
-    module docstring gives the pivot rule and why the answer is that of
-    Bareiss elimination.  With pivot ``piv`` in row ``base``, each later
-    row with an entry ``factor != 0`` in the pivot column becomes
-    ``(piv/g)*row - (factor/g)*base``, where ``g = gcd(piv, factor)``,
-    divided by its content; rows without an entry there are left alone.
-    Back-substitution is rational.
+    Each row is scaled by the lcm of its denominators to integers (a row of
+    ints is taken as it is), and its zero values are dropped: they must
+    never become pivot candidates.  The module docstring gives the pivot
+    rule and why the answer is that of Bareiss elimination.  With pivot
+    ``piv`` in row ``base``, each later row with an entry ``factor != 0``
+    in the pivot column becomes ``(piv/g)*row - (factor/g)*base``, where
+    ``g = gcd(piv, factor)``, divided by its content; rows without an entry
+    there are left alone.  Every row not yet a pivot row sits in the bucket
+    of its smallest column, so the bucket of the pivot column holds exactly
+    the rows with an entry there, and the pivot is the one among them that
+    comes first in the current order.
+
+    Back-substitution is in integers too: it walks the pivot rows once,
+    bottom up, for the particular solution and every kernel vector at once.
+    Each vector keeps integer numerators over its own denominator, and a
+    row touches only the vectors that are nonzero in its columns.  A pivot
+    that does not divide a vector's sum rescales that vector alone.
+    Fractions are built only for the returned values.
     """
     if ncols is None and matrix:
         raise DimensionError("solve_raw: a system with rows needs ncols")
@@ -106,82 +131,116 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     if len(rhs) != len(matrix) or len(row_labels) != len(matrix):
         raise DimensionError("solve_raw: %d rows, %d right-hand sides, %d labels"
                              % (len(matrix), len(rhs), len(row_labels)))
-    cols = range(ncols)
+    cols = set(range(ncols))
     rows = []
     labels = []
+    # bucket[c] holds the rows whose smallest column is c; b sits at key
+    # ncols, which no unknown can take, so bucket[ncols] holds the rows
+    # that read 0 = b
+    bucket = [[] for _ in range(ncols + 1)]
     for row, b, label in zip(matrix, rhs, row_labels):
-        bad = [c for c in row if c not in cols]
-        if bad:
+        if not row.keys() <= cols:
+            bad = [c for c in row if c not in cols]
             raise DimensionError("solve_raw: column %r in a system of %d unknowns"
                                  % (bad[0], ncols))
-        # b sits at key ncols, which no unknown can take
         entries = {c: x for c, x in row.items() if x}
         if b:
             entries[ncols] = b
         if entries:
-            m = lcm(*[x.denominator for x in entries.values()])
-            rows.append({c: int(x * m) for c, x in entries.items()})
+            if set(map(type, entries.values())) != {int}:
+                m = lcm(*[x.denominator for x in entries.values()])
+                entries = {c: int(x * m) for c, x in entries.items()}
+            bucket[min(entries)].append(len(rows))
+            rows.append(entries)
             labels.append(label)
     nrows = len(rows)
+    # rows keep their index; order[k] is the row at position k, pos its inverse
+    order = list(range(nrows))
+    pos = order[:]
 
     piv_cols = []
     piv_row = 0
     for col in range(ncols):
         if piv_row == nrows:
             break
-        hits = [rw for rw in range(piv_row, nrows) if col in rows[rw]]
+        hits = bucket[col]
         if not hits:
             continue
-        sel = hits[0]
-        if sel != piv_row:
-            rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
-            labels[piv_row], labels[sel] = labels[sel], labels[piv_row]
-        base = rows[piv_row]
+        sel = min(hits, key=pos.__getitem__)
+        top = order[piv_row]
+        if sel != top:
+            order[piv_row], order[pos[sel]] = sel, top
+            pos[top], pos[sel] = pos[sel], piv_row
+        base = rows[sel]
         piv = base[col]
-        for rw in hits[1:]:
+        rest = [(c, v) for c, v in base.items() if c != col]
+        for rw in hits:
+            if rw == sel:
+                continue
             row = rows[rw]
-            factor = row[col]
+            factor = row.pop(col)
             g = gcd(piv, factor)
             a, f = piv // g, factor // g
-            new = {c: a * v for c, v in row.items()}
-            for c, v in base.items():
+            new = row if a == 1 else {c: a * v for c, v in row.items()}
+            for c, v in rest:
                 v = new.get(c, 0) - f * v
                 if v:
                     new[c] = v
                 else:
                     del new[c]
-            content = gcd(*new.values())
-            if content > 1:
-                new = {c: v // content for c, v in new.items()}
+            if new:
+                content = gcd(*new.values())
+                if content > 1:
+                    new = {c: v // content for c, v in new.items()}
+                bucket[min(new)].append(rw)
             rows[rw] = new
         piv_cols.append(col)
         piv_row += 1
 
-    for rw in range(piv_row, nrows):
-        if ncols in rows[rw]:
-            return RawSolution(status="infeasible", witness=labels[rw])
+    if bucket[ncols]:
+        return RawSolution(status="infeasible",
+                           witness=labels[min(bucket[ncols], key=pos.__getitem__)])
 
     pivset = set(piv_cols)
     free_cols = [c for c in range(ncols) if c not in pivset]
-    echelon = list(zip(piv_cols, rows))[::-1]
-    zero, one = Fraction(0), Fraction(1)
+    # vector 0 is the particular solution, -1 at key ncols; vector k >= 1
+    # is the kernel vector with 1 at free_cols[k - 1]
+    nums = [{ncols: -1}] + [{fc: 1} for fc in free_cols]
+    dens = [1] * len(nums)
+    holders = {ncols: [0]}      # column -> the vectors nonzero there
+    for k, fc in enumerate(free_cols, 1):
+        holders[fc] = [k]
+    for k in range(piv_row - 1, -1, -1):
+        col, row = piv_cols[k], rows[order[k]]
+        sums = {}
+        for c, a in row.items():
+            for v in holders.get(c, ()):
+                sums[v] = sums.get(v, 0) + a * nums[v][c]
+        piv = row[col]
+        here = []
+        for v, s in sums.items():
+            if not s:
+                continue
+            q, r = divmod(s, piv)
+            if r:
+                m = abs(piv) // gcd(s, piv)
+                nums[v] = {c: m * x for c, x in nums[v].items()}
+                dens[v] *= m
+                q = m * s // piv
+            nums[v][col] = -q
+            here.append(v)
+        if here:
+            holders[col] = here
 
-    def back_substitute(x):
-        # x holds the nonzero unknowns fixed so far, and -1 at key ncols
-        # when the right-hand side takes part
-        for col, row in echelon:
-            s = 0
-            for c, a in row.items():
-                v = x.get(c)
-                if v is not None:
-                    s += a * v
-            if s:
-                x[col] = -s / row[col]
-        return [x.get(c, zero) for c in range(ncols)]
-
-    particular = back_substitute({ncols: -one})
-    kernel = [back_substitute({fc: one}) for fc in free_cols]
-    return RawSolution(status="solved", particular=particular, kernel=kernel)
+    zero = Fraction(0)
+    vectors = []
+    for x, d in zip(nums, dens):
+        vec = [zero] * ncols
+        for c, v in x.items():
+            if c != ncols:
+                vec[c] = Fraction(v, d)
+        vectors.append(vec)
+    return RawSolution(status="solved", particular=vectors[0], kernel=vectors[1:])
 
 
 def multivector_columns_system(columns, target: Multivector, row_labels=None):
@@ -240,17 +299,19 @@ class AnsatzSpec:
         return [(i, exps) for i in range(1, self.nvars + 1) for exps in monos]
 
     def field_from_coefficients(self, coeffs) -> Multivector:
-        basis = self.basis()
-        if len(coeffs) != len(basis):
-            raise DimensionError("coefficient vector has wrong length")
-        comps = {}
-        for (i, exps), c in zip(basis, coeffs):
-            c = ratnorm(c)
-            if not c:
-                continue
-            comps.setdefault((i,), {})[exps] = c
-        return Multivector(self.nvars, {
-            idx: Poly(self.nvars, terms) for idx, terms in comps.items()})
+        return _field(self.nvars, self.basis(), coeffs)
+
+
+def _field(nvars: int, basis, coeffs) -> Multivector:
+    """The field sum_k coeffs[k] * x^a xi_i over ``basis`` = [(i, a), ...]."""
+    if len(coeffs) != len(basis):
+        raise DimensionError("coefficient vector has wrong length")
+    comps = {}
+    for (i, exps), c in zip(basis, coeffs):
+        if c:
+            comps.setdefault((i,), {})[exps] = ratnorm(c)
+    return Multivector(nvars, {
+        idx: Poly(nvars, terms) for idx, terms in comps.items()})
 
 
 @dataclass
@@ -392,12 +453,12 @@ def solve(sys: AnsatzSystem) -> Solution:
     raw = solve_raw(sys.matrix, sys.rhs, sys.row_labels, sys.n_cols)
     if raw.status == "infeasible":
         return Solution(status="infeasible", spec=sys.spec, witness=raw.witness)
-    spec = sys.spec
+    r, basis = sys.spec.nvars, sys.col_labels
     return Solution(
         status="solved",
-        spec=spec,
-        particular=spec.field_from_coefficients(raw.particular),
-        kernel_basis=[spec.field_from_coefficients(v) for v in raw.kernel])
+        spec=sys.spec,
+        particular=_field(r, basis, raw.particular),
+        kernel_basis=[_field(r, basis, v) for v in raw.kernel])
 
 
 def trivialize(q: Multivector, p: Multivector, degree: int | None = None) -> Solution:

@@ -24,6 +24,12 @@ ANY_DEGREE = "any"
 #: largest number of variables; exponent tuples are this long
 MAX_NVARS = 10_000
 
+#: most exponent tuples one monomial grid may hold.  A million tuples in
+#: four variables take about 85 MB, and a coboundary system that large is
+#: far out of reach of exact elimination; D = 12 on R^4, whose solve takes
+#: about a second, has 455 monomials per component and 1 820 unknowns.
+MAX_MONOMIALS = 1_000_000
+
 
 def ratnorm(c):
     """Collapse a Fraction with unit denominator to a plain int."""

@@ -242,6 +242,34 @@ def test_unknown_count_is_the_basis_length():
             assert spec.unknown_count == len(spec.basis())
 
 
+def test_monomials_past_the_bound_raise_before_building(monkeypatch):
+    # a zero target skips assemble's degree check, so monomials(4, 10**6)
+    # set out to build C(10**6 + 3, 3) tuples and filled memory
+    with pytest.raises(DimensionError, match="more than 1000000 monomials"):
+        monomials(4, 10 ** 6)
+    with pytest.raises(DimensionError):
+        AnsatzSpec(4, 10 ** 6).basis()
+    monkeypatch.setattr(cohomsolve, "MAX_MONOMIALS", 10)
+    assert len(monomials(2, 9)) == 10
+    assert len(monomials(30, 0)) == len(monomials(1, 10 ** 9)) == 1
+    for nvars, degree in ((2, 10), (3, 4), (30, 1), (30, 10 ** 9), (10 ** 9, 2)):
+        with pytest.raises(DimensionError, match="more than 10 monomials"):
+            monomials(nvars, degree)
+
+
+def test_cli_trivialize_of_a_huge_degree_exits_2(tmp_path, capsys):
+    target = tmp_path / "zero.txt"
+    target.write_text("0\n")
+    argv = ["trivialize", "--nvars", "4", "--degree", "1000000",
+            "--target", str(target), "--poisson", "P1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the row grid of [[Y, P1]] comes first, at degree D + 2
+    assert err == ("error: more than 1000000 monomials of degree 1000002 "
+                   "in 4 variables\n")
+
+
 # -- cohomsolve: systems without equations and membership ------------------------
 
 

@@ -1,17 +1,20 @@
-"""The sparse eliminator in ``solve_raw`` against dense Bareiss elimination.
+"""The sparse eliminator in ``solve_raw`` against two earlier solvers.
 
-``bareiss_solve_raw`` is the dense fraction-free solver that ``solve_raw``
-replaced, kept here as the oracle: with the same pivot rule both must give
-the same status, particular solution, kernel basis and witness.  The oracle
-takes dense rows and ``solve_raw`` the same rows through ``dense_to_sparse``.
+``bareiss_solve_raw`` is the dense fraction-free solver that the sparse
+eliminator replaced; it takes dense rows and ``solve_raw`` the same rows
+through ``dense_to_sparse``.  ``rational_solve_raw`` is the sparse solver
+that scanned every row for each pivot and back-substituted each solution
+vector on its own in Fractions.  With the same pivot rule all three must
+give the same status, particular solution, kernel basis and witness.
 """
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
+from poissonflow import catalog
 from poissonflow.cohomsolve import (AnsatzSpec, RawSolution, assemble,
                                     monomials, solve_raw, trivialize)
 from poissonflow.errors import DimensionError
@@ -105,6 +108,86 @@ def bareiss_solve_raw(matrix, rhs, row_labels=None, ncols=None):
     return RawSolution(status="solved", particular=particular, kernel=kernel)
 
 
+# -- oracle: row scans and rational back-substitution ----------------------------
+
+
+def rational_solve_raw(matrix, rhs, row_labels=None, ncols=0):
+    """Sparse elimination that scans the rows below the pivot row for each
+    column, then one rational back-substitution per solution vector."""
+    if row_labels is None:
+        row_labels = range(len(matrix))
+    rows = []
+    labels = []
+    for row, b, label in zip(matrix, rhs, row_labels):
+        entries = {c: x for c, x in row.items() if x}
+        if b:
+            entries[ncols] = b
+        if entries:
+            m = lcm(*[x.denominator for x in entries.values()])
+            rows.append({c: int(x * m) for c, x in entries.items()})
+            labels.append(label)
+    nrows = len(rows)
+
+    piv_cols = []
+    piv_row = 0
+    for col in range(ncols):
+        if piv_row == nrows:
+            break
+        hits = [rw for rw in range(piv_row, nrows) if col in rows[rw]]
+        if not hits:
+            continue
+        sel = hits[0]
+        if sel != piv_row:
+            rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
+            labels[piv_row], labels[sel] = labels[sel], labels[piv_row]
+        base = rows[piv_row]
+        piv = base[col]
+        for rw in hits[1:]:
+            row = rows[rw]
+            factor = row[col]
+            g = gcd(piv, factor)
+            a, f = piv // g, factor // g
+            new = {c: a * v for c, v in row.items()}
+            for c, v in base.items():
+                v = new.get(c, 0) - f * v
+                if v:
+                    new[c] = v
+                else:
+                    del new[c]
+            content = gcd(*new.values())
+            if content > 1:
+                new = {c: v // content for c, v in new.items()}
+            rows[rw] = new
+        piv_cols.append(col)
+        piv_row += 1
+
+    for rw in range(piv_row, nrows):
+        if ncols in rows[rw]:
+            return RawSolution(status="infeasible", witness=labels[rw])
+
+    pivset = set(piv_cols)
+    free_cols = [c for c in range(ncols) if c not in pivset]
+    echelon = list(zip(piv_cols, rows))[::-1]
+    zero, one = Fraction(0), Fraction(1)
+
+    def back_substitute(x):
+        # x holds the nonzero unknowns fixed so far, and -1 at key ncols
+        # when the right-hand side takes part
+        for col, row in echelon:
+            s = 0
+            for c, a in row.items():
+                v = x.get(c)
+                if v is not None:
+                    s += a * v
+            if s:
+                x[col] = -s / row[col]
+        return [x.get(c, zero) for c in range(ncols)]
+
+    particular = back_substitute({ncols: -one})
+    kernel = [back_substitute({fc: one}) for fc in free_cols]
+    return RawSolution(status="solved", particular=particular, kernel=kernel)
+
+
 def assert_same(got, want):
     assert got == want
     for vec in [got.particular or []] + got.kernel:
@@ -153,15 +236,107 @@ def random_case(rng):
     return matrix, rhs, labels, ncols
 
 
+def assert_matches_oracles(matrix, rhs, labels, ncols):
+    """``solve_raw`` on the dense rows ``matrix``, checked against both
+    oracles; returns its solution."""
+    sparse = dense_to_sparse(matrix)
+    got = solve_raw(sparse, rhs, labels, ncols)
+    assert_same(got, bareiss_solve_raw(matrix, rhs, labels, ncols))
+    assert_same(got, rational_solve_raw(sparse, rhs, labels, ncols))
+    return got
+
+
 def test_sparse_matches_bareiss_on_seeded_systems():
     rng = random.Random(90)
     statuses = {"solved": 0, "infeasible": 0}
     for _ in range(400):
-        matrix, rhs, labels, ncols = random_case(rng)
-        got = solve_raw(dense_to_sparse(matrix), rhs, labels, ncols)
-        assert_same(got, bareiss_solve_raw(matrix, rhs, labels, ncols))
+        got = assert_matches_oracles(*random_case(rng))
         statuses[got.status] += 1
     assert min(statuses.values()) > 50
+
+
+def combination_rows(rng, nrows, ncols, rank, fractional):
+    """``nrows`` rows in the span of ``rank`` random rows, the first ``rank``
+    of them those rows themselves."""
+    basis = [[_entry(rng, fractional) for _ in range(ncols)] for _ in range(rank)]
+    rows = [list(row) for row in basis]
+    for _ in range(nrows - rank):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, basis))
+                     for j in range(ncols)])
+    return rows
+
+
+def consistent_rhs(rng, matrix, ncols, fractional):
+    x0 = [_entry(rng, fractional) for _ in range(ncols)]
+    return [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+
+
+def leading_column(row):
+    return next((c for c, x in enumerate(row) if x), len(row))
+
+
+def test_wide_kernels_match_both_oracles():
+    # 40 unknowns at rank 5: every row update of the back-substitution
+    # reaches the particular solution and up to 35 kernel vectors at once
+    rng = random.Random(92)
+    for k in range(12):
+        fractional = k % 2 == 1
+        matrix = combination_rows(rng, rng.randint(5, 9), 40, 5, fractional)
+        rng.shuffle(matrix)
+        rhs = consistent_rhs(rng, matrix, 40, fractional)
+        got = assert_matches_oracles(matrix, rhs, None, 40)
+        assert got.status == "solved" and len(got.kernel) == 35
+        assert sum(x != 0 for vec in got.kernel for x in vec) > 35 * 3
+
+
+def test_pivot_swaps_match_both_oracles():
+    # rows sorted by descending leading column: the row at the pivot row
+    # rarely holds the pivot column, so most pivots swap rows, and a row
+    # swapped down must still be found by its leading column later
+    rng = random.Random(93)
+    swapped = 0
+    for k in range(150):
+        ncols = rng.randint(3, 12)
+        rank = rng.randint(1, ncols)
+        fractional = k % 3 == 0
+        matrix = combination_rows(rng, rank + rng.randint(0, 4), ncols, rank,
+                                  fractional)
+        matrix.sort(key=leading_column, reverse=True)
+        if rng.random() < 0.5:
+            rhs = consistent_rhs(rng, matrix, ncols, fractional)
+        else:
+            rhs = [_entry(rng, fractional) for _ in matrix]
+        labels = ["r%d" % j for j in range(len(matrix))]
+        assert_matches_oracles(matrix, rhs, labels, ncols)
+        swapped += leading_column(matrix[0]) > min(map(leading_column, matrix))
+    assert swapped > 100
+
+
+def test_infeasible_row_after_swaps_is_the_oracles_witness():
+    # two rows contradict earlier ones; the first sits on top with the
+    # latest leading column, so swaps move it down before the witness is read
+    rng = random.Random(94)
+    witnesses = set()
+    for k in range(120):
+        ncols = rng.randint(3, 10)
+        rank = rng.randint(1, ncols)
+        fractional = k % 2 == 0
+        matrix = combination_rows(rng, rank + rng.randint(0, 3), ncols, rank,
+                                  fractional)
+        matrix.sort(key=leading_column, reverse=True)
+        rhs = consistent_rhs(rng, matrix, ncols, fractional)
+        labels = ["r%d" % j for j in range(len(matrix))]
+        for label, at in (("top", 0), ("inner", rng.randint(1, len(matrix)))):
+            j = rng.randrange(len(matrix))
+            scale = rng.choice([1, -2, Fraction(1, 3)])
+            matrix.insert(at, [scale * x for x in matrix[j]])
+            rhs.insert(at, scale * rhs[j] + rng.choice([1, -1, Fraction(1, 2)]))
+            labels.insert(at, label)
+        got = assert_matches_oracles(matrix, rhs, labels, ncols)
+        assert got.status == "infeasible"
+        witnesses.add(got.witness)
+    assert {"top", "inner"} <= witnesses
 
 
 def test_sparse_matches_bareiss_and_requires_ncols():
@@ -230,6 +405,25 @@ def test_trivialize_kernel_dimensions(name, degree, kernel_dim, request):
     assert sol.contains(y)
 
 
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_zero_target_gives_the_kernel_of_the_bracket(name, degree, request):
+    # the kernel of Y -> [[Y, P]] at degree D: dimension 4, 10 (frozen in
+    # derived_constants.json), 20 and 35 for D = 3..6
+    p = request.getfixturevalue(name)
+    frozen = catalog.derived_constants()["kernel_dim_%s_d4" % name.lower()]
+    kernel_dim = {3: 4, 4: frozen, 5: 20, 6: 35}[degree]
+    zero = Multivector.zero(4)
+    sol = trivialize(zero, p, degree)
+    assert sol.status == "solved" and sol.particular.is_zero()
+    assert sol.kernel_dim == kernel_dim
+    for k in sol.kernel_basis:
+        assert not k.is_zero() and schouten(k, p).is_zero()
+    system = assemble(zero, p, AnsatzSpec(4, degree))
+    args = (system.matrix, system.rhs, system.row_labels, system.n_cols)
+    assert_same(solve_raw(*args), rational_solve_raw(*args))
+
+
 @pytest.mark.parametrize("degree", [3, 4])
 @pytest.mark.parametrize("name", ["P1", "P2"])
 def test_assembled_systems_match_bareiss(name, degree, request):
@@ -239,5 +433,7 @@ def test_assembled_systems_match_bareiss(name, degree, request):
     ncols = system.n_cols
     dense = [[row.get(c, 0) for c in range(ncols)] for row in system.matrix]
     assert dense_to_sparse(dense) == system.matrix
-    assert_same(solve_raw(system.matrix, system.rhs, system.row_labels, ncols),
-                bareiss_solve_raw(dense, system.rhs, system.row_labels, ncols))
+    args = (system.matrix, system.rhs, system.row_labels, ncols)
+    got = solve_raw(*args)
+    assert_same(got, bareiss_solve_raw(dense, system.rhs, system.row_labels, ncols))
+    assert_same(got, rational_solve_raw(*args))

@@ -50,36 +50,61 @@ from .ratpoly import (ANY_DEGREE, MAX_MONOMIALS, Poly, _number_text,
                       common_degree, ratnorm)
 
 
+def _monomial_count(nvars: int, degree: int) -> int:
+    """The number of monomials of total degree ``degree`` in ``nvars``
+    variables; ``DimensionError`` for a negative ``nvars`` or a count past
+    ``MAX_MONOMIALS``."""
+    if nvars < 0:
+        raise DimensionError("monomials in %d variables" % nvars)
+    if degree < 0:
+        return 0
+    if nvars == 0:
+        return 1 if degree == 0 else 0
+    # the count is comb(degree + k, k) >= 2**k, with k the smaller of
+    # nvars - 1 and degree, so a k past the bound's bit length needs no count
+    k = min(nvars - 1, degree)
+    count = comb(degree + nvars - 1, k) if k < MAX_MONOMIALS.bit_length() else None
+    if count is None or count > MAX_MONOMIALS:
+        raise DimensionError("more than %d monomials of degree %s in %d variables"
+                             % (MAX_MONOMIALS, _number_text(degree), nvars))
+    return count
+
+
 def monomials(nvars: int, degree: int):
     """Exponent tuples of total degree ``degree`` in descending grlex order.
 
     A negative degree has no monomials; a negative ``nvars``, or more than
     ``MAX_MONOMIALS`` monomials, raises ``DimensionError`` before any tuple
-    is built.
+    is built.  The tuples are made in one loop, each from the one before,
+    so any number of variables up to the bound works.
     """
-    if nvars < 0:
-        raise DimensionError("monomials in %d variables" % nvars)
-    if degree < 0:
+    if not _monomial_count(nvars, degree):
         return []
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    # the count is comb(degree + k, k) >= 2**k, with k the smaller of
-    # nvars - 1 and degree, so a k past the bound's bit length needs no count
-    k = min(nvars - 1, degree)
-    if k >= MAX_MONOMIALS.bit_length() or comb(degree + nvars - 1, k) > MAX_MONOMIALS:
-        raise DimensionError("more than %d monomials of degree %s in %d variables"
-                             % (MAX_MONOMIALS, _number_text(degree), nvars))
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
+    if nvars < 2:
+        return [(degree,) * nvars]
+    a = [degree] + [0] * (nvars - 1)
+    out = [tuple(a)]
+    last = nvars - 1
+    i = 0 if degree else -1  # the last nonzero exponent before a[last]
+    while i >= 0:
+        # the next tuple down: one unit from a[i] and all of a[last] go to a[i + 1]
+        a[i] -= 1
+        if i + 1 < last:
+            a[i + 1], a[last] = a[last] + 1, 0
+            i += 1
+        else:
+            a[last] += 1
+            while i >= 0 and not a[i]:
+                i -= 1
+        out.append(tuple(a))
     return out
+
+
+def _bound(count: int, what: str) -> None:
+    """DimensionError when an ansatz or its row grid holds more than
+    ``MAX_MONOMIALS`` entries, raised before either is built."""
+    if count > MAX_MONOMIALS:
+        raise DimensionError("%d %s, more than %d" % (count, what, MAX_MONOMIALS))
 
 
 # -- raw exact linear algebra -------------------------------------------
@@ -295,6 +320,9 @@ class AnsatzSpec:
 
     def basis(self):
         """Unknown order: component index major, grlex-descending monomial."""
+        _bound(self.nvars * _monomial_count(self.nvars, self.degree),
+               "unknowns in a degree-%d ansatz over %d variables"
+               % (self.degree, self.nvars))
         monos = monomials(self.nvars, self.degree)
         return [(i, exps) for i in range(1, self.nvars + 1) for exps in monos]
 
@@ -421,6 +449,9 @@ def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
                 raise PreconditionError(
                     "structurally empty system: [[Y,P]] has coefficient degree "
                     "%d but Q has degree %d" % (out_deg, dq))
+        _bound(comb(r, 2) * _monomial_count(r, out_deg),
+               "coefficients of a degree-%d bivector over %d variables"
+               % (out_deg, r))
         comps = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
         grid = [(c, m) for c in comps for m in monomials(r, out_deg)]
     basis = spec.basis()

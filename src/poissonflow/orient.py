@@ -52,6 +52,23 @@ term's coefficient is relative to that order.
   left-derivative sign of a later edge counts the same factors.  ``merge``
   of a folded state is ``merge`` of the unfolded one, and terms that agree
   after folding are added before the next edge acts.
+- Sorting the last vertex's neighbours.  Once vertices 1..n-1 are closed,
+  the rest of the evaluation is F = merge . E_(i1 n) ... E_(im n) . (times
+  d(entry n)), over the edges (i, n) in ascending order.  Let sigma permute
+  the sheets of n's distinct neighbours.  Relabelling sheets is an algebra
+  map; it commutes with a factor in sheet n and with ``merge``, which
+  identifies every sheet, and turns E_(i n) into E_(sigma(i) n), whose
+  re-sorting costs sgn(sigma).  So F(sigma x) = sgn(sigma) F(x) for every
+  state x and any entries, with no graph automorphism needed; a repeated
+  edge (i, n) makes F zero, as E_(i n)^2 = 0.  While vertex n-1 is
+  multiplied in, each product term x is therefore written as sgn(sigma)
+  sigma x, with sigma picked from its odd mask alone: it sorts the
+  neighbours' odd blocks ascending, ties kept in place, and each even
+  block moves with its odd one.  Relabelling re-orders the odd factors:
+  the Koszul sign is one transposition per pair of odd factors that sigma
+  puts out of sheet order, the factors of non-neighbour sheets lying
+  between two neighbours included.  Terms that differ by such a swap are
+  then added before the edges at n act on them.
 - Edge order costs the permutation's parity.  Each E_ij is odd, so two
   edge operators anticommute; applying the edges sorted by (larger
   endpoint, smaller endpoint) instead of in listed order multiplies the
@@ -74,13 +91,13 @@ Internally a sheeted polynomial groups its terms by odd mask,
 ``{odd_mask: {even_key: c}}``: one odd bit per (sheet, mu) and one field
 of ``width`` bits of even exponent per (sheet, mu) variable, both ordered
 sheet-major.  Every sign, target mask and exponent shift above depends on
-the odd mask alone, so ``apply_edge``, ``merge`` and a fold compute them
-once per mask.  The width is 8 bits, widened to the bit length of n times
-the largest exponent of the n vertex contents, so one field holds the sum
-of a variable's exponents over all sheets: edges only lower exponents, so
-no field overflows into its neighbour, and ``merge``, a fold and the
-product with entry n in slot 1 add a key's blocks as plain integers
-without a carry between fields.  Terms vanish as soon as a derivative
+the odd mask alone, so ``apply_edge``, ``merge``, a fold and the neighbour
+order compute them once per mask.  The width is 8 bits, widened to the bit
+length of n times the largest exponent of the n vertex contents, so one
+field holds the sum of a variable's exponents over all sheets: edges only
+lower exponents, so no field overflows into its neighbour, and ``merge``,
+a fold and the product with entry n in slot 1 add a key's blocks as plain
+integers without a carry between fields.  Terms vanish as soon as a derivative
 misses, which is what keeps the expansion of dense cocycles
 tractable.
 """
@@ -187,21 +204,32 @@ def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
     return SheetedPoly._raw(sp.nvars, sp.sheets + 1, groups, sp.width)
 
 
-def _add_times_sheet(groups, left, mv, base, width):
+def _add_times_sheet(groups, left, mv, base, width, sorting=None):
     """groups += left times ``mv`` in the sheet whose odd bits start at
     ``base``.  Its bits and exponent fields lie above those of ``left``,
-    so no sign arises and one product has no two terms with a common key."""
+    so no sign arises and one product has no two terms with a common key.
+    With ``sorting``, a ``_NeighbourOrder``, each product is written with the
+    last vertex's neighbour sheets in the order its mask picks: the left
+    keys and the factor's keys are moved separately, and as the move is
+    blockwise their sums are the moved product keys, still distinct."""
     for idx, poly in mv.components.items():
         om2 = sum(1 << (base + i - 1) for i in idx)
         factor = [(sum(e << ((base + mu) * width) for mu, e in enumerate(exps)), c)
                   for exps, c in poly.terms.items()]
         for om1, bucket in left.items():
-            prod = {ev1 + ev2: c1 * c2 for ev1, c1 in bucket.items()
-                    for ev2, c2 in factor}
-            if om1 | om2 in groups:
-                _add_signed(groups, om1 | om2, prod, 1)
+            om, pairs, right = om1 | om2, bucket.items(), factor
+            if sorting is not None:
+                om, sgn, moves = sorting[om]
+                if moves:
+                    pairs = sorting.moved(pairs, moves)
+                    right = sorting.moved(right, moves)
+                if sgn < 0:
+                    right = [(ev2, -c2) for ev2, c2 in right]
+            prod = {ev1 + ev2: c1 * c2 for ev1, c1 in pairs for ev2, c2 in right}
+            if om in groups:
+                _add_signed(groups, om, prod, 1)
             else:
-                groups[om1 | om2] = prod
+                groups[om] = prod
 
 
 def lift(entries) -> SheetedPoly:
@@ -418,6 +446,69 @@ class _Fold(dict):
                     del target[key]
 
 
+class _NeighbourOrder(dict):
+    """Sorting the neighbour sheets of the last vertex while vertex n-1 is
+    multiplied in ("Sorting the last vertex's neighbours" in the module
+    docstring).  ``neighbours`` are the distinct 1-based sheets with an
+    edge to the last vertex.  Maps an odd mask to (sorted mask, sign,
+    moves): the neighbours' odd blocks sorted ascending, ties kept in
+    place; sgn(sigma) times the Koszul sign of moving the odd factors; and
+    one (shift, delta) per moved sheet, adding delta times the even block
+    at ``shift`` moves that block along with its odd one."""
+
+    def __init__(self, r, width, neighbours):
+        super().__init__()
+        self.r = r
+        self.block = r * width
+        self.mask_b = (1 << self.block) - 1
+        self.sheets = sheets = [i - 1 for i in neighbours]
+        # each pair of sheets from the first neighbour to the last, and
+        # whether both are neighbours
+        self.pairs = [(a, b, a in sheets and b in sheets)
+                      for a, b in combinations(range(sheets[0], sheets[-1] + 1), 2)]
+
+    def __missing__(self, om):
+        r, sheets = self.r, self.sheets
+        mask_r = (1 << r) - 1
+        odd = [(om >> (s * r)) & mask_r for s in sheets]
+        if odd == sorted(odd):
+            self[om] = got = (om, 1, ())
+            return got
+        order = sorted(range(len(sheets)), key=odd.__getitem__)
+        # sheet sheets[order[t]] moves to sheets[t]; the others stay
+        dest = {sheets[src]: sheets[t] for t, src in enumerate(order) if src != t}
+        # a pair of sheets put out of order costs one transposition per pair
+        # of their odd factors (Koszul), and one more if both are neighbours
+        # (sgn(sigma)); non-neighbour sheets between neighbours count too
+        inv = 0
+        for a, b, both in self.pairs:
+            if dest.get(a, a) > dest.get(b, b):
+                inv += both + (((om >> (a * r)) & mask_r).bit_count()
+                               * ((om >> (b * r)) & mask_r).bit_count())
+        target = om + sum((odd[src] - odd[t]) << (sheets[t] * r)
+                          for t, src in enumerate(order))
+        block = self.block
+        moves = tuple((s * block, (1 << (t * block)) - (1 << (s * block)))
+                      for s, t in dest.items())
+        self[om] = got = (target, -1 if inv & 1 else 1, moves)
+        return got
+
+    def moved(self, pairs, moves):
+        """(key, c) pairs with each moved sheet's even block at its place."""
+        mask_b = self.mask_b
+        # two or three moved sheets, the common case, written out
+        if len(moves) == 2:
+            (s1, d1), (s2, d2) = moves
+            return [(ev + ((ev >> s1) & mask_b) * d1 + ((ev >> s2) & mask_b) * d2, c)
+                    for ev, c in pairs]
+        if len(moves) == 3:
+            (s1, d1), (s2, d2), (s3, d3) = moves
+            return [(ev + ((ev >> s1) & mask_b) * d1 + ((ev >> s2) & mask_b) * d2
+                     + ((ev >> s3) & mask_b) * d3, c) for ev, c in pairs]
+        return [(ev + sum(((ev >> s) & mask_b) * d for s, d in moves), c)
+                for ev, c in pairs]
+
+
 class _NoFold:
     """An edge step that folds no sheet: plain buckets, plain adds."""
     terms = staticmethod(lambda bucket: bucket)
@@ -508,9 +599,12 @@ def evaluate(gamma, entries) -> Multivector:
     coefficient 1; the terms of a ``GraphSum`` are canonical graphs.
     Vertices close in label order: the edges (i, k), i < k, act by the
     Leibniz rule on derivatives of entry k, and only then is sheet k
-    multiplied in; at vertex n the sheets fold into slot 1 as they finish,
-    and each folded state is multiplied by its derivative of entry n into
-    one accumulator that is merged once (see the sign ledger in the module
+    multiplied in.  As sheet n-1 comes in, each product term is written
+    with the sheets of n's neighbours in the order its odd mask picks, so
+    terms that differ by a swap of those sheets are added before the edges
+    at n act.  At vertex n the sheets fold into slot 1 as they finish, and
+    each folded state is multiplied by its derivative of entry n into one
+    accumulator that is merged once (see the sign ledger in the module
     docstring).
     """
     terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
@@ -531,11 +625,15 @@ def evaluate(gamma, entries) -> Multivector:
         closing = [[] for _ in range(n + 1)]
         for j, i in sorted(order):
             closing[j].append((i, j))
+        neighbours = sorted({i for i, _ in closing[n]})
         state = unit
         for k in range(1, n):
+            sorting = (_NeighbourOrder(r, width, neighbours)
+                       if k == n - 1 and len(neighbours) > 1 else None)
             groups = {}
             for d, a in _close_vertex(state, k, closing[k], slots, False).items():
-                _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r, width)
+                _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r,
+                                 width, sorting)
             state = SheetedPoly._raw(r, k, {om: t for om, t in groups.items() if t},
                                      width)
         for d, a in _close_vertex(state, n, closing[n], slots, True).items():

@@ -331,3 +331,166 @@ def test_directional_flow_placements_against_the_calculus(gamma3):
         assert directional_flow(gamma3, p, q) == want
         nonzero += not want.is_zero()
     assert nonzero >= 1
+
+
+# -- the last vertex's neighbour sheets in one order ------------------------------
+#
+# While vertex n-1 is multiplied in, every product term is written with the
+# sheets of n's distinct neighbours permuted so that their odd blocks ascend,
+# at the sign of the permutation times the Koszul sign of moving the odd
+# factors, those of non-neighbour sheets in between included.
+
+
+def sparse_entry(rng, r, grade, top=3):
+    """One or two components of the grade, each one or two monomials of
+    degree 1..top."""
+    idxs = list(combinations(range(1, r + 1), grade))
+    comps = {}
+    for idx in rng.sample(idxs, min(len(idxs), rng.randint(1, 2))):
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            exps = [0] * r
+            for _ in range(rng.randint(1, top)):
+                exps[rng.randrange(r)] += 1
+            terms[tuple(exps)] = rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+        comps[idx] = Poly(r, terms)
+    return Multivector(r, comps)
+
+
+def graded_entries(rng, r, n, n_edges, grades, ties):
+    """n sparse entries of the given grades whose degrees exceed the edge
+    count by at most r, so that the value can be nonzero, the last of
+    degree up to 5 for the edges that differentiate it; with ``ties`` the
+    others are one or two objects, so that many odd blocks are equal."""
+    while True:
+        picks = [rng.choice(grades) for _ in range(2 if ties else n - 1)]
+        chosen = [rng.randrange(len(picks)) for _ in range(n - 1)]
+        last = rng.choice(grades)
+        if 0 <= sum(picks[t] for t in chosen) + last - n_edges <= r:
+            made = [sparse_entry(rng, r, k) for k in picks]
+            return [made[t] for t in chosen] + [sparse_entry(rng, r, last, 5)]
+
+
+def last_vertex_graph(rng, n, neighbours):
+    """Up to three random edges among 1..n-1, then (i, n) for the given i,
+    all shuffled."""
+    inner = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    edges = rng.sample(inner, rng.randint(0, min(3, len(inner))))
+    edges += [(i, n) for i in neighbours]
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
+NEIGHBOURS = [
+    (3, [1, 2]),            # valence 2, no gap
+    (4, [1, 3]),            # sheet 2 lies between the neighbours
+    (5, [1, 4]),            # sheets 2 and 3 lie between
+    (5, [1, 2, 4]),
+    (5, [2, 3, 4]),         # sheet 1 is no neighbour
+    (5, [1, 2, 3, 4]),      # valence 4
+    (6, [1, 3, 5]),         # a gap after every neighbour
+    (6, [1, 2, 3, 4, 5]),   # valence 5
+]
+
+
+@pytest.mark.parametrize("n, neighbours", NEIGHBOURS, ids=[
+    "-".join(map(str, nb)) + "-n%d" % n for n, nb in NEIGHBOURS])
+def test_neighbour_order_with_odd_entries_and_ties(n, neighbours):
+    rng = random.Random(1300 + 10 * n + sum(neighbours))
+    nonzero = 0
+    for trial in range(24):
+        g = last_vertex_graph(rng, n, neighbours)
+        entries = graded_entries(rng, 3, n, g.n_edges, (1, 2, 3, 3), trial % 2)
+        got = evaluate(g, entries)
+        assert got == both_oracles(g, entries), (g.edges, entries)
+        nonzero += not got.is_zero()
+    assert nonzero >= 4
+
+
+def test_neighbour_order_with_a_repeated_edge_to_the_last_vertex():
+    # E_in E_in = 0, so both sides vanish, whatever sign the order picks
+    rng = random.Random(1320)
+    for n, neighbours in NEIGHBOURS:
+        twice = neighbours + [rng.choice(neighbours)]
+        g = last_vertex_graph(rng, n, twice)
+        assert len(set(g.edges)) < len(g.edges)
+        entries = graded_entries(rng, 3, n, g.n_edges, (1, 2, 3), True)
+        got = evaluate(g, entries)
+        assert got.is_zero()
+        assert got == streaming_oracle(g, entries)
+
+
+def test_neighbour_order_in_graph_sums_with_rational_coefficients():
+    rng = random.Random(1330)
+    nonzero = 0
+    for _ in range(6):
+        # 5 vertices, 6 edges: neighbours {1, 4}, {1, 2, 3}, {2, 4} and {1, 3}
+        gamma = RawSum({g: c for g, c in zip(
+            (Graph(5, [(1, 2), (2, 3), (3, 4), (1, 3), (1, 5), (4, 5)]),
+             Graph(5, [(3, 5), (1, 4), (2, 4), (1, 5), (2, 5), (3, 4)]),
+             Graph(5, [(1, 2), (1, 3), (3, 4), (2, 5), (4, 5), (1, 4)]),
+             Graph(5, [(2, 3), (3, 5), (1, 2), (2, 4), (1, 5), (3, 4)])),
+            (Fraction(3, 2), Fraction(-2, 5), 7, Fraction(1, 3)))})
+        entries = graded_entries(rng, 3, 5, 6, (1, 2, 3), False)
+        got = evaluate(gamma, entries)
+        assert got == both_oracles(gamma, entries)
+        nonzero += not got.is_zero()
+    assert nonzero >= 2
+
+
+def test_neighbour_order_in_placements_with_odd_slots():
+    rng = random.Random(1340)
+    star = RawSum({Graph(5, [(1, 5), (3, 5), (1, 2), (2, 4), (4, 5)]): 1,
+                   Graph(5, [(2, 5), (4, 5), (1, 3), (3, 4), (1, 2)]): Fraction(-3, 2)})
+    nonzero = 0
+    for _ in range(4):
+        v, p = sparse_entry(rng, 3, 1), sparse_entry(rng, 3, rng.choice([1, 3]))
+        want = placements_oracle(star, v, p)
+        assert want == placements_calculus(star, v, p)
+        assert _sum_over_placements(star, v, p) == want
+        nonzero += not want.is_zero()
+    assert nonzero >= 1
+
+
+def test_neighbour_order_in_directional_flows():
+    rng = random.Random(1350)
+    gamma = RawSum({Graph(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]): Fraction(5, 3),
+                    Graph(4, [(1, 2), (2, 3), (1, 4), (3, 4), (1, 3)]): -1})
+    nonzero = 0
+    for _ in range(3):
+        p, q = (Multivector(3, {idx: rand_poly(rng, 3, maxdeg=3)
+                                for idx in ((1, 2), (1, 3), (2, 3))}) for _ in range(2))
+        want = placements_calculus(gamma, q, p)
+        assert want == placements_oracle(gamma, q, p)
+        assert directional_flow(gamma, p, q) == want
+        nonzero += not want.is_zero()
+    assert nonzero >= 1
+
+
+def test_hub_last_wheel_is_the_wheel_times_the_relabelling_sign(P1):
+    # the wheel with its valence-5 hub moved from vertex 1 to vertex 6: every
+    # sheet is a neighbour of the last vertex
+    swap = {1: 6, 6: 1}
+    edges = [tuple(sorted((swap.get(a, a), swap.get(b, b))))
+             for a, b in NONZERO_6_10[0]]
+    inversions = sum(1 for s, t in combinations(edges, 2) if s > t)
+    hub_last = Graph(6, sorted(edges))
+    want = evaluate(Graph(6, NONZERO_6_10[0]), (P1,) * 6)
+    assert not want.is_zero()
+    assert evaluate(hub_last, (P1,) * 6) == want.scale(-1 if inversions & 1 else 1)
+
+
+def test_state_entering_the_last_vertex_of_a_tetrahedral_flow(monkeypatch, gamma3, P1):
+    sizes = []
+    close = orient._close_vertex
+
+    def counted(state, k, edges, slots, fold):
+        if fold:
+            sizes.append(sum(len(bucket) for bucket in state.groups.values()))
+        return close(state, k, edges, slots, fold)
+
+    monkeypatch.setattr(orient, "_close_vertex", counted)
+    orient.flow(gamma3, P1)
+    # 2 720 terms when the neighbour sheets keep their labels
+    assert len(sizes) == len(gamma3.terms)
+    assert 0 < max(sizes) <= 700

@@ -5,6 +5,7 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -268,6 +269,42 @@ def test_cli_trivialize_of_a_huge_degree_exits_2(tmp_path, capsys):
     # the row grid of [[Y, P1]] comes first, at degree D + 2
     assert err == ("error: more than 1000000 monomials of degree 1000002 "
                    "in 4 variables\n")
+
+
+def test_monomials_in_thousands_of_variables():
+    # recursed once per variable: monomials(2000, 1) raised RecursionError
+    assert monomials(2000, 1) == [(0,) * mu + (1,) + (0,) * (1999 - mu)
+                                  for mu in range(2000)]
+    assert monomials(2000, 0) == [(0,) * 2000]
+    # descending grlex order within one degree is descending lex order
+    for nvars in range(6):
+        for degree in range(6):
+            want = sorted((e for e in product(range(degree + 1), repeat=nvars)
+                           if sum(e) == degree), reverse=True)
+            assert monomials(nvars, degree) == want
+
+
+def test_cli_trivialize_in_thousands_of_variables_exits_2(tmp_path, capsys):
+    # exited 1 with a RecursionError traceback; with the recursion lifted
+    # alone it would set out to solve for 4 000 000 unknowns
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0\n")
+    argv = ["trivialize", "--nvars", "2000", "--degree", "1",
+            "--target", str(zero), "--poisson", str(zero)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 4000000 unknowns in a degree-1 ansatz over 2000 "
+                   "variables, more than 1000000\n")
+
+
+def test_row_grid_past_the_bound_raises_before_building():
+    # a constant bivector over 1500 variables: [[Y, P]] for linear Y has
+    # C(1500, 2) constant coefficients, each a row
+    p = Multivector(1500, {(1, 2): Poly.constant(1500, 1)})
+    with pytest.raises(DimensionError, match="1124250 coefficients of a "
+                       "degree-0 bivector over 1500 variables, more than 1000000"):
+        cohomsolve.assemble(Multivector.zero(1500), p, AnsatzSpec(1500, 1))
 
 
 # -- cohomsolve: systems without equations and membership ------------------------

@@ -37,21 +37,26 @@ term's coefficient is relative to that order.
   of entry k is zero is dropped.  For k < n the new state is the sum over
   d of A_d . d(entry k), adding products that share a key.  At k = n the
   sheets fold into slot 1 as they finish (next item), so every A_d ends in
-  one slot; each is multiplied by d(entry n) in that slot, B's odd factors
-  sorted in past A's larger ones at that many transpositions (a shared mu
-  gives zero), into one accumulator for all d and graph terms, and
-  ``merge`` of that one-slot accumulator is the value.
+  one slot; each is multiplied by d(entry n) in that slot, B being a
+  second sheet relabelled into slot 1 (see "Relabelling sheets"), into
+  one accumulator for all d and graph terms, and ``merge`` of that
+  one-slot accumulator is the value.
+- Relabelling sheets.  A sheet map sends each sheet to a slot, several
+  sheets possibly to one, and each odd factor (sheet, mu) with it to
+  (slot, mu).  The relabelled term is relative to its odd factors sorted
+  by (slot, mu), at the parity of that sort from sheet-major order; two
+  factors on one (slot, mu) make it zero.  Even blocks move with their
+  sheets, and blocks sharing a slot add.  ``_SheetMap`` works this out
+  once per odd mask for ``merge``, a fold, the neighbour order and the
+  product with entry n.
 - Folding a finished sheet.  At vertex n the edges act in ascending order
   of i, so once the edges at i have acted no later edge touches sheet i or
-  a sheet below it.  Each such finished sheet is folded into slot 1 in the
-  edge step that finishes it (a sheet below the first edge's end before
-  the first edge): its odd factors join slot 1's, re-sorted by mu with the
-  sign ``merge`` uses (a repeated mu kills the term), and its even block is
-  added into block 1.  Every sheet below it is already folded and every
-  sheet above keeps its place, so no other sign arises, and the
-  left-derivative sign of a later edge counts the same factors.  ``merge``
-  of a folded state is ``merge`` of the unfolded one, and terms that agree
-  after folding are added before the next edge acts.
+  a sheet below it.  Each such sheet is relabelled into slot 1 in the edge
+  step that finishes it (a sheet below the first edge's end before the
+  first edge).  The sheets below it are folded already and those above
+  keep their place, so a later edge's left-derivative sign counts the
+  same factors.  ``merge`` of a folded state is ``merge`` of the unfolded
+  one, and terms that agree after folding are added before the next edge.
 - Sorting the last vertex's neighbours.  Once vertices 1..n-1 are closed,
   the rest of the evaluation is F = merge . E_(i1 n) ... E_(im n) . (times
   d(entry n)), over the edges (i, n) in ascending order.  Let sigma permute
@@ -63,11 +68,8 @@ term's coefficient is relative to that order.
   edge (i, n) makes F zero, as E_(i n)^2 = 0.  While vertex n-1 is
   multiplied in, each product term x is therefore written as sgn(sigma)
   sigma x, with sigma picked from its odd mask alone: it sorts the
-  neighbours' odd blocks ascending, ties kept in place, and each even
-  block moves with its odd one.  Relabelling re-orders the odd factors:
-  the Koszul sign is one transposition per pair of odd factors that sigma
-  puts out of sheet order, the factors of non-neighbour sheets lying
-  between two neighbours included.  Terms that differ by such a swap are
+  neighbours' odd blocks ascending, ties kept in place, and sigma x
+  carries the relabelling sign.  Terms that differ by such a swap are
   then added before the edges at n act on them.
 - Edge order costs the permutation's parity.  Each E_ij is odd, so two
   edge operators anticommute; applying the edges sorted by (larger
@@ -75,8 +77,7 @@ term's coefficient is relative to that order.
   value by (-1)^(inversions of that sort).
 - Left derivative.  d/dxi at odd bit b passes the odd factors standing
   before b: the sign is the parity of the bits set below b.
-- Merge.  Collapsing sheets re-sorts the remaining odd factors by mu with
-  the permutation's sign; two equal mu make the term structurally zero.
+- Merge.  Collapsing sheets relabels every sheet into slot 1.
 - Placements.  A graph with v at vertex k and p at the others equals the
   graph relabelled by k -> 1, a -> a + 1 for a < k (the rest fixed), with
   v in sheet 1, times two signs: the parity of sorting the relabelled edge
@@ -91,15 +92,14 @@ Internally a sheeted polynomial groups its terms by odd mask,
 ``{odd_mask: {even_key: c}}``: one odd bit per (sheet, mu) and one field
 of ``width`` bits of even exponent per (sheet, mu) variable, both ordered
 sheet-major.  Every sign, target mask and exponent shift above depends on
-the odd mask alone, so ``apply_edge``, ``merge``, a fold and the neighbour
-order compute them once per mask.  The width is 8 bits, widened to the bit
-length of n times the largest exponent of the n vertex contents, so one
-field holds the sum of a variable's exponents over all sheets: edges only
-lower exponents, so no field overflows into its neighbour, and ``merge``,
-a fold and the product with entry n in slot 1 add a key's blocks as plain
-integers without a carry between fields.  Terms vanish as soon as a derivative
-misses, which is what keeps the expansion of dense cocycles
-tractable.
+the odd mask alone, so ``apply_edge`` and each sheet map compute them once
+per mask.  The width is 8 bits, widened to the bit length of n times the
+largest exponent of the n vertex contents, so one field holds the sum of a
+variable's exponents over all sheets: edges only lower exponents, so no
+field overflows into its neighbour, and a sheet map adds the blocks that
+share a slot as plain integers without a carry between fields.  Terms
+vanish as soon as a derivative misses, which is what keeps the expansion
+of dense cocycles tractable.
 """
 
 from __future__ import annotations
@@ -211,7 +211,10 @@ def _add_times_sheet(groups, left, mv, base, width, sorting=None):
     With ``sorting``, a ``_NeighbourOrder``, each product is written with the
     last vertex's neighbour sheets in the order its mask picks: the left
     keys and the factor's keys are moved separately, and as the move is
-    blockwise their sums are the moved product keys, still distinct."""
+    blockwise their sums are the moved product keys, still distinct.  The
+    factor has a block in its own sheet only, so only that sheet's move
+    touches it."""
+    own = base * width
     for idx, poly in mv.components.items():
         om2 = sum(1 << (base + i - 1) for i in idx)
         factor = [(sum(e << ((base + mu) * width) for mu, e in enumerate(exps)), c)
@@ -220,9 +223,8 @@ def _add_times_sheet(groups, left, mv, base, width, sorting=None):
             om, pairs, right = om1 | om2, bucket.items(), factor
             if sorting is not None:
                 om, sgn, moves = sorting[om]
-                if moves:
-                    pairs = sorting.moved(pairs, moves)
-                    right = sorting.moved(right, moves)
+                pairs = sorting.moved(pairs, moves)
+                right = sorting.moved(factor, [m for m in moves if m[0] == own])
                 if sgn < 0:
                     right = [(ev2, -c2) for ev2, c2 in right]
             prod = {ev1 + ev2: c1 * c2 for ev1, c1 in pairs for ev2, c2 in right}
@@ -264,44 +266,93 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
     return SheetedPoly._raw(r, n, {om: t for om, t in out.items() if t}, width)
 
 
-def _sorted_mus(om, r):
-    """The mu of each odd bit of ``om``, sorted, and the sign of sorting
-    them from sheet-major order; None when two bits share a mu."""
-    mus = []
-    while om:
-        low = om & (-om)
-        om ^= low
-        mus.append((low.bit_length() - 1) % r)
-    if len(set(mus)) != len(mus):
-        return None
-    inv = sum(1 for p, q in combinations(mus, 2) if p > q)
-    return sorted(mus), -1 if inv & 1 else 1
+class _SheetMap(dict):
+    """A sheet relabelling ("Relabelling sheets" in the module docstring).
+
+    ``slots`` maps 1-based sheets to slots, a sheet it leaves out keeping
+    its place; ``place(om)`` returns it with sign +1, and a subclass may
+    pick a map and a sign per odd mask.  The table maps each odd mask to
+    (new mask, sign, moves), or to None when two odd factors land on one
+    (slot, mu); ``moves`` holds one (shift, delta) per moved sheet, and
+    ``moved`` adds delta times the even block at shift to a key.
+    """
+
+    def __init__(self, r, width, slots):
+        super().__init__()
+        self.r, self.width, self.slots = r, width, slots
+        self.block = r * width
+        self.mask_b = (1 << self.block) - 1
+        self.moves = self._moves(slots)
+
+    def place(self, om):
+        return self.slots, 1
+
+    def _moves(self, slots):
+        block = self.block
+        return [((s - 1) * block, (1 << ((t - 1) * block)) - (1 << ((s - 1) * block)))
+                for s, t in slots.items() if s != t]
+
+    def __missing__(self, om):
+        slots, sgn = self.place(om)
+        r, target, inv, rest, got = self.r, 0, 0, om, None
+        # place the odd factors in sheet-major order; each passes the ones
+        # placed before it at a larger (slot, mu)
+        while rest:
+            low = rest & (-rest)
+            rest ^= low
+            sheet, mu = divmod(low.bit_length() - 1, r)
+            pos = (slots.get(sheet + 1, sheet + 1) - 1) * r + mu
+            if target >> pos & 1:
+                break
+            inv += (target >> pos).bit_count()
+            target |= 1 << pos
+        else:
+            got = (target, -sgn if inv & 1 else sgn, self._moves(slots))
+        self[om] = got
+        return got
+
+    def moved(self, pairs, moves):
+        """(key, c) pairs with each moved sheet's even block in its slot;
+        ``pairs`` itself when nothing moves."""
+        if not moves:
+            return pairs
+        mask_b = self.mask_b
+        # one to three moved sheets, the common case, written out
+        if len(moves) == 1:
+            ((s1, d1),) = moves
+            return [(ev + ((ev >> s1) & mask_b) * d1, c) for ev, c in pairs]
+        if len(moves) == 2:
+            (s1, d1), (s2, d2) = moves
+            return [(ev + ((ev >> s1) & mask_b) * d1 + ((ev >> s2) & mask_b) * d2, c)
+                    for ev, c in pairs]
+        if len(moves) == 3:
+            (s1, d1), (s2, d2), (s3, d3) = moves
+            return [(ev + ((ev >> s1) & mask_b) * d1 + ((ev >> s2) & mask_b) * d2
+                     + ((ev >> s3) & mask_b) * d3, c) for ev, c in pairs]
+        return [(ev + sum(((ev >> s) & mask_b) * d for s, d in moves), c)
+                for ev, c in pairs]
 
 
 def merge(sp: SheetedPoly) -> Multivector:
     """Collapse sheets: x^mu_(i) -> x^mu and xi^(i)_mu -> xi_mu.
 
-    Remaining odd factors are re-sorted by mu with the permutation's sign;
-    a term keeping two odd factors with equal mu is structurally zero.  A
-    key's sheet blocks are added as integers: the width holds the sum of a
+    The sheet map sending every sheet to slot 1 gives each odd mask its
+    sorted factors and sign, or kills a term keeping two odd factors with
+    equal mu ("Relabelling sheets" in the module docstring).  A key's
+    sheet blocks are added as integers: the width holds the sum of a
     variable's exponents over all sheets, so no field carries.
     """
     r, width = sp.nvars, sp.width
-    block = r * width
-    mask_b = (1 << block) - 1
     mask_e = (1 << width) - 1
-    shifts = range(block, sp.sheets * block, block)
+    table = _SheetMap(r, width, dict.fromkeys(range(2, sp.sheets + 1), 1))
     comps = {}
     for om, bucket in sp.groups.items():
-        got = _sorted_mus(om, r)
+        got = table[om]
         if got is None:
             continue
-        mus, sgn = got
-        target = comps.setdefault(tuple(mu + 1 for mu in mus), {})
-        for ev, c in bucket.items():
-            key = ev & mask_b
-            for s in shifts:
-                key += (ev >> s) & mask_b
+        om, sgn, moves = got
+        target = comps.setdefault(tuple(mu + 1 for mu in range(r) if om >> mu & 1), {})
+        for key, c in table.moved(bucket.items(), moves):
             target[key] = target.get(key, 0) + sgn * c
     out = {}
     for idx, bucket in comps.items():
@@ -377,50 +428,29 @@ def _add_derivative(groups, om, bucket, sgn, shift, mask_e):
                 del target[key]
 
 
-class _Fold(dict):
-    """Folding sheets lo..hi into slot 1 inside an edge step, sheets 2..lo-1
-    being folded already ("Folding a finished sheet" in the module
-    docstring).  Maps an odd mask to (folded mask, sign), or to None when
-    two folded factors share a mu.  ``terms`` folds a bucket's keys once,
-    as (folded key, key, c); ``signed`` and ``derivative`` then add like
-    ``_add_signed`` and ``_add_derivative``, into folded keys.  The edge's
-    derivative is in slot 1 or in sheet lo, which folds in this step, so it
-    lowers slot 1's field of the same mu: folding adds without a carry."""
+class _Fold(_SheetMap):
+    """The sheet map of lo..hi to slot 1, inside an edge step, sheets
+    2..lo-1 being folded already ("Folding a finished sheet" in the module
+    docstring).  ``terms`` moves a bucket's keys once, as ((folded key,
+    c), key); ``signed`` and ``derivative`` then add like ``_add_signed`` and
+    ``_add_derivative``, into folded keys at the table's mask and sign.
+    The edge's derivative is in slot 1 or in sheet lo, which folds in this
+    step, so it lowers slot 1's field of the same mu."""
 
     def __init__(self, r, width, lo, hi):
-        super().__init__()
-        self.r = r
-        self.block = block = r * width
-        self.region = (1 << (hi * r)) - 1
-        # blocks lo..hi read as one integer m; the digit of m * rep at top
-        # is their sum, no field carrying
-        self.lo = (lo - 1) * block
-        self.mid = (1 << ((hi - lo + 1) * block)) - 1
-        self.rep = sum(1 << (j * block) for j in range(hi - lo + 1))
-        self.top = (hi - lo) * block
-        self.mask_b = (1 << block) - 1
-
-    def __missing__(self, om):
-        low = om & self.region
-        got = _sorted_mus(low, self.r)
-        if got is not None:
-            got = (om ^ low | sum(1 << mu for mu in got[0]), got[1])
-        self[om] = got
-        return got
+        super().__init__(r, width, dict.fromkeys(range(lo, hi + 1), 1))
 
     def terms(self, bucket):
-        lo, mid, rep, top, mask_b = self.lo, self.mid, self.rep, self.top, self.mask_b
-        return [(ev - (m << lo) + ((m * rep) >> top & mask_b), ev, c)
-                for ev, c in bucket.items() for m in [(ev >> lo) & mid]]
+        return list(zip(self.moved(bucket.items(), self.moves), bucket))
 
     def signed(self, groups, om, terms, sgn):
         got = self[om]
         if got is None:
             return
-        om, fsgn = got
+        om, fsgn, _ = got
         sgn *= fsgn
         target = groups.setdefault(om, {})
-        for fev, _, c in terms:
+        for (fev, c), _ in terms:
             cur = target.get(fev, 0) + sgn * c
             if cur:
                 target[fev] = cur
@@ -431,11 +461,11 @@ class _Fold(dict):
         got = self[om]
         if got is None:
             return
-        om, fsgn = got
+        om, fsgn, _ = got
         sgn *= fsgn
         one = 1 << (shift % self.block)
         target = groups.setdefault(om, {})
-        for fev, ev, c in terms:
+        for (fev, c), ev in terms:
             e = (ev >> shift) & mask_e
             if e:
                 key = fev - one
@@ -446,67 +476,27 @@ class _Fold(dict):
                     del target[key]
 
 
-class _NeighbourOrder(dict):
+class _NeighbourOrder(_SheetMap):
     """Sorting the neighbour sheets of the last vertex while vertex n-1 is
     multiplied in ("Sorting the last vertex's neighbours" in the module
     docstring).  ``neighbours`` are the distinct 1-based sheets with an
-    edge to the last vertex.  Maps an odd mask to (sorted mask, sign,
-    moves): the neighbours' odd blocks sorted ascending, ties kept in
-    place; sgn(sigma) times the Koszul sign of moving the odd factors; and
-    one (shift, delta) per moved sheet, adding delta times the even block
-    at ``shift`` moves that block along with its odd one."""
+    edge to the last vertex; ``place`` picks the permutation sigma that
+    sorts their odd blocks ascending, ties kept in place, and gives it
+    with sgn(sigma), so the table's sign is sgn(sigma) times the
+    relabelling sign."""
 
     def __init__(self, r, width, neighbours):
-        super().__init__()
-        self.r = r
-        self.block = r * width
-        self.mask_b = (1 << self.block) - 1
-        self.sheets = sheets = [i - 1 for i in neighbours]
-        # each pair of sheets from the first neighbour to the last, and
-        # whether both are neighbours
-        self.pairs = [(a, b, a in sheets and b in sheets)
-                      for a, b in combinations(range(sheets[0], sheets[-1] + 1), 2)]
+        super().__init__(r, width, {})
+        self.neighbours = neighbours
 
-    def __missing__(self, om):
-        r, sheets = self.r, self.sheets
-        mask_r = (1 << r) - 1
-        odd = [(om >> (s * r)) & mask_r for s in sheets]
-        if odd == sorted(odd):
-            self[om] = got = (om, 1, ())
-            return got
-        order = sorted(range(len(sheets)), key=odd.__getitem__)
-        # sheet sheets[order[t]] moves to sheets[t]; the others stay
-        dest = {sheets[src]: sheets[t] for t, src in enumerate(order) if src != t}
-        # a pair of sheets put out of order costs one transposition per pair
-        # of their odd factors (Koszul), and one more if both are neighbours
-        # (sgn(sigma)); non-neighbour sheets between neighbours count too
-        inv = 0
-        for a, b, both in self.pairs:
-            if dest.get(a, a) > dest.get(b, b):
-                inv += both + (((om >> (a * r)) & mask_r).bit_count()
-                               * ((om >> (b * r)) & mask_r).bit_count())
-        target = om + sum((odd[src] - odd[t]) << (sheets[t] * r)
-                          for t, src in enumerate(order))
-        block = self.block
-        moves = tuple((s * block, (1 << (t * block)) - (1 << (s * block)))
-                      for s, t in dest.items())
-        self[om] = got = (target, -1 if inv & 1 else 1, moves)
-        return got
-
-    def moved(self, pairs, moves):
-        """(key, c) pairs with each moved sheet's even block at its place."""
-        mask_b = self.mask_b
-        # two or three moved sheets, the common case, written out
-        if len(moves) == 2:
-            (s1, d1), (s2, d2) = moves
-            return [(ev + ((ev >> s1) & mask_b) * d1 + ((ev >> s2) & mask_b) * d2, c)
-                    for ev, c in pairs]
-        if len(moves) == 3:
-            (s1, d1), (s2, d2), (s3, d3) = moves
-            return [(ev + ((ev >> s1) & mask_b) * d1 + ((ev >> s2) & mask_b) * d2
-                     + ((ev >> s3) & mask_b) * d3, c) for ev, c in pairs]
-        return [(ev + sum(((ev >> s) & mask_b) * d for s, d in moves), c)
-                for ev, c in pairs]
+    def place(self, om):
+        r, sheets = self.r, self.neighbours
+        # the sheets in their new order: by odd block, ties by sheet
+        src = [s for _, s in sorted(((om >> ((s - 1) * r)) & ((1 << r) - 1), s)
+                                    for s in sheets)]
+        inv = sum(1 for a, b in combinations(src, 2) if a > b)
+        return ({s: t for s, t in zip(src, sheets) if s != t},
+                -1 if inv & 1 else 1)
 
 
 class _NoFold:
@@ -567,22 +557,24 @@ def _close_vertex(state, k, edges, slots, fold):
     return descs
 
 
-def _add_product(acc, left, mv, c, width):
-    """acc += c * left . mv, with ``left`` and ``acc`` in one slot: each
-    factor of mv moves past the odd factors of ``left`` with larger mu, and
-    a shared mu gives zero."""
+def _add_product(acc, left, mv, c, joining):
+    """acc += c * left . mv, with ``left`` and ``acc`` in one slot.
+    ``joining`` is the sheet map taking a second sheet, mv's, into slot 1:
+    its sign moves each factor of mv past the odd factors of ``left`` with
+    larger mu, and it kills a term with a shared mu.  mv's keys are
+    written in slot 1, where that map moves them."""
+    r, width = joining.r, joining.width
     for idx, poly in mv.components.items():
-        om2 = sum(1 << (mu - 1) for mu in idx)
+        om2 = sum(1 << (r + mu - 1) for mu in idx)
         factor = [(sum(e << (mu * width) for mu, e in enumerate(exps)), c * c2)
                   for exps, c2 in poly.terms.items()]
         for om1, bucket in left.items():
-            if om1 & om2:
+            got = joining[om1 | om2]
+            if got is None:
                 continue
-            if sum((om1 >> mu).bit_count() for mu in idx) & 1:
-                signed = [(ev2, -c2) for ev2, c2 in factor]
-            else:
-                signed = factor
-            target = acc.setdefault(om1 | om2, {})
+            om, sgn, _ = got
+            signed = factor if sgn > 0 else [(ev2, -c2) for ev2, c2 in factor]
+            target = acc.setdefault(om, {})
             for ev1, c1 in bucket.items():
                 for ev2, c2 in signed:
                     key = ev1 + ev2
@@ -614,6 +606,7 @@ def evaluate(gamma, entries) -> Multivector:
     n = len(slots)
     unit = _unit(slots)
     r, width = unit.nvars, unit.width
+    joining = _SheetMap(r, width, {2: 1})
     acc = {}
     for graph, c in terms:
         if graph.n != n:
@@ -638,7 +631,7 @@ def evaluate(gamma, entries) -> Multivector:
                                      width)
         for d, a in _close_vertex(state, n, closing[n], slots, True).items():
             _add_product(acc, a, slots.derivative(n, d), -c if swaps & 1 else c,
-                         width)
+                         joining)
     acc = {om: nonzero for om, bucket in acc.items()
            if (nonzero := {ev: c for ev, c in bucket.items() if c})}
     return merge(SheetedPoly._raw(r, 1, acc, width))

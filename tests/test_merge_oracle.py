@@ -1,10 +1,16 @@
-"""Block-sum ``merge`` against the field-by-field merge it replaced.
+"""Block-sum ``merge`` against the field-by-field merge it replaced, and
+the sheet-relabelling table behind it against a brute force.
 
 ``merge`` adds a key's sheet blocks as plain integers, which is exact only
 while one field holds the sum of a variable's exponents over every sheet;
 ``lift`` sizes its width for that.  ``merge_fieldwise`` walks every field
 of every key and adds the exponents as Python integers, so it has no width
 limit.  The cases sit on both sides of the width boundaries.
+
+``_SheetMap`` relabels sheets for ``merge``, the last-vertex fold, the
+neighbour order and the product with entry n.  ``relabel_oracle`` lists
+the (sheet, mu) odd factors, sorts them by (slot, mu) with a bubble sort
+that counts its swaps, and moves the even exponents field by field.
 """
 
 import random
@@ -14,7 +20,8 @@ import pytest
 
 from poissonflow.errors import DimensionError
 from poissonflow.multivec import Multivector
-from poissonflow.orient import SheetedPoly, apply_edge, lift, merge
+from poissonflow.orient import (SheetedPoly, _NeighbourOrder, _SheetMap, apply_edge,
+                                lift, merge)
 from poissonflow.ratpoly import Poly, ratnorm
 
 from test_orient_oracle import rand_grade
@@ -119,3 +126,120 @@ def test_constructor_rejects_exponent_sums_past_its_width():
     sp = SheetedPoly(1, 2, {(100 | 155 << 8, 0): 1})
     assert merge(sp) == merge_fieldwise(sp) == Multivector(
         1, {(): Poly(1, {(255,): 1})})
+
+
+def bubble_sort(items):
+    """``items`` sorted ascending by adjacent swaps of strictly greater
+    neighbours, so ties keep their order, and the number of swaps."""
+    items, swaps = list(items), 0
+    for end in range(len(items) - 1, 0, -1):
+        for t in range(end):
+            if items[t] > items[t + 1]:
+                items[t], items[t + 1] = items[t + 1], items[t]
+                swaps += 1
+    return items, swaps
+
+
+def relabel_oracle(r, width, sheets, slots, om, keys):
+    """(mask, sign, moved keys) of relabelling sheet s to ``slots.get(s, s)``,
+    or None when two odd factors land on one (slot, mu)."""
+    factors = [(slots.get(s, s), mu) for s in range(1, sheets + 1)
+               for mu in range(r) if om >> ((s - 1) * r + mu) & 1]
+    placed, swaps = bubble_sort(factors)
+    if any(a == b for a, b in zip(placed, placed[1:])):
+        return None
+    mask = sum(1 << ((t - 1) * r + mu) for t, mu in placed)
+    mask_e = (1 << width) - 1
+    moved = []
+    for ev in keys:
+        fields = {}
+        for s in range(1, sheets + 1):
+            for mu in range(r):
+                e = (ev >> (((s - 1) * r + mu) * width)) & mask_e
+                place = (slots.get(s, s), mu)
+                fields[place] = fields.get(place, 0) + e
+        moved.append(sum(e << (((t - 1) * r + mu) * width)
+                         for (t, mu), e in fields.items()))
+    return mask, -1 if swaps & 1 else 1, moved
+
+
+def random_keys(rng, r, width, sheets, count):
+    """Keys whose fields sum below 2^width over every relabelling."""
+    top = ((1 << width) - 1) // sheets
+    return [sum(rng.randint(0, top) << (v * width) for v in range(sheets * r))
+            for _ in range(count)]
+
+
+def random_mask(rng, r, sheets):
+    """An odd mask that often repeats a mu across sheets."""
+    mus = rng.sample(range(r), rng.randint(1, r))
+    return sum(1 << ((s - 1) * r + mu) for s in range(1, sheets + 1)
+               for mu in mus if rng.random() < 0.5)
+
+
+def check_table(table, rng, r, width, sheets, om, slots, extra=1):
+    keys = random_keys(rng, r, width, sheets, 4)
+    want = relabel_oracle(r, width, sheets, slots, om, keys)
+    got = table[om]
+    if want is None:
+        assert got is None
+        return 0
+    mask, sgn, moved = want
+    assert got[:2] == (mask, extra * sgn)
+    pairs = [(ev, c) for c, ev in enumerate(keys, 1)]
+    assert table.moved(pairs, got[2]) == [(ev, c) for c, ev in enumerate(moved, 1)]
+    return 1
+
+
+def map_kinds(rng, sheets):
+    """Many sheets to slot 1, a permutation of a random subset, the identity."""
+    many = {s: 1 for s in rng.sample(range(1, sheets + 1), rng.randint(1, sheets))}
+    subset = sorted(rng.sample(range(1, sheets + 1), rng.randint(1, sheets)))
+    perm = dict(zip(subset, rng.sample(subset, len(subset))))
+    return {"many": many, "perm": perm, "identity": {}}
+
+
+@pytest.mark.parametrize("kind", ["many", "perm", "identity"])
+def test_sheet_map_against_the_brute_force(kind):
+    rng = random.Random(930)
+    kept = killed = 0
+    for _ in range(300):
+        r, sheets = rng.randint(1, 4), rng.randint(1, 6)
+        width = rng.choice([3, 5, 8])
+        slots = map_kinds(rng, sheets)[kind]
+        table = _SheetMap(r, width, slots)
+        for _ in range(3):
+            hit = check_table(table, rng, r, width, sheets,
+                              random_mask(rng, r, sheets), slots)
+            kept += hit
+            killed += 1 - hit
+    assert kept >= 300
+    assert (killed >= 100) == (kind == "many")
+
+
+def test_moved_returns_its_input_when_nothing_moves():
+    table = _SheetMap(2, 8, {1: 1, 2: 2})
+    pairs = {5: 1, 7: -2}.items()
+    assert not table.moves
+    assert table.moved(pairs, table[0b1010][2]) is pairs
+
+
+def test_neighbour_order_against_the_brute_force():
+    rng = random.Random(940)
+    moved = 0
+    for _ in range(300):
+        r, sheets = rng.randint(1, 4), rng.randint(2, 6)
+        width = rng.choice([3, 5, 8])
+        neighbours = sorted(rng.sample(range(1, sheets + 1), rng.randint(2, sheets)))
+        table = _NeighbourOrder(r, width, neighbours)
+        for _ in range(3):
+            om = random_mask(rng, r, sheets)
+            # sigma: stable sort of the neighbours by their odd blocks
+            blocks = [((om >> ((s - 1) * r)) & ((1 << r) - 1), t)
+                      for t, s in enumerate(neighbours)]
+            order, swaps = bubble_sort(blocks)
+            sigma = {neighbours[src]: neighbours[t] for t, (_, src) in enumerate(order)}
+            moved += any(s != t for s, t in sigma.items())
+            assert check_table(table, rng, r, width, sheets, om, sigma,
+                               -1 if swaps & 1 else 1)
+    assert moved >= 300

@@ -32,11 +32,17 @@ two vertices of valence >= 3 (Willwacher, arXiv:1009.1654).
 from __future__ import annotations
 
 import re
-import sys
 from itertools import combinations, product
 
 from .errors import MalformedGraphError, ParseError
 from .ratpoly import _number_text, _text_int, parse_poly, ratnorm
+
+
+#: most vertices a graph may have.  ``degrees`` allocates a slot per vertex
+#: and the differential splits every vertex: d of a 9 999-vertex graph takes
+#: about half a second.  A d or bracket whose terms would pass the bound
+#: raises, as building those terms does.
+MAX_VERTICES = 10_000
 
 
 class Graph:
@@ -47,9 +53,9 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 1:
             raise MalformedGraphError("vertex count must be positive")
-        if n > sys.maxsize:
+        if n > MAX_VERTICES:
             raise MalformedGraphError("vertex count %s exceeds %d"
-                                     % (_number_text(n), sys.maxsize))
+                                     % (_number_text(n), MAX_VERTICES))
         norm = []
         for (i, j) in edges:
             if i == j:
@@ -89,7 +95,10 @@ class Graph:
 
 
 def _sort_parity(seq):
-    """Sort a list of distinct items; return (sorted tuple, permutation parity)."""
+    """Sort a list; return (sorted tuple, sign of the sorting permutation).
+
+    The sort is stable, so equal items keep their order and the sign is the
+    parity of the permutation that stable sort applies."""
     order = sorted(range(len(seq)), key=seq.__getitem__)
     seen = [False] * len(order)
     sign = 1

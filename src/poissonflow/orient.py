@@ -74,7 +74,7 @@ term's coefficient is relative to that order.
 - Edge order costs the permutation's parity.  Each E_ij is odd, so two
   edge operators anticommute; applying the edges sorted by (larger
   endpoint, smaller endpoint) instead of in listed order multiplies the
-  value by (-1)^(inversions of that sort).
+  value by the sign of that stable sort's permutation.
 - Left derivative.  d/dxi at odd bit b passes the odd factors standing
   before b: the sign is the parity of the bits set below b.
 - Merge.  Collapsing sheets relabels every sheet into slot 1.
@@ -85,8 +85,9 @@ term's coefficient is relative to that order.
   copies of p.  E_ij is symmetric in i and j, so relabelling the graph and
   its sheets alike changes nothing else.  ``_sum_over_placements`` adds
   the signed coefficients of equal relabelled edge lists and evaluates
-  each such class once; the four placements on the tetrahedron, whose
-  automorphisms are all even, are one class with coefficient 4.
+  the nonzero classes as the terms of one sum, in one ``evaluate`` call;
+  the four placements on the tetrahedron, whose automorphisms are all
+  even, are one class with coefficient 4.
 
 Internally a sheeted polynomial groups its terms by odd mask,
 ``{odd_mask: {even_key: c}}``: one odd bit per (sheet, mu) and one field
@@ -107,10 +108,9 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from functools import reduce
-from itertools import combinations
 
 from .errors import DimensionError, PreconditionError
-from .gracomplex import Graph, _sort_parity, as_graphsum, is_cocycle
+from .gracomplex import Graph, GraphSum, _sort_parity, as_graphsum, is_cocycle
 from .multivec import (Multivector, _x_partial, _xi_left, homogeneity_scale,
                        jacobiator)
 from .ratpoly import ANY_DEGREE, Poly, common_degree, ratnorm
@@ -492,11 +492,9 @@ class _NeighbourOrder(_SheetMap):
     def place(self, om):
         r, sheets = self.r, self.neighbours
         # the sheets in their new order: by odd block, ties by sheet
-        src = [s for _, s in sorted(((om >> ((s - 1) * r)) & ((1 << r) - 1), s)
-                                    for s in sheets)]
-        inv = sum(1 for a, b in combinations(src, 2) if a > b)
-        return ({s: t for s, t in zip(src, sheets) if s != t},
-                -1 if inv & 1 else 1)
+        src, sgn = _sort_parity([((om >> ((s - 1) * r)) & ((1 << r) - 1), s)
+                                 for s in sheets])
+        return {s: t for (_, s), t in zip(src, sheets) if s != t}, sgn
 
 
 class _NoFold:
@@ -587,8 +585,9 @@ def evaluate(gamma, entries) -> Multivector:
 
     The value is that of the edges acting in their listed order, first to
     last; the output xi-degree is the tuple's total degree minus the edge
-    count.  A bare ``Graph`` keeps its own vertex labels, edge order and
-    coefficient 1; the terms of a ``GraphSum`` are canonical graphs.
+    count.  A bare ``Graph`` is the one term 1 * graph, and the terms of a
+    sum are read as given, each with its own vertex labels, edge order and
+    coefficient, canonical or not.
     Vertices close in label order: the edges (i, k), i < k, act by the
     Leibniz rule on derivatives of entry k, and only then is sheet k
     multiplied in.  As sheet n-1 comes in, each product term is written
@@ -613,10 +612,9 @@ def evaluate(gamma, entries) -> Multivector:
             raise PreconditionError(
                 "graph on %d vertices fed %d multivectors" % (graph.n, n))
         # edges are stored (i, j) with i < j: edge (i, j) closes vertex j
-        order = [(j, i) for i, j in graph.edges]
-        swaps = sum(1 for s, t in combinations(order, 2) if s > t)
+        order, sgn = _sort_parity([(j, i) for i, j in graph.edges])
         closing = [[] for _ in range(n + 1)]
-        for j, i in sorted(order):
+        for j, i in order:
             closing[j].append((i, j))
         neighbours = sorted({i for i, _ in closing[n]})
         state = unit
@@ -630,8 +628,7 @@ def evaluate(gamma, entries) -> Multivector:
             state = SheetedPoly._raw(r, k, {om: t for om, t in groups.items() if t},
                                      width)
         for d, a in _close_vertex(state, n, closing[n], slots, True).items():
-            _add_product(acc, a, slots.derivative(n, d), -c if swaps & 1 else c,
-                         joining)
+            _add_product(acc, a, slots.derivative(n, d), sgn * c, joining)
     acc = {om: nonzero for om, bucket in acc.items()
            if (nonzero := {ev: c for ev, c in bucket.items() if c})}
     return merge(SheetedPoly._raw(r, 1, acc, width))
@@ -650,8 +647,9 @@ def _sum_over_placements(gamma, v: Multivector, p: Multivector) -> Multivector:
 
     Each placement is relabelled to put v's vertex first (see "Placements"
     in the module docstring), placements that become the same edge list
-    are added up, and each such class is evaluated once on (v, p, ..., p).
-    The callers have checked that v and p have pure xi-degree.
+    are added up, and the nonzero classes are the terms of one sum,
+    evaluated once on (v, p, ..., p).  The callers have checked that v and
+    p have pure xi-degree.
     """
     n = _vertex_count(gamma)
     dv, dp = v.degree(), p.degree()
@@ -664,12 +662,10 @@ def _sum_over_placements(gamma, v: Multivector, p: Multivector) -> Multivector:
             edges, sign = _sort_parity([tuple(sorted((lab[a], lab[b])))
                                         for a, b in graph.edges])
             classes[edges] = classes.get(edges, 0) + sign * sign_k * c
-    entries = (v,) + (p,) * (n - 1)
-    out = Multivector.zero(p.nvars)
-    for edges, c in classes.items():
-        if c:
-            out = out + evaluate(Graph(n, edges), entries).scale(c)
-    return out
+    terms = {Graph(n, edges): c for edges, c in classes.items() if c}
+    if not terms:
+        return Multivector.zero(p.nvars)
+    return evaluate(GraphSum._raw(terms), (v,) + (p,) * (n - 1))
 
 
 def flow(gamma, p: Multivector) -> Multivector:

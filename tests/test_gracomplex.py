@@ -18,7 +18,8 @@ from test_differential_oracle import CLASSES
 
 
 def perm_parity(seq):
-    """Inversion-count parity of a permutation of 0..n-1."""
+    """Parity of the pairs a < b with seq[a] > seq[b]: the sign of a
+    permutation of 0..n-1, or of the stable sort of any sequence."""
     inv = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq))
               if seq[a] > seq[b])
     return -1 if inv % 2 else 1
@@ -101,6 +102,14 @@ def test_tetrahedron_sign_tracks_edge_permutation_parity():
         got, sign = canonicalize(g)
         assert got == base
         assert sign == perm_parity(perm)
+
+
+def test_sort_parity_counts_strict_inversions_with_repeats():
+    # the sign of the stable sort: equal items never count as swapped
+    rng = random.Random(41)
+    for _ in range(200):
+        seq = [rng.randint(0, 3) for _ in range(rng.randint(0, 7))]
+        assert gracomplex._sort_parity(seq) == (tuple(sorted(seq)), perm_parity(seq))
 
 
 def test_canonicalize_matches_brute_force():

@@ -27,7 +27,7 @@ from poissonflow.orient import (_sum_over_placements, _times_sheet, _vertex_coun
 from poissonflow.ratpoly import Poly
 
 from test_orient_oracle import evaluate_oracle, rand_grade, rand_poly
-from test_placements_oracle import RawSum
+from test_placements_oracle import NONZERO_6_10, RawSum, cubic_bivector
 
 
 def streaming_oracle(gamma, entries) -> Multivector:
@@ -143,19 +143,6 @@ def test_graph_sums_share_one_derivative_table(P1, P2):
         got = evaluate(gamma, entries)
         assert got == streaming_oracle(gamma, entries)
         assert not got.is_zero()
-
-
-# the two terms of the pentagon-wheel cocycle: the wheel, the other graph
-NONZERO_6_10 = (
-    ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 5), (4, 6), (5, 6)),
-    ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)),
-)
-
-
-def cubic_bivector(rng):
-    """A bivector on R^3 with one or two monomials of degree <= 3 each."""
-    return Multivector(3, {idx: rand_poly(rng, 3, maxdeg=3)
-                           for idx in ((1, 2), (1, 3), (2, 3))})
 
 
 @pytest.mark.parametrize("which", [0, 1])

@@ -2,9 +2,11 @@
 
 ``evaluate`` closes the vertices k = 1..n in turn: the edges (i, k), i < k,
 act by the Leibniz rule on a map from derivatives of entry k to states over
-sheets 1..k-1, each state is then multiplied by its derivative of entry k
-(at the last vertex, merged and wedged with it), and the value is corrected
-by the parity of grouping the edges by their larger endpoint.  ``pipeline``
+sheets 1..k-1, and each state is then multiplied by its derivative of entry
+k.  At the last vertex the sheets fold into slot 1 as their edges finish,
+and each one-slot state is multiplied by its derivative of entry n into one
+packed accumulator, merged once; the value is corrected by the parity of
+grouping the edges by their larger endpoint.  ``pipeline``
 below lifts every sheet first and then applies the edges in their listed
 order; ``evaluate_oracle`` re-derives the whole evaluation on the
 multivector calculus over n*r variables.

@@ -2,8 +2,9 @@
 
 ``_sum_over_placements`` relabels each placement so that v's vertex comes
 first, adds up the placements that become the same edge list, and evaluates
-each such class once on (v, p, ..., p).  ``placements_oracle`` is the loop
-it replaced: one ``evaluate`` per slot k with v at vertex k, summed.
+the classes as the terms of one sum on (v, p, ..., p), in one ``evaluate``
+call.  ``placements_oracle`` is the loop it replaced: one ``evaluate`` per
+slot k with v at vertex k, summed.
 """
 
 import random
@@ -16,7 +17,7 @@ from poissonflow.multivec import Multivector
 from poissonflow.orient import (_sum_over_placements, _vertex_count,
                                 directional_flow, evaluate)
 
-from test_orient_oracle import rand_grade
+from test_orient_oracle import rand_grade, rand_poly
 
 
 class RawSum:
@@ -24,6 +25,19 @@ class RawSum:
 
     def __init__(self, terms):
         self.terms = dict(terms)
+
+
+# the two terms of the pentagon-wheel cocycle: the wheel, the other graph
+NONZERO_6_10 = (
+    ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 5), (4, 6), (5, 6)),
+    ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)),
+)
+
+
+def cubic_bivector(rng):
+    """A bivector on R^3 with one or two monomials of degree <= 3 each."""
+    return Multivector(3, {idx: rand_poly(rng, 3, maxdeg=3)
+                           for idx in ((1, 2), (1, 3), (2, 3))})
 
 
 def placements_oracle(gamma, v, p):
@@ -171,7 +185,27 @@ def test_gamma3_placements_form_one_class(monkeypatch, gamma3, P1, euler4):
     # every automorphism of the tetrahedron is even: four placements, one class
     calls = count_evaluations(monkeypatch)
     _sum_over_placements(gamma3, euler4, P1)
-    assert calls == [Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])]
+    assert [gamma.terms for gamma in calls] == [
+        {Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]): 4}]
+
+
+def test_placement_classes_are_one_evaluation(monkeypatch):
+    # the two (6,10) graphs of the pentagon-wheel cocycle, a 1-vector in one
+    # slot: their placement classes are the terms of a single evaluate call
+    rng = random.Random(808)
+    calls = count_evaluations(monkeypatch)
+    nonzero = 0
+    for _ in range(4):
+        gamma = RawSum({Graph(6, edges): rng.choice([-2, -1, 1, 3])
+                        for edges in NONZERO_6_10})
+        v = Multivector(3, {(mu,): rand_poly(rng, 3, maxdeg=3) for mu in (1, 2, 3)})
+        p = cubic_bivector(rng)
+        want = placements_oracle(gamma, v, p)
+        calls.clear()
+        assert _sum_over_placements(gamma, v, p) == want
+        assert len(calls) == 1 and len(calls[0].terms) > 2
+        nonzero += not want.is_zero()
+    assert nonzero >= 2
 
 
 @pytest.mark.parametrize("order", [("P1", "P2"), ("P2", "P1")])

@@ -16,7 +16,8 @@ from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
                                     trivialize)
 from poissonflow.errors import (DimensionError, MalformedGraphError,
                                ParseError, PreconditionError)
-from poissonflow.gracomplex import Graph, GraphSum, parse_graph, stick
+from poissonflow.gracomplex import (MAX_VERTICES, Graph, GraphSum, parse_graph,
+                                   stick)
 from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
                                   homogeneity_scale, parse_multivector,
                                   render_multivector, schouten, schouten_sym)
@@ -563,7 +564,7 @@ def test_cli_graph_d_with_many_isolated_vertices(capsys):
     assert capsys.readouterr().out == "0\n"
 
 
-# -- gracomplex: vertex counts past sys.maxsize ------------------------------------
+# -- gracomplex: vertex counts past the bound --------------------------------------
 
 
 def test_graph_rejects_a_vertex_count_past_maxsize():
@@ -586,7 +587,26 @@ def test_cli_graph_with_a_vertex_count_past_maxsize_exits_2(argv, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err == "error: vertex count 99999999999999999999 exceeds %d\n" % sys.maxsize
+    assert err == "error: vertex count 99999999999999999999 exceeds %d\n" % MAX_VERTICES
+
+
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10 ** 12])
+@pytest.mark.parametrize("command", ["graph-d", "graph-bracket"])
+def test_cli_graph_past_the_vertex_bound_exits_2_at_once(command, n, capsys):
+    # counts far below sys.maxsize: Graph.degrees allocates a slot per
+    # vertex and a bracket visits every vertex, so these must fail up front
+    graph = "graph{n=%d; edges=(1,2); c=1}" % n
+    argv = ([command, "--graph", graph] if command == "graph-d" else
+            [command, "--left", graph, "--right", "graph{n=2; edges=(1,2); c=1}"])
+    code = main(argv)
+    assert (code,) + capsys.readouterr() == (
+        2, "", "error: vertex count %d exceeds %d\n" % (n, MAX_VERTICES))
+
+
+def test_graph_vertex_bound_is_inclusive():
+    assert Graph(MAX_VERTICES, ((1, MAX_VERTICES),)).n == MAX_VERTICES
+    with pytest.raises(MalformedGraphError, match="exceeds 10000"):
+        Graph(MAX_VERTICES + 1, ())
 
 
 # -- multivec: xi indices start at 1 -------------------------------------------------
@@ -720,13 +740,13 @@ HUGE = "9" * 5000
     (lambda: Multivector.zero(-10 ** 5000), DimensionError,
      "nvars must be nonnegative, got -1" + "0" * 5000),
     (lambda: parse_graph("graph{n=%s; edges=; c=1}" % HUGE), MalformedGraphError,
-     "vertex count %s exceeds %d" % (HUGE, sys.maxsize)),
+     "vertex count %s exceeds %d" % (HUGE, MAX_VERTICES)),
     (lambda: parse_graph("graph{n=2; edges=(1,%s); c=1}" % HUGE), MalformedGraphError,
      "edge (1,%s) outside 1..2" % HUGE),
     (lambda: parse_graph("graph{n=2; edges=(%s,%s); c=1}" % (HUGE, HUGE)),
      MalformedGraphError, "loop edge (%s,%s)" % (HUGE, HUGE)),
     (lambda: Graph(10 ** 5000, ()), MalformedGraphError,
-     "vertex count 1%s exceeds %d" % ("0" * 5000, sys.maxsize)),
+     "vertex count 1%s exceeds %d" % ("0" * 5000, MAX_VERTICES)),
 ], ids=["poly-x", "mv-xi", "mv-x", "poly-x-declared", "mv-xi-declared", "Poly",
         "Multivector-negative", "graph-n", "graph-edge", "graph-loop", "Graph"])
 def test_5000_digit_indices_raise_named_errors(build, error, message):
@@ -762,7 +782,7 @@ def test_render_poly_prints_a_5000_digit_exponent():
     (["jacobi", "--poisson", "(1) xi" + HUGE],
      "error: nvars must be at most 10000, got %s\n" % HUGE),
     (["graph-d", "--graph", "graph{n=%s; edges=; c=1}" % HUGE],
-     "error: vertex count %s exceeds %d\n" % (HUGE, sys.maxsize)),
+     "error: vertex count %s exceeds %d\n" % (HUGE, MAX_VERTICES)),
     (["graph-d", "--graph", "graph{n=2; edges=(1,%s); c=1}" % HUGE],
      "error: edge (1,%s) outside 1..2\n" % HUGE),
 ], ids=["jacobi-xi", "graph-d-n", "graph-d-edge"])

@@ -16,8 +16,8 @@ from .multivec import (Multivector, euler_field, hamiltonian_field,
                        render_multivector, schouten, schouten_sym, wedge)
 from .gracomplex import (Graph, GraphSum, bracket, canonicalize, differential,
                          insert, is_cocycle, parse_graph, parse_graphsum,
-                         point, render_graph, render_graphsum, stick,
-                         tetrahedron)
+                         point, render_graph, render_graphsum, simple_graph,
+                         stick, tetrahedron)
 from .orient import (SheetedPoly, apply_edge, cocycle1, directional_flow,
                      evaluate, flow, lift, merge)
 from .cohomsolve import (AnsatzSpec, AnsatzSystem, Solution, assemble,

@@ -6,6 +6,9 @@ sign of the graph.  Graphs admitting an automorphism that induces an odd
 permutation of the edges are zero (any parallel edge pair is the simplest
 case).  Linear combinations are held in canonical form, vertex insertion
 gives a graded bracket, and the differential splits vertices.
+``simple_graph(n, mask)`` enumerates the simple graphs on n labelled
+vertices, one per bitmask over the pairs of K_n; the d^2 = 0 suites run on
+its graphs.
 
 Sign conventions here, validated by property tests rather than cited:
 
@@ -40,8 +43,9 @@ from .ratpoly import _number_text, _text_int, parse_poly, ratnorm
 
 #: most vertices a graph may have.  ``degrees`` allocates a slot per vertex
 #: and the differential splits every vertex: d of a 9 999-vertex graph takes
-#: about half a second.  A d or bracket whose terms would pass the bound
-#: raises, as building those terms does.
+#: about half a second.  ``differential`` and ``insert_terms`` check the
+#: vertex count of their terms before building any, so a d or bracket whose
+#: terms would pass the bound raises an error naming the input's count.
 MAX_VERTICES = 10_000
 
 
@@ -92,6 +96,15 @@ class Graph:
 
     def __str__(self):
         return render_graph(self, 1)
+
+
+def simple_graph(n: int, mask: int) -> Graph:
+    """The graph on n vertices whose edges are the pairs of K_n, in the
+    order (1,2),(1,3),...,(1,n),(2,3),..., that ``mask`` selects: bit k
+    selects pair k.  Masks 0..2^(n(n-1)/2)-1 give every simple graph on
+    1..n, each once."""
+    pairs = combinations(range(1, n + 1), 2)
+    return Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
 
 
 def _sort_parity(seq):
@@ -335,6 +348,11 @@ def insert_terms(g1: Graph, g2: Graph):
     g1's edges come first (redirected), g2's are appended.
     """
     n1, n2 = g1.n, g2.n
+    if n1 + n2 - 1 > MAX_VERTICES:
+        raise MalformedGraphError(
+            "inserting a graph on %d vertices into one on %d gives graphs "
+            "on %d vertices, past the bound of %d"
+            % (n2, n1, n1 + n2 - 1, MAX_VERTICES))
     tail = [(n1 - 1 + i, n1 - 1 + j) for (i, j) in g2.edges]
     for v in range(1, n1 + 1):
         # labels above v move down by one; v's own label stays, so the
@@ -404,6 +422,10 @@ def differential(s) -> GraphSum:
     out = GraphSum.zero()
     for g, c in as_graphsum(s).terms.items():
         n, edges, deg = g.n, list(g.edges), g.degrees()
+        if n + 1 > MAX_VERTICES:
+            raise MalformedGraphError(
+                "d of a graph on %d vertices has terms on %d vertices, past "
+                "the bound of %d" % (n, n + 1, MAX_VERTICES))
         split_c = -c if len(edges) % 2 else c
         for v in range(1, n + 1):
             slots = [k for k, e in enumerate(edges) if v in e]

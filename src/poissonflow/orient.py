@@ -629,8 +629,6 @@ def evaluate(gamma, entries) -> Multivector:
                                      width)
         for d, a in _close_vertex(state, n, closing[n], slots, True).items():
             _add_product(acc, a, slots.derivative(n, d), sgn * c, joining)
-    acc = {om: nonzero for om, bucket in acc.items()
-           if (nonzero := {ev: c for ev, c in bucket.items() if c})}
     return merge(SheetedPoly._raw(r, 1, acc, width))
 
 

@@ -4,6 +4,11 @@ Each check is a named callable over a shared object table so that single
 entries can be swapped out (fault injection in tests); a check that raises
 fails alone without stopping the run.  Checks are exact; the only
 tolerances are the stated runtime budgets.
+
+The graph-complex check runs d^2 = 0 on graphs from the one enumerator,
+``gracomplex.simple_graph``: every edge set of K_n for n <= 4 (75 graphs,
+connected or not), and 6 edge sets of K_5 with 1 to 8 edges drawn with
+``PROPERTY_SEED``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import catalog as _catalog
-from .gracomplex import Graph, GraphSum, bracket, differential, point, stick
+from .gracomplex import (GraphSum, bracket, differential, point, simple_graph,
+                         stick)
 from .multivec import (Multivector, _ratio, euler_field, homogeneity_scale,
                        jacobiator, schouten)
 from .orient import cocycle1, flow
@@ -217,13 +223,14 @@ def run_checks(objects=None, fast=False) -> RunReport:
         # as well
         if not (differential(g3).is_zero() and bracket(stick(), g3).is_zero()):
             return False, "d(tetrahedron) != 0"
-        for g in _connected_graphs_up_to(4):
-            if not differential(differential(g)).is_zero():
-                return False, "d^2 != 0 at n <= 4"
-        rng = random.Random(PROPERTY_SEED)
-        for _ in range(6):
-            g = _random_graph(rng, 5)
-            if not differential(differential(g)).is_zero():
+        for n in range(1, 5):
+            for mask in range(1 << n * (n - 1) // 2):
+                if not differential(differential(simple_graph(n, mask))).is_zero():
+                    return False, "d^2 != 0 at n <= 4"
+        # the masks of K5 with 1 to 8 of its 10 edges
+        masks = [m for m in range(1 << 10) if 1 <= m.bit_count() <= 8]
+        for mask in random.Random(PROPERTY_SEED).sample(masks, 6):
+            if not differential(differential(simple_graph(5, mask))).is_zero():
                 return False, "d^2 != 0 at n = 5"
         return True, ""
 
@@ -282,38 +289,3 @@ def run_checks(objects=None, fast=False) -> RunReport:
 
     return report
 
-
-def _connected_graphs_up_to(nmax):
-    """All connected labeled graphs on 1..nmax vertices (no parallel edges)."""
-    out = []
-    for n in range(1, nmax + 1):
-        possible = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        for mask in range(1 << len(possible)):
-            edges = [possible[k] for k in range(len(possible)) if mask >> k & 1]
-            if _is_connected(n, edges):
-                out.append(Graph(n, edges))
-    return out
-
-
-def _is_connected(n, edges):
-    if n == 1:
-        return True
-    adj = {v: set() for v in range(1, n + 1)}
-    for (i, j) in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
-def _random_graph(rng, n, emax=8):
-    possible = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    rng.shuffle(possible)
-    return Graph(n, possible[:rng.randint(1, emax)])

@@ -231,6 +231,7 @@ def test_trivialize_infeasible_cubic_casimir():
     sol = trivialize(p, p, 1)
     assert sol.status == "infeasible"
     assert sol.witness is not None
+    assert not sol.contains(Multivector.zero(3))
     # contrast: a cubic-coefficient bracket is homogenized by the Euler field
     pq = nambu_bivector(parse_poly("x1^4 + x2^4 + x3^4", 3))
     sol2 = trivialize(pq, pq, 1)

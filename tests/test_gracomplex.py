@@ -12,7 +12,7 @@ from poissonflow.gracomplex import (Graph, GraphSum, bracket, canonicalize,
                                     differential, insert, insert_terms,
                                     is_cocycle, parse_graph, parse_graphsum,
                                     point, render_graph, render_graphsum,
-                                    stick, tetrahedron)
+                                    simple_graph, stick, tetrahedron)
 
 from test_differential_oracle import CLASSES
 
@@ -216,13 +216,19 @@ def test_differential_bigrading():
             assert term.n_edges == g.n_edges + 1
 
 
+def test_simple_graph_reads_the_mask_in_pair_order():
+    assert simple_graph(1, 0) == point()
+    assert simple_graph(4, 0b100001) == Graph(4, ((1, 2), (3, 4)))
+    assert simple_graph(4, (1 << 6) - 1) == tetrahedron()
+    graphs = {simple_graph(5, mask) for mask in range(1 << 10)}
+    assert len(graphs) == 1 << 10
+    assert {g.n_edges for g in graphs} == set(range(11))
+
+
 def test_d_squared_zero_exhaustive_small():
     for n in range(1, 4):
-        possible = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        for mask in range(1 << len(possible)):
-            edges = [possible[k] for k in range(len(possible)) if mask >> k & 1]
-            g = Graph(n, edges)
-            assert differential(differential(g)).is_zero()
+        for mask in range(1 << n * (n - 1) // 2):
+            assert differential(differential(simple_graph(n, mask))).is_zero()
 
 
 def test_d_squared_zero_random_n5():
@@ -280,6 +286,23 @@ def test_graphsum_format_cases():
     assert render_graphsum(s) == two_line
     with pytest.raises(ParseError):
         parse_graph("graph{n=2; edges=(1,2)}")
+
+
+def test_graphsum_constructor_canonicalizes_and_adds_its_terms():
+    # one transposition of the tetrahedron's edges, a zero path, and a stick
+    # beside an isolated vertex in labels that are not canonical
+    swapped = Graph(4, ((1, 3), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)))
+    s = GraphSum({tetrahedron(): 3, swapped: 1, Graph(3, ((1, 2), (2, 3))): 5,
+                  Graph(3, ((2, 3),)): Fraction(2, 4)})
+    assert s.terms == {tetrahedron(): 2, Graph(3, ((1, 2),)): Fraction(1, 2)}
+    assert GraphSum({swapped: 1, tetrahedron(): 1}).is_zero()
+
+
+def test_graphsum_sums_and_scales_to_zero():
+    s = GraphSum.single(stick(), Fraction(1, 3)) + GraphSum.single(tetrahedron())
+    assert (s + GraphSum.single(stick(), Fraction(-1, 3))).terms == {tetrahedron(): 1}
+    assert (s - s).terms == {}
+    assert s.scale(0).terms == {}
 
 
 def test_parse_graph_coefficient_uses_polynomial_numbers():

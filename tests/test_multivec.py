@@ -266,6 +266,8 @@ def test_homogeneity_scale_cases(P1, QP1, euler4):
     v = mv(1, i1="1/2*x1")
     p = mv(1, i="x1^3")
     assert homogeneity_scale(v, p) == Fraction(3, 2)
+    with pytest.raises(PreconditionError, match="must be a 1-vector"):
+        homogeneity_scale(P1, P1)
 
 
 def test_euler_field_values():
@@ -335,6 +337,20 @@ def test_xi_index_below_one_reported_at_its_position():
     with pytest.raises(ParseError) as exc:
         parse_multivector(text)
     assert exc.value.position == text.index("xi0") == 15
+
+
+@pytest.mark.parametrize("components, error, match", [
+    ({(3,): Poly.variable(2, 1)}, IndexError, "xi index out of range"),
+    ({(0, 1): Poly.variable(2, 1)}, IndexError, "xi index out of range"),
+    ({(2, 1): Poly.variable(2, 1)}, ValueError, "strictly increasing"),
+    ({(1, 1): Poly.variable(2, 1)}, ValueError, "strictly increasing"),
+    ({(1,): 1}, TypeError, "component must be a Poly"),
+    ({(1,): Poly.variable(3, 1)}, DimensionError, "over 3 variables, expected 2"),
+], ids=["index-past-nvars", "index-zero", "decreasing", "repeated", "not-a-poly",
+        "other-dimension"])
+def test_multivector_rejects_malformed_components(components, error, match):
+    with pytest.raises(error, match=match):
+        Multivector(2, components)
 
 
 def test_dimension_mismatch_raises():

@@ -39,6 +39,16 @@ def test_add_dimension_error():
         P("x1", 1) + P("x1", 2)
 
 
+def test_constructors_reject_malformed_exponents_and_indices():
+    with pytest.raises(DimensionError, match="does not have length 2"):
+        Poly(2, {(1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(2, {(1, -1): 1})
+    for i in (0, 3):
+        with pytest.raises(IndexError, match="out of range 1..2"):
+            Poly.variable(2, i)
+
+
 # -- multiplication ------------------------------------------------------
 
 

@@ -16,8 +16,8 @@ from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
                                     trivialize)
 from poissonflow.errors import (DimensionError, MalformedGraphError,
                                ParseError, PreconditionError)
-from poissonflow.gracomplex import (MAX_VERTICES, Graph, GraphSum, parse_graph,
-                                   stick)
+from poissonflow.gracomplex import (MAX_VERTICES, Graph, GraphSum,
+                                   insert_terms, parse_graph, stick)
 from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
                                   homogeneity_scale, parse_multivector,
                                   render_multivector, schouten, schouten_sym)
@@ -601,6 +601,30 @@ def test_cli_graph_past_the_vertex_bound_exits_2_at_once(command, n, capsys):
     code = main(argv)
     assert (code,) + capsys.readouterr() == (
         2, "", "error: vertex count %d exceeds %d\n" % (n, MAX_VERTICES))
+
+
+@pytest.mark.parametrize("command", ["graph-d", "graph-bracket"])
+def test_cli_terms_past_the_vertex_bound_name_the_input(command, capsys):
+    # a graph on the bound is accepted, but its d and its bracket with the
+    # stick have one vertex more: the error names the count that was given
+    graph = "graph{n=%d; edges=(1,2); c=1}" % MAX_VERTICES
+    argv = ([command, "--graph", graph] if command == "graph-d" else
+            [command, "--left", graph, "--right", "graph{n=2; edges=(1,2); c=1}"])
+    message = ("d of a graph on 10000 vertices has terms on 10001 vertices"
+               if command == "graph-d" else
+               "inserting a graph on 2 vertices into one on 10000 gives graphs "
+               "on 10001 vertices")
+    code = main(argv)
+    assert (code,) + capsys.readouterr() == (
+        2, "", "error: %s, past the bound of 10000\n" % message)
+
+
+def test_insertion_past_the_vertex_bound_builds_no_term():
+    big = Graph(MAX_VERTICES, ((1, 2),))
+    for g1, g2 in ((big, stick()), (stick(), big)):
+        with pytest.raises(MalformedGraphError, match="on 10001 vertices"):
+            next(insert_terms(g1, g2))
+    assert next(insert_terms(big, Graph(1, ()))).n == MAX_VERTICES
 
 
 def test_graph_vertex_bound_is_inclusive():

@@ -47,7 +47,7 @@ term's coefficient is relative to that order.
   by (slot, mu), at the parity of that sort from sheet-major order; two
   factors on one (slot, mu) make it zero.  Even blocks move with their
   sheets, and blocks sharing a slot add.  ``_SheetMap`` works this out
-  once per odd mask for ``merge``, a fold, the neighbour order and the
+  once per odd mask for ``merge``, a fold, the twin order and the
   product with entry n.
 - Folding a finished sheet.  At vertex n the edges act in ascending order
   of i, so once the edges at i have acted no later edge touches sheet i or
@@ -57,20 +57,37 @@ term's coefficient is relative to that order.
   keep their place, so a later edge's left-derivative sign counts the
   same factors.  ``merge`` of a folded state is ``merge`` of the unfolded
   one, and terms that agree after folding are added before the next edge.
-- Sorting the last vertex's neighbours.  Once vertices 1..n-1 are closed,
-  the rest of the evaluation is F = merge . E_(i1 n) ... E_(im n) . (times
-  d(entry n)), over the edges (i, n) in ascending order.  Let sigma permute
-  the sheets of n's distinct neighbours.  Relabelling sheets is an algebra
-  map; it commutes with a factor in sheet n and with ``merge``, which
-  identifies every sheet, and turns E_(i n) into E_(sigma(i) n), whose
-  re-sorting costs sgn(sigma).  So F(sigma x) = sgn(sigma) F(x) for every
-  state x and any entries, with no graph automorphism needed; a repeated
-  edge (i, n) makes F zero, as E_(i n)^2 = 0.  While vertex n-1 is
-  multiplied in, each product term x is therefore written as sgn(sigma)
-  sigma x, with sigma picked from its odd mask alone: it sorts the
-  neighbours' odd blocks ascending, ties kept in place, and sigma x
-  carries the relabelling sign.  Terms that differ by such a swap are
-  then added before the edges at n act on them.
+- Twin sheets.  When sheet k < n is multiplied in, the rest of the
+  evaluation F is the edges still to act, the later entries and ``merge``.
+  Sheets 1..k with an edge to the same set S of vertices j > k are twins.
+  Let sigma permute one class C of twins.  Relabelling sheets is an
+  algebra map; it commutes with a factor in a sheet above k and with
+  ``merge``, which identifies every sheet, and it turns E_(i j), i in C,
+  into E_(sigma(i) j).  For each j in S the edges (i, j), i in C, keep
+  their places among the edges at j, so putting them back in ascending
+  order costs sgn(sigma), the edge operators being odd.  So F(sigma x) =
+  sgn(sigma)^|S| F(x) for every state x and any entries, placements with
+  v != p included, with no graph automorphism needed.  A repeated edge
+  makes a graph zero, as E_ij^2 = 0, and ``evaluate`` skips it.  While
+  sheet k is multiplied in, each product term x is therefore written as
+  sgn(sigma)^|S| sigma x, with sigma picked per class from the odd mask
+  alone: it sorts the class's odd blocks ascending, ties kept in place,
+  and sigma x carries the relabelling sign.  Terms that differ by a swap
+  of twins are then added before the edges act on them.  Only twins whose
+  entries have one xi-degree are sorted together: a swap of sheets whose
+  entries differ in degree seldom maps a term onto another, and the sort
+  would only scatter terms that the later edges add.  The class with S
+  empty, the finished sheets, is folded into its lowest sheet instead.
+  The fold is an algebra map fixing every other sheet, so it commutes with
+  the edges left, none of which acts on a finished sheet, and ``merge`` of
+  a folded state is ``merge`` of the unfolded one: F is unchanged.  The
+  fold also adds terms whose finished sheets tie in their odd blocks and
+  differ in their even ones, which a sort keeps apart.  At vertex n, once
+  the edge (i, n) has acted, the neighbours of n that later edges reach
+  are twins with S = {n}, and the sheet map of that edge step sorts them
+  as it folds.  The edge's derivative is in slot 1 or in a sheet
+  that folds, so the sort read off a mask's blocks above the folded
+  sheets is the same before and after the derivative.
 - Edge order costs the permutation's parity.  Each E_ij is odd, so two
   edge operators anticommute; applying the edges sorted by (larger
   endpoint, smaller endpoint) instead of in listed order multiplies the
@@ -94,11 +111,12 @@ Internally a sheeted polynomial groups its terms by odd mask,
 of ``width`` bits of even exponent per (sheet, mu) variable, both ordered
 sheet-major.  Every sign, target mask and exponent shift above depends on
 the odd mask alone, so ``apply_edge`` and each sheet map compute them once
-per mask.  The width is 8 bits, widened to the bit length of n times the
-largest exponent of the n vertex contents, so one field holds the sum of a
-variable's exponents over all sheets: edges only lower exponents, so no
-field overflows into its neighbour, and a sheet map adds the blocks that
-share a slot as plain integers without a carry between fields.  Terms
+per mask.  The width is the bit length of n times the largest exponent of
+the n vertex contents, at least 1 bit in ``evaluate`` and 8 in ``lift``,
+so one field holds the sum of a variable's exponents over all sheets:
+edges only lower exponents, so no field overflows into its neighbour, and
+a sheet map adds the blocks that share a slot as plain integers without a
+carry between fields; the narrowest such width keeps keys short.  Terms
 vanish as soon as a derivative misses, which is what keeps the expansion
 of dense cocycles tractable.
 """
@@ -123,12 +141,15 @@ class SheetedPoly:
     and never empty; ``terms`` is a flat copy (even_key, odd_mask) -> c.
     Even exponents occupy ``width`` bits per variable, enough for the sum
     of a variable's exponents over all sheets: 8 for keys given to the
-    constructor, which rejects larger sums, and wide enough for all n
-    vertex contents in ``lift`` and ``evaluate``.  Odd exponents are 0/1
-    and a term's sign is relative to ascending (sheet-major) odd order.
-    Inside ``evaluate`` the sheets of the last vertex fold into slot 1, so
-    slot 1 may hold the odd factors (sorted by mu) and summed exponents of
-    several entries, up to all n of them.
+    constructor, which rejects larger sums; in ``lift`` 8 or more, wide
+    enough for all n vertex contents; in ``evaluate`` just wide enough for
+    them, down to 1 bit for constant entries.  Odd exponents are 0/1 and a
+    term's sign is relative to ascending (sheet-major) odd order.  Inside
+    ``evaluate`` twin sheets are permuted and finished sheets folded as
+    each sheet comes in, so a sheet may hold other entries than its own,
+    and the sheets of the last vertex fold into slot 1, so slot 1 may hold
+    the odd factors (sorted by mu) and summed exponents of several entries,
+    up to all n of them.
     """
 
     __slots__ = ("nvars", "sheets", "groups", "width")
@@ -183,9 +204,9 @@ class SheetedPoly:
             self.nvars, self.sheets, len(self.terms))
 
 
-def _unit(entries) -> SheetedPoly:
+def _unit(entries, floor=8) -> SheetedPoly:
     """The product over no sheets, wide enough for the n entries: the field
-    width holds n times their largest exponent."""
+    width holds n times their largest exponent, and is at least ``floor``."""
     if not entries:
         raise PreconditionError("empty vertex tuple")
     r = entries[0].nvars
@@ -193,7 +214,7 @@ def _unit(entries) -> SheetedPoly:
         raise DimensionError("vertex contents over different dimensions")
     top = max((e for mv in entries for poly in mv.components.values()
                for exps in poly.terms for e in exps), default=0)
-    width = max(8, (len(entries) * top).bit_length())
+    width = max(floor, (len(entries) * top).bit_length())
     return SheetedPoly._raw(r, 0, {0: {0: 1}}, width)
 
 
@@ -208,12 +229,13 @@ def _add_times_sheet(groups, left, mv, base, width, sorting=None):
     """groups += left times ``mv`` in the sheet whose odd bits start at
     ``base``.  Its bits and exponent fields lie above those of ``left``,
     so no sign arises and one product has no two terms with a common key.
-    With ``sorting``, a ``_NeighbourOrder``, each product is written with the
-    last vertex's neighbour sheets in the order its mask picks: the left
-    keys and the factor's keys are moved separately, and as the move is
-    blockwise their sums are the moved product keys, still distinct.  The
-    factor has a block in its own sheet only, so only that sheet's move
-    touches it."""
+    With ``sorting``, the ``_SheetMap`` of the twin sheets ("Twin sheets"
+    in the module docstring), each product is written with each class in
+    the order its mask picks and the finished sheets folded: the left keys
+    and the factor's keys are moved separately, and as the move is
+    blockwise their sums are the moved product keys, distinct unless a
+    fold adds blocks.  The factor has a block in its own sheet only, so
+    only that sheet's move touches it."""
     own = base * width
     for idx, poly in mv.components.items():
         om2 = sum(1 << (base + i - 1) for i in idx)
@@ -222,11 +244,26 @@ def _add_times_sheet(groups, left, mv, base, width, sorting=None):
         for om1, bucket in left.items():
             om, pairs, right = om1 | om2, bucket.items(), factor
             if sorting is not None:
-                om, sgn, moves = sorting[om]
+                got = sorting[om]
+                if got is None:
+                    continue
+                om, sgn, moves = got
                 pairs = sorting.moved(pairs, moves)
                 right = sorting.moved(factor, [m for m in moves if m[0] == own])
                 if sgn < 0:
                     right = [(ev2, -c2) for ev2, c2 in right]
+                if sorting.slots:
+                    # folded blocks add, so two products may share a key
+                    target = groups.setdefault(om, {})
+                    for ev1, c1 in pairs:
+                        for ev2, c2 in right:
+                            key = ev1 + ev2
+                            cur = target.get(key, 0) + c1 * c2
+                            if cur:
+                                target[key] = cur
+                            else:
+                                del target[key]
+                    continue
             prod = {ev1 + ev2: c1 * c2 for ev1, c1 in pairs for ev2, c2 in right}
             if om in groups:
                 _add_signed(groups, om, prod, 1)
@@ -269,23 +306,39 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
 class _SheetMap(dict):
     """A sheet relabelling ("Relabelling sheets" in the module docstring).
 
-    ``slots`` maps 1-based sheets to slots, a sheet it leaves out keeping
-    its place; ``place(om)`` returns it with sign +1, and a subclass may
-    pick a map and a sign per odd mask.  The table maps each odd mask to
-    (new mask, sign, moves), or to None when two odd factors land on one
-    (slot, mu); ``moves`` holds one (shift, delta) per moved sheet, and
-    ``moved`` adds delta times the even block at shift to a key.
+    ``slots`` maps 1-based sheets to slots, as a dict or (sheet, slot)
+    pairs, a sheet it leaves out keeping its place.  ``classes`` holds
+    (sheets, power) pairs of twin sheets ("Twin sheets" in the module
+    docstring): ``place(om)`` adds to ``slots`` the permutation sigma of
+    each class that sorts its odd blocks ascending, ties kept in place,
+    and gives sgn(sigma)^power over the classes as the map's sign.  The
+    table maps each odd mask to (new mask, sign times the relabelling
+    sign, moves), or to None when two odd factors land on one (slot, mu);
+    ``moves`` holds one (shift, delta) per moved sheet, and ``moved`` adds
+    delta times the even block at shift to a key.  Tables live for the
+    process (``_table``).
     """
 
-    def __init__(self, r, width, slots):
+    def __init__(self, r, width, slots, classes=()):
         super().__init__()
-        self.r, self.width, self.slots = r, width, slots
+        self.r, self.width, self.slots, self.classes = r, width, dict(slots), classes
         self.block = r * width
         self.mask_b = (1 << self.block) - 1
-        self.moves = self._moves(slots)
+        self.moves = self._moves(self.slots)
 
     def place(self, om):
-        return self.slots, 1
+        if not self.classes:
+            return self.slots, 1
+        r, mask_r = self.r, (1 << self.r) - 1
+        slots, sgn = dict(self.slots), 1
+        for sheets, power in self.classes:
+            # the class's sheets in their new order: by odd block, ties by sheet
+            src, parity = _sort_parity([((om >> ((s - 1) * r)) & mask_r, s)
+                                        for s in sheets])
+            slots.update((s, t) for (_, s), t in zip(src, sheets) if s != t)
+            if power & 1:
+                sgn *= parity
+        return slots, sgn
 
     def _moves(self, slots):
         block = self.block
@@ -333,6 +386,30 @@ class _SheetMap(dict):
                 for ev, c in pairs]
 
 
+# the process's sheet-map tables, keyed by (kind, r, width, and the slot
+# map, fold range or classes); ``merge``, the last step of every
+# evaluation, drops them all once they hold more than _TABLE_BOUND entries
+_TABLES = {}
+_TABLE_BOUND = 1 << 15
+
+
+def _table(kind, *args):
+    """The table ``kind(*args)`` of a ``_SheetMap`` kind, made on first use
+    and kept for the process."""
+    key = (kind,) + args
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = kind(*args)
+    return table
+
+
+def _trim_tables():
+    """Drop every kept table once they pass the bound, tables and entries
+    counted; a table still in use lives on with its caller."""
+    if len(_TABLES) + sum(map(len, _TABLES.values())) > _TABLE_BOUND:
+        _TABLES.clear()
+
+
 def merge(sp: SheetedPoly) -> Multivector:
     """Collapse sheets: x^mu_(i) -> x^mu and xi^(i)_mu -> xi_mu.
 
@@ -344,7 +421,7 @@ def merge(sp: SheetedPoly) -> Multivector:
     """
     r, width = sp.nvars, sp.width
     mask_e = (1 << width) - 1
-    table = _SheetMap(r, width, dict.fromkeys(range(2, sp.sheets + 1), 1))
+    table = _table(_SheetMap, r, width, tuple((s, 1) for s in range(2, sp.sheets + 1)))
     comps = {}
     for om, bucket in sp.groups.items():
         got = table[om]
@@ -360,6 +437,7 @@ def merge(sp: SheetedPoly) -> Multivector:
                  ratnorm(c) for key, c in bucket.items() if c}
         if terms:
             out[idx] = Poly._raw(r, terms)
+    _trim_tables()
     return Multivector._raw(r, out)
 
 
@@ -369,13 +447,15 @@ class _Slots(tuple):
     ``derivative(k, (alpha, s))`` is d/dx^alpha d/dxi_s1 ... d/dxi_sm of
     entry k, counted from 1, with s ascending and 0-based (see "Closing a
     vertex" in the module docstring).  Entries that are one object share a
-    table; the tables live as long as one ``evaluate`` call.
+    table; the tables live as long as one ``evaluate`` call.  ``degrees``
+    holds each entry's xi-degree.
     """
 
     def __new__(cls, entries):
         slots = super().__new__(cls, entries)
         tables = {}
         slots.tables = [tables.setdefault(id(mv), {}) for mv in slots]
+        slots.degrees = [mv.degree() for mv in slots]
         return slots
 
     def derivative(self, k, d):
@@ -429,19 +509,29 @@ def _add_derivative(groups, om, bucket, sgn, shift, mask_e):
 
 
 class _Fold(_SheetMap):
-    """The sheet map of lo..hi to slot 1, inside an edge step, sheets
-    2..lo-1 being folded already ("Folding a finished sheet" in the module
-    docstring).  ``terms`` moves a bucket's keys once, as ((folded key,
-    c), key); ``signed`` and ``derivative`` then add like ``_add_signed`` and
-    ``_add_derivative``, into folded keys at the table's mask and sign.
+    """The sheet map of an edge step at the last vertex: sheets lo..hi go
+    to slot 1, sheets 2..lo-1 being folded already ("Folding a finished
+    sheet" in the module docstring), and the neighbour sheets that later
+    edges reach are twins of power 1, sorted in the classes ``rest``
+    ("Twin sheets").
+    ``terms`` moves a bucket's keys once per source mask, as ((folded key,
+    c), key); ``signed`` and ``derivative`` then add like ``_add_signed``
+    and ``_add_derivative``, into folded keys at the table's mask and sign.
     The edge's derivative is in slot 1 or in sheet lo, which folds in this
-    step, so it lowers slot 1's field of the same mu."""
+    step, so it lowers slot 1's field of the same mu and leaves the blocks
+    above hi, which pick the sort, as they are."""
 
-    def __init__(self, r, width, lo, hi):
-        super().__init__(r, width, dict.fromkeys(range(lo, hi + 1), 1))
+    def __init__(self, r, width, lo, hi, rest):
+        super().__init__(r, width, dict.fromkeys(range(lo, hi + 1), 1), rest)
+        self.cut = hi * r
 
-    def terms(self, bucket):
-        return list(zip(self.moved(bucket.items(), self.moves), bucket))
+    def terms(self, bucket, om):
+        moves = self.moves
+        if self.classes:
+            # the source mask's own entry may be None, where the edge's
+            # derivative removes the clash; its blocks above hi never clash
+            moves = self[om >> self.cut << self.cut][2]
+        return list(zip(self.moved(bucket.items(), moves), bucket))
 
     def signed(self, groups, om, terms, sgn):
         got = self[om]
@@ -476,30 +566,9 @@ class _Fold(_SheetMap):
                     del target[key]
 
 
-class _NeighbourOrder(_SheetMap):
-    """Sorting the neighbour sheets of the last vertex while vertex n-1 is
-    multiplied in ("Sorting the last vertex's neighbours" in the module
-    docstring).  ``neighbours`` are the distinct 1-based sheets with an
-    edge to the last vertex; ``place`` picks the permutation sigma that
-    sorts their odd blocks ascending, ties kept in place, and gives it
-    with sgn(sigma), so the table's sign is sgn(sigma) times the
-    relabelling sign."""
-
-    def __init__(self, r, width, neighbours):
-        super().__init__(r, width, {})
-        self.neighbours = neighbours
-
-    def place(self, om):
-        r, sheets = self.r, self.neighbours
-        # the sheets in their new order: by odd block, ties by sheet
-        src, sgn = _sort_parity([((om >> ((s - 1) * r)) & ((1 << r) - 1), s)
-                                 for s in sheets])
-        return {s: t for (_, s), t in zip(src, sheets) if s != t}, sgn
-
-
 class _NoFold:
     """An edge step that folds no sheet: plain buckets, plain adds."""
-    terms = staticmethod(lambda bucket: bucket)
+    terms = staticmethod(lambda bucket, om: bucket)
     signed = staticmethod(_add_signed)
     derivative = staticmethod(_add_derivative)
 
@@ -509,23 +578,26 @@ def _close_vertex(state, k, edges, slots, fold):
     ``state`` times entry k ("Closing a vertex" in the module docstring):
     the map from each derivative descriptor d of entry k to the groups of
     A_d.  With ``fold`` each sheet is folded into slot 1 as soon as no edge
-    is left to act on it, so every A_d comes back in one slot."""
+    is left to act on it, so every A_d comes back in one slot, and after
+    each edge the neighbour sheets later edges reach are sorted."""
     r, width = state.nvars, state.width
     mask_e = (1 << width) - 1
     # sheets below ends[t] are finished before edge t acts, all after the last
     ends = [i for i, _ in edges] + [k]
     groups = state.groups
     if fold and ends[0] > 2:
-        folding, groups = _Fold(r, width, 2, ends[0] - 1), {}
+        folding, groups = _table(_Fold, r, width, 2, ends[0] - 1, ()), {}
         for om, bucket in state.groups.items():
-            folding.signed(groups, om, folding.terms(bucket), 1)
+            folding.signed(groups, om, folding.terms(bucket, om), 1)
         groups = {om: t for om, t in groups.items() if t}
     start = ((0,) * r, ())
     descs = {start: groups} if groups and slots.derivative(k, start) else {}
     for t, (i, _) in enumerate(edges):
         base = (i - 1) * r
         lo, hi = max(i, 2), ends[t + 1] - 1
-        folding = _Fold(r, width, lo, hi) if fold and lo <= hi else _NoFold
+        rest = _same_degree(ends[t + 1:-1], slots, 1) if fold else ()
+        folding = (_table(_Fold, r, width, lo, hi, rest)
+                   if fold and (lo <= hi or rest) else _NoFold)
         out = {}
         for (alpha, s), groups in descs.items():
             xis, xs = [], []
@@ -542,7 +614,7 @@ def _close_vertex(state, k, edges, slots, fold):
                 if slots.derivative(k, d):
                     xs.append(((base + mu) * width, pos, out.setdefault(d, {})))
             for om, bucket in groups.items():
-                terms = folding.terms(bucket)
+                terms = folding.terms(bucket, om)
                 for bit, target in xis:
                     if om & bit:
                         sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
@@ -590,37 +662,43 @@ def evaluate(gamma, entries) -> Multivector:
     coefficient, canonical or not.
     Vertices close in label order: the edges (i, k), i < k, act by the
     Leibniz rule on derivatives of entry k, and only then is sheet k
-    multiplied in.  As sheet n-1 comes in, each product term is written
-    with the sheets of n's neighbours in the order its odd mask picks, so
-    terms that differ by a swap of those sheets are added before the edges
-    at n act.  At vertex n the sheets fold into slot 1 as they finish, and
-    each folded state is multiplied by its derivative of entry n into one
-    accumulator that is merged once (see the sign ledger in the module
-    docstring).
+    multiplied in.  As each sheet k < n comes in, each product term is
+    written with every class of twin sheets, those with edges to the same
+    later vertices, in the order its odd mask picks, and with the sheets
+    that have no edge left folded into one, so terms that differ by a swap
+    of twins are added before the later edges act.  At vertex n the sheets
+    fold into slot 1 as they finish, each edge step sorts the neighbours
+    that later edges reach, and each folded state is multiplied by its
+    derivative of entry n into one accumulator that is merged once (see
+    the sign ledger in the module docstring).  A term with a repeated edge
+    is zero and is skipped.  Keys are ``width`` bits per variable, the bit
+    length of n times the largest exponent of the entries.
     """
     terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
     slots = _Slots(entries)
-    if any(mv.degree() is None for mv in slots):
+    if None in slots.degrees:
         raise PreconditionError("vertex contents must have pure xi-degree")
     n = len(slots)
-    unit = _unit(slots)
+    unit = _unit(slots, 1)
     r, width = unit.nvars, unit.width
-    joining = _SheetMap(r, width, {2: 1})
+    joining = _table(_SheetMap, r, width, ((2, 1),))
     acc = {}
     for graph, c in terms:
         if graph.n != n:
             raise PreconditionError(
                 "graph on %d vertices fed %d multivectors" % (graph.n, n))
+        if len(set(graph.edges)) < len(graph.edges):
+            continue  # a repeated edge: E_ij E_ij = 0
         # edges are stored (i, j) with i < j: edge (i, j) closes vertex j
         order, sgn = _sort_parity([(j, i) for i, j in graph.edges])
         closing = [[] for _ in range(n + 1)]
         for j, i in order:
             closing[j].append((i, j))
-        neighbours = sorted({i for i, _ in closing[n]})
         state = unit
         for k in range(1, n):
-            sorting = (_NeighbourOrder(r, width, neighbours)
-                       if k == n - 1 and len(neighbours) > 1 else None)
+            folds, twins = _twins(closing, k, slots)
+            sorting = (_table(_SheetMap, r, width, folds, twins)
+                       if folds or twins else None)
             groups = {}
             for d, a in _close_vertex(state, k, closing[k], slots, False).items():
                 _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r,
@@ -630,6 +708,37 @@ def evaluate(gamma, entries) -> Multivector:
         for d, a in _close_vertex(state, n, closing[n], slots, True).items():
             _add_product(acc, a, slots.derivative(n, d), sgn * c, joining)
     return merge(SheetedPoly._raw(r, 1, acc, width))
+
+
+def _twins(closing, k, slots):
+    """The twin sheets as sheet k is multiplied in ("Twin sheets" in the
+    module docstring): sheets 1..k grouped by the set S of vertices j > k
+    they have an edge to.  Returns the finished sheets, S empty, as (sheet,
+    slot) pairs folding them into the lowest of them, and the other
+    classes as ``_same_degree`` gives them, with power |S|."""
+    later = {i: [] for i in range(1, k + 1)}
+    for j in range(k + 1, len(closing)):
+        for i, _ in closing[j]:
+            if i <= k:
+                later[i].append(j)
+    classes = {}
+    for i, js in later.items():
+        classes.setdefault(tuple(js), []).append(i)
+    done = classes.pop((), [])
+    return (tuple((s, done[0]) for s in done[1:]),
+            tuple(c for js, sheets in classes.items()
+                  for c in _same_degree(sheets, slots, len(js))))
+
+
+def _same_degree(sheets, slots, power):
+    """The classes of two or more of ``sheets`` whose entries have one
+    xi-degree, as (sheets, power) pairs: a swap of sheets whose entries
+    differ in degree seldom maps a term onto another, and sorting them
+    only scatters terms that the later edges would add."""
+    groups = {}
+    for s in sheets:
+        groups.setdefault(slots.degrees[s - 1], []).append(s)
+    return tuple((tuple(g), power) for g in groups.values() if len(g) > 1)
 
 
 def _vertex_count(gamma) -> int:

@@ -8,7 +8,7 @@ of every key and adds the exponents as Python integers, so it has no width
 limit.  The cases sit on both sides of the width boundaries.
 
 ``_SheetMap`` relabels sheets for ``merge``, the last-vertex fold, the
-neighbour order and the product with entry n.  ``relabel_oracle`` lists
+twin order and the product with entry n.  ``relabel_oracle`` lists
 the (sheet, mu) odd factors, sorts them by (slot, mu) with a bubble sort
 that counts its swaps, and moves the even exponents field by field.
 """
@@ -20,8 +20,8 @@ import pytest
 
 from poissonflow.errors import DimensionError
 from poissonflow.multivec import Multivector
-from poissonflow.orient import (SheetedPoly, _NeighbourOrder, _SheetMap, apply_edge,
-                                lift, merge)
+from poissonflow.orient import (SheetedPoly, _Fold, _SheetMap, apply_edge, lift,
+                                merge)
 from poissonflow.ratpoly import Poly, ratnorm
 
 from test_orient_oracle import rand_grade
@@ -224,22 +224,101 @@ def test_moved_returns_its_input_when_nothing_moves():
     assert table.moved(pairs, table[0b1010][2]) is pairs
 
 
+def sorting_oracle(r, om, classes):
+    """The slots and sign of sorting each class's odd blocks by bubble sort:
+    the sign is the product of sgn(sigma)^power."""
+    slots, sgn = {}, 1
+    for sheets, power in classes:
+        blocks = [((om >> ((s - 1) * r)) & ((1 << r) - 1), t)
+                  for t, s in enumerate(sheets)]
+        order, swaps = bubble_sort(blocks)
+        slots.update({sheets[src]: sheets[t] for t, (_, src) in enumerate(order)})
+        if swaps & 1 and power & 1:
+            sgn = -sgn
+    return slots, sgn
+
+
+def random_twins(rng, sheets, count):
+    """Up to half the sheets, the finished ones, folded into the lowest of
+    them, and up to ``count`` disjoint classes of two or more of the others,
+    each with a power from 0 to 3."""
+    free = rng.sample(range(1, sheets + 1), sheets)
+    done = sorted(free[:rng.randint(0, sheets // 2)])
+    free = free[len(done):]
+    classes = []
+    while len(classes) < count and len(free) >= 2:
+        size = rng.randint(2, len(free))
+        classes.append((tuple(sorted(free[:size])), rng.randint(0, 3)))
+        free = free[size:]
+    return {s: done[0] for s in done[1:]}, tuple(classes)
+
+
 def test_neighbour_order_against_the_brute_force():
-    rng = random.Random(940)
-    moved = 0
+    # one class of power 1 is the last vertex's neighbours at n - 1; several
+    # classes with powers |S|, and finished sheets folded, are the twins of
+    # an earlier vertex
+    for many in (False, True):
+        rng = random.Random(940 + many)
+        moved = odd = killed = 0
+        for _ in range(300):
+            r, sheets = rng.randint(1, 4), rng.randint(2 + 2 * many, 6 + 2 * many)
+            width = rng.choice([1, 3, 5, 8])
+            if many:
+                folds, classes = random_twins(rng, sheets, 3)
+            else:
+                neighbours = sorted(rng.sample(range(1, sheets + 1),
+                                               rng.randint(2, sheets)))
+                folds, classes = {}, ((tuple(neighbours), 1),)
+            table = _SheetMap(r, width, folds, classes)
+            for _ in range(3):
+                om = random_mask(rng, r, sheets)
+                sigma, sgn = sorting_oracle(r, om, classes)
+                moved += any(s != t for s, t in sigma.items())
+                odd += sgn < 0
+                hit = check_table(table, rng, r, width, sheets, om,
+                                  {**folds, **sigma}, sgn)
+                assert hit or folds
+                killed += 1 - hit
+        assert moved >= 300
+        assert odd >= 100
+        assert (killed >= 50) == many
+
+
+def test_fold_with_sorted_neighbours_against_the_brute_force():
+    # an edge step at the last vertex: sheets lo..hi to slot 1 and the
+    # neighbours above hi sorted, at sgn(sigma); the source mask's key moves
+    # are the target mask's, also where the source mask's own entry is None
+    rng = random.Random(950)
+    sorted_ = killed = rescued = 0
     for _ in range(300):
-        r, sheets = rng.randint(1, 4), rng.randint(2, 6)
-        width = rng.choice([3, 5, 8])
-        neighbours = sorted(rng.sample(range(1, sheets + 1), rng.randint(2, sheets)))
-        table = _NeighbourOrder(r, width, neighbours)
+        r, sheets = rng.randint(1, 3), rng.randint(3, 7)
+        width = rng.choice([1, 3, 5, 8])
+        hi = rng.randint(1, sheets - 2)
+        lo = rng.randint(2, hi + 1)
+        rest = tuple(sorted(rng.sample(range(hi + 1, sheets + 1),
+                                       rng.randint(0, sheets - hi))))
+        classes = ((rest, 1),) if len(rest) > 1 else ()
+        table = _Fold(r, width, lo, hi, classes)
+        folded = dict.fromkeys(range(lo, hi + 1), 1)
         for _ in range(3):
             om = random_mask(rng, r, sheets)
-            # sigma: stable sort of the neighbours by their odd blocks
-            blocks = [((om >> ((s - 1) * r)) & ((1 << r) - 1), t)
-                      for t, s in enumerate(neighbours)]
-            order, swaps = bubble_sort(blocks)
-            sigma = {neighbours[src]: neighbours[t] for t, (_, src) in enumerate(order)}
-            moved += any(s != t for s, t in sigma.items())
-            assert check_table(table, rng, r, width, sheets, om, sigma,
-                               -1 if swaps & 1 else 1)
-    assert moved >= 300
+            sigma, sgn = sorting_oracle(r, om, classes)
+            sorted_ += any(s != t for s, t in sigma.items())
+            hit = check_table(table, rng, r, width, sheets, om, {**folded, **sigma},
+                              sgn)
+            killed += 1 - hit
+            # a derivative in slot 1 or a folding sheet removes an odd factor
+            # below the sorted blocks
+            low = om & ((1 << (hi * r)) - 1)
+            if not low:
+                continue
+            bit = 1 << (low.bit_length() - 1)
+            keys = list(dict.fromkeys(random_keys(rng, r, width, sheets, 3)))
+            want = relabel_oracle(r, width, sheets, {**folded, **sigma}, om ^ bit, keys)
+            if want is not None:
+                moved = [fev for (fev, _), _ in table.terms(dict.fromkeys(keys, 1), om)]
+                assert moved == want[2]
+                rescued += table[om] is None
+    assert sorted_ >= 100
+    assert killed >= 50
+    assert rescued >= 20

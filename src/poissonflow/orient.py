@@ -35,10 +35,11 @@ term's coefficient is relative to that order.
   sign of that many transpositions; an index already in s gives zero.
   A's with equal descriptors are added, and a descriptor whose derivative
   of entry k is zero is dropped.  For k < n the new state is the sum over
-  d of A_d . d(entry k), adding products that share a key.  At k = n the
-  sheets fold into slot 1 as they finish (next item), so every A_d ends in
-  one slot; each is multiplied by d(entry n) in that slot, B being a
-  second sheet relabelled into slot 1 (see "Relabelling sheets"), into
+  d of A_d . d(entry k), each product relabelled by the twin order of
+  sheet k ("Twin sheets"), adding products that share a key.  At k = n
+  the sheets fold into slot 1 as they finish (next item), so every A_d
+  ends in one slot; the same product multiplies it by d(entry n), B being
+  a second sheet relabelled into slot 1 (see "Relabelling sheets"), into
   one accumulator for all d and graph terms, and ``merge`` of that
   one-slot accumulator is the value.
 - Relabelling sheets.  A sheet map sends each sheet to a slot, several
@@ -47,16 +48,18 @@ term's coefficient is relative to that order.
   by (slot, mu), at the parity of that sort from sheet-major order; two
   factors on one (slot, mu) make it zero.  Even blocks move with their
   sheets, and blocks sharing a slot add.  ``_SheetMap`` works this out
-  once per odd mask for ``merge``, a fold, the twin order and the
-  product with entry n.
+  once per odd mask for ``merge``, the fold of an edge step at vertex n,
+  and every product with a new sheet: the identity in ``lift``, the twin
+  order for sheet k < n and the join into slot 1 for entry n.
 - Folding a finished sheet.  At vertex n the edges act in ascending order
   of i, so once the edges at i have acted no later edge touches sheet i or
   a sheet below it.  Each such sheet is relabelled into slot 1 in the edge
-  step that finishes it (a sheet below the first edge's end before the
-  first edge).  The sheets below it are folded already and those above
-  keep their place, so a later edge's left-derivative sign counts the
-  same factors.  ``merge`` of a folded state is ``merge`` of the unfolded
-  one, and terms that agree after folding are added before the next edge.
+  step that finishes it; the product with sheet n-1 has already folded
+  the sheets with no edge to n into the lowest of them ("Twin sheets").
+  Below a folding sheet all are folded already and those above keep
+  their place, so a later edge's left-derivative sign counts the same
+  factors.  ``merge`` of a folded state is ``merge`` of the unfolded one,
+  and terms that agree after folding are added before the next edge.
 - Twin sheets.  When sheet k < n is multiplied in, the rest of the
   evaluation F is the edges still to act, the later entries and ``merge``.
   Sheets 1..k with an edge to the same set S of vertices j > k are twins.
@@ -221,54 +224,46 @@ def _unit(entries, floor=8) -> SheetedPoly:
 def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
     """``sp`` times ``mv`` rewritten in the variables of a new last sheet."""
     groups = {}
-    _add_times_sheet(groups, sp.groups, mv, sp.sheets * sp.nvars, sp.width)
+    _add_times_sheet(groups, sp.groups, mv, sp.sheets * sp.nvars,
+                     _table(_SheetMap, sp.nvars, sp.width, (), ()), 1)
+    _trim_tables()
     return SheetedPoly._raw(sp.nvars, sp.sheets + 1, groups, sp.width)
 
 
-def _add_times_sheet(groups, left, mv, base, width, sorting=None):
-    """groups += left times ``mv`` in the sheet whose odd bits start at
-    ``base``.  Its bits and exponent fields lie above those of ``left``,
-    so no sign arises and one product has no two terms with a common key.
-    With ``sorting``, the ``_SheetMap`` of the twin sheets ("Twin sheets"
-    in the module docstring), each product is written with each class in
-    the order its mask picks and the finished sheets folded: the left keys
-    and the factor's keys are moved separately, and as the move is
-    blockwise their sums are the moved product keys, distinct unless a
-    fold adds blocks.  The factor has a block in its own sheet only, so
-    only that sheet's move touches it."""
+def _add_times_sheet(groups, left, mv, base, table, scale):
+    """groups += scale * left times ``mv`` in the sheet whose odd bits
+    start at ``base``, each product relabelled by the ``_SheetMap``
+    ``table``: the identity in ``lift``, the twin order for sheet k < n
+    and ``joining`` for entry n ("Relabelling sheets" in the module
+    docstring).  The move is blockwise and ``mv`` has a block in its own
+    sheet only, so the left keys move by the other sheets' moves and the
+    factor's keys by its own; their sums are the moved product keys.  A
+    fold adds blocks, so products may share a key; cancelled sums are
+    deleted, which needs ``scale`` nonzero."""
+    width = table.width
     own = base * width
     for idx, poly in mv.components.items():
         om2 = sum(1 << (base + i - 1) for i in idx)
-        factor = [(sum(e << ((base + mu) * width) for mu, e in enumerate(exps)), c)
-                  for exps, c in poly.terms.items()]
+        factor = [(sum(e << ((base + mu) * width) for mu, e in enumerate(exps)),
+                   scale * c) for exps, c in poly.terms.items()]
         for om1, bucket in left.items():
-            om, pairs, right = om1 | om2, bucket.items(), factor
-            if sorting is not None:
-                got = sorting[om]
-                if got is None:
-                    continue
-                om, sgn, moves = got
-                pairs = sorting.moved(pairs, moves)
-                right = sorting.moved(factor, [m for m in moves if m[0] == own])
-                if sgn < 0:
-                    right = [(ev2, -c2) for ev2, c2 in right]
-                if sorting.slots:
-                    # folded blocks add, so two products may share a key
-                    target = groups.setdefault(om, {})
-                    for ev1, c1 in pairs:
-                        for ev2, c2 in right:
-                            key = ev1 + ev2
-                            cur = target.get(key, 0) + c1 * c2
-                            if cur:
-                                target[key] = cur
-                            else:
-                                del target[key]
-                    continue
-            prod = {ev1 + ev2: c1 * c2 for ev1, c1 in pairs for ev2, c2 in right}
-            if om in groups:
-                _add_signed(groups, om, prod, 1)
-            else:
-                groups[om] = prod
+            got = table[om1 | om2]
+            if got is None:
+                continue
+            om, sgn, moves = got
+            pairs = table.moved(bucket.items(), [m for m in moves if m[0] != own])
+            right = table.moved(factor, [m for m in moves if m[0] == own])
+            if sgn < 0:
+                right = [(ev2, -c2) for ev2, c2 in right]
+            target = groups.setdefault(om, {})
+            for ev1, c1 in pairs:
+                for ev2, c2 in right:
+                    key = ev1 + ev2
+                    cur = target.get(key, 0) + c1 * c2
+                    if cur:
+                        target[key] = cur
+                    else:
+                        del target[key]
 
 
 def lift(entries) -> SheetedPoly:
@@ -388,7 +383,8 @@ class _SheetMap(dict):
 
 # the process's sheet-map tables, keyed by (kind, r, width, and the slot
 # map, fold range or classes); ``merge``, the last step of every
-# evaluation, drops them all once they hold more than _TABLE_BOUND entries
+# evaluation, and ``_times_sheet``, each step of ``lift``, drop them all
+# once they hold more than _TABLE_BOUND entries
 _TABLES = {}
 _TABLE_BOUND = 1 << 15
 
@@ -510,10 +506,10 @@ def _add_derivative(groups, om, bucket, sgn, shift, mask_e):
 
 class _Fold(_SheetMap):
     """The sheet map of an edge step at the last vertex: sheets lo..hi go
-    to slot 1, sheets 2..lo-1 being folded already ("Folding a finished
-    sheet" in the module docstring), and the neighbour sheets that later
-    edges reach are twins of power 1, sorted in the classes ``rest``
-    ("Twin sheets").
+    to slot 1, sheets 2..lo-1 being folded already by the product with
+    sheet n-1 or an earlier step ("Folding a finished sheet" in the module
+    docstring), and the neighbour sheets that later edges reach are twins
+    of power 1, sorted in the classes ``rest`` ("Twin sheets").
     ``terms`` moves a bucket's keys once per source mask, as ((folded key,
     c), key); ``signed`` and ``derivative`` then add like ``_add_signed``
     and ``_add_derivative``, into folded keys at the table's mask and sign.
@@ -585,11 +581,6 @@ def _close_vertex(state, k, edges, slots, fold):
     # sheets below ends[t] are finished before edge t acts, all after the last
     ends = [i for i, _ in edges] + [k]
     groups = state.groups
-    if fold and ends[0] > 2:
-        folding, groups = _table(_Fold, r, width, 2, ends[0] - 1, ()), {}
-        for om, bucket in state.groups.items():
-            folding.signed(groups, om, folding.terms(bucket, om), 1)
-        groups = {om: t for om, t in groups.items() if t}
     start = ((0,) * r, ())
     descs = {start: groups} if groups and slots.derivative(k, start) else {}
     for t, (i, _) in enumerate(edges):
@@ -627,30 +618,6 @@ def _close_vertex(state, k, edges, slots, fold):
     return descs
 
 
-def _add_product(acc, left, mv, c, joining):
-    """acc += c * left . mv, with ``left`` and ``acc`` in one slot.
-    ``joining`` is the sheet map taking a second sheet, mv's, into slot 1:
-    its sign moves each factor of mv past the odd factors of ``left`` with
-    larger mu, and it kills a term with a shared mu.  mv's keys are
-    written in slot 1, where that map moves them."""
-    r, width = joining.r, joining.width
-    for idx, poly in mv.components.items():
-        om2 = sum(1 << (r + mu - 1) for mu in idx)
-        factor = [(sum(e << (mu * width) for mu, e in enumerate(exps)), c * c2)
-                  for exps, c2 in poly.terms.items()]
-        for om1, bucket in left.items():
-            got = joining[om1 | om2]
-            if got is None:
-                continue
-            om, sgn, _ = got
-            signed = factor if sgn > 0 else [(ev2, -c2) for ev2, c2 in factor]
-            target = acc.setdefault(om, {})
-            for ev1, c1 in bucket.items():
-                for ev2, c2 in signed:
-                    key = ev1 + ev2
-                    target[key] = target.get(key, 0) + c1 * c2
-
-
 def evaluate(gamma, entries) -> Multivector:
     """Total evaluation of a graph sum, or of one graph as given, on a tuple
     of multivectors.
@@ -669,10 +636,11 @@ def evaluate(gamma, entries) -> Multivector:
     of twins are added before the later edges act.  At vertex n the sheets
     fold into slot 1 as they finish, each edge step sorts the neighbours
     that later edges reach, and each folded state is multiplied by its
-    derivative of entry n into one accumulator that is merged once (see
-    the sign ledger in the module docstring).  A term with a repeated edge
-    is zero and is skipped.  Keys are ``width`` bits per variable, the bit
-    length of n times the largest exponent of the entries.
+    derivative of entry n into one accumulator that is merged once.  Each
+    sheet comes in through ``_add_times_sheet`` under one sheet map (see
+    the sign ledger in the module docstring).  A term with coefficient 0
+    or a repeated edge is skipped.  Keys are ``width`` bits per variable,
+    the bit length of n times the largest exponent of the entries.
     """
     terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
     slots = _Slots(entries)
@@ -687,8 +655,8 @@ def evaluate(gamma, entries) -> Multivector:
         if graph.n != n:
             raise PreconditionError(
                 "graph on %d vertices fed %d multivectors" % (graph.n, n))
-        if len(set(graph.edges)) < len(graph.edges):
-            continue  # a repeated edge: E_ij E_ij = 0
+        if not c or len(set(graph.edges)) < len(graph.edges):
+            continue  # a zero term, or a repeated edge: E_ij E_ij = 0
         # edges are stored (i, j) with i < j: edge (i, j) closes vertex j
         order, sgn = _sort_parity([(j, i) for i, j in graph.edges])
         closing = [[] for _ in range(n + 1)]
@@ -696,17 +664,15 @@ def evaluate(gamma, entries) -> Multivector:
             closing[j].append((i, j))
         state = unit
         for k in range(1, n):
-            folds, twins = _twins(closing, k, slots)
-            sorting = (_table(_SheetMap, r, width, folds, twins)
-                       if folds or twins else None)
+            table = _table(_SheetMap, r, width, *_twins(closing, k, slots))
             groups = {}
             for d, a in _close_vertex(state, k, closing[k], slots, False).items():
                 _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r,
-                                 width, sorting)
+                                 table, 1)
             state = SheetedPoly._raw(r, k, {om: t for om, t in groups.items() if t},
                                      width)
         for d, a in _close_vertex(state, n, closing[n], slots, True).items():
-            _add_product(acc, a, slots.derivative(n, d), sgn * c, joining)
+            _add_times_sheet(acc, a, slots.derivative(n, d), r, joining, sgn * c)
     return merge(SheetedPoly._raw(r, 1, acc, width))
 
 

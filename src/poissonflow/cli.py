@@ -8,8 +8,9 @@ timing goes to stderr.
 Every subcommand is a row of ``COMMANDS``: a handler returning
 ``(text, payload)``, printed as the text or, with ``--format machine``, as
 the JSON payload.  Lines a handler queues for stderr follow the result.
-Exit status: 0 success, 1 a ``verify-paper`` check failed, 2 bad input or
-a failed precondition, 3 an internal self-check failed.
+Exit status: 0 success, 1 a ``verify-paper`` check failed, 2 bad input, a
+failed precondition, an input file that cannot be read or an ``--output``
+that cannot be written, 3 an internal self-check failed.
 """
 
 from __future__ import annotations
@@ -291,17 +292,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.stderr_lines, args.exit_code = [], 0
     try:
-        text, payload = args.fn(args)
+        _emit(args, *args.fn(args))
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
+        # OSError: an input file that cannot be read, or --output unwritable
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
-    _emit(args, text, payload)
     for line in args.stderr_lines:
         print(line, file=sys.stderr)
     return args.exit_code

@@ -48,18 +48,20 @@ term's coefficient is relative to that order.
   by (slot, mu), at the parity of that sort from sheet-major order; two
   factors on one (slot, mu) make it zero.  Even blocks move with their
   sheets, and blocks sharing a slot add.  ``_SheetMap`` works this out
-  once per odd mask for ``merge``, the fold of an edge step at vertex n,
-  and every product with a new sheet: the identity in ``lift``, the twin
-  order for sheet k < n and the join into slot 1 for entry n.
+  once per odd mask for ``merge``, every edge step in ``evaluate`` (the
+  identity before vertex n, the fold and neighbour sort at it) and every
+  product with a new sheet: the identity in ``lift``, the twin order for
+  sheet k < n and the join into slot 1 for entry n.
 - Folding a finished sheet.  At vertex n the edges act in ascending order
   of i, so once the edges at i have acted no later edge touches sheet i or
-  a sheet below it.  Each such sheet is relabelled into slot 1 in the edge
-  step that finishes it; the product with sheet n-1 has already folded
-  the sheets with no edge to n into the lowest of them ("Twin sheets").
-  Below a folding sheet all are folded already and those above keep
-  their place, so a later edge's left-derivative sign counts the same
-  factors.  ``merge`` of a folded state is ``merge`` of the unfolded one,
-  and terms that agree after folding are added before the next edge.
+  a sheet below it.  The sheet map of that edge step relabels each such
+  sheet into slot 1, so the edge's d/dx^mu_(i) lowers slot 1's field; the
+  product with sheet n-1 has already folded the sheets with no edge to n
+  into the lowest of them ("Twin sheets").  Below a folding sheet all are
+  folded already and those above keep their place, so a later edge's
+  left-derivative sign counts the same factors.  ``merge`` of a folded
+  state is ``merge`` of the unfolded one, and terms that agree after
+  folding are added before the next edge.
 - Twin sheets.  When sheet k < n is multiplied in, the rest of the
   evaluation F is the edges still to act, the later entries and ``merge``.
   Sheets 1..k with an edge to the same set S of vertices j > k are twins.
@@ -110,18 +112,18 @@ term's coefficient is relative to that order.
   even, are one class with coefficient 4.
 
 Internally a sheeted polynomial groups its terms by odd mask,
-``{odd_mask: {even_key: c}}``: one odd bit per (sheet, mu) and one field
-of ``width`` bits of even exponent per (sheet, mu) variable, both ordered
+``{odd_mask: {even_key: c}}``: one odd bit per (sheet, mu) and one field of
+``width`` bits of even exponent per (sheet, mu) variable, both ordered
 sheet-major.  Every sign, target mask and exponent shift above depends on
-the odd mask alone, so ``apply_edge`` and each sheet map compute them once
-per mask.  The width is the bit length of n times the largest exponent of
-the n vertex contents, at least 1 bit in ``evaluate`` and 8 in ``lift``,
-so one field holds the sum of a variable's exponents over all sheets:
-edges only lower exponents, so no field overflows into its neighbour, and
-a sheet map adds the blocks that share a slot as plain integers without a
-carry between fields; the narrowest such width keeps keys short.  Terms
-vanish as soon as a derivative misses, which is what keeps the expansion
-of dense cocycles tractable.
+the odd mask alone, so ``apply_edge`` and the sheet map of each edge step,
+product and ``merge`` compute them once per mask.  The width is the bit
+length of n times the largest exponent of the n vertex contents, at least 1
+bit in ``evaluate`` and 8 in ``lift``, so one field holds the sum of a
+variable's exponents over all sheets: edges only lower exponents, so no
+field overflows into its neighbour, and a sheet map adds the blocks that
+share a slot as plain integers without a carry between fields; the narrowest
+such width keeps keys short.  Terms vanish as soon as a derivative misses,
+which is what keeps the expansion of dense cocycles tractable.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
     """``sp`` times ``mv`` rewritten in the variables of a new last sheet."""
     groups = {}
     _add_times_sheet(groups, sp.groups, mv, sp.sheets * sp.nvars,
-                     _table(_SheetMap, sp.nvars, sp.width, (), ()), 1)
+                     _table(sp.nvars, sp.width, (), ()), 1)
     _trim_tables()
     return SheetedPoly._raw(sp.nvars, sp.sheets + 1, groups, sp.width)
 
@@ -273,7 +275,8 @@ def lift(entries) -> SheetedPoly:
 
 
 def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
-    """Act with the decoration operator of an edge i--j."""
+    """Act with the decoration operator of an edge i--j: the listed-order
+    reference for the edge steps of ``evaluate``, so it keeps its own loop."""
     if i == j:
         raise PreconditionError("loop edge (%d,%d)" % (i, j))
     n, r, width = sp.sheets, sp.nvars, sp.width
@@ -293,8 +296,17 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
                 bit = 1 << (abase + mu)
                 # left derivative: pass the odd factors standing before `bit`
                 sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
-                _add_derivative(out, om ^ bit, bucket, sgn,
-                                ((b - 1) * r + mu) * width, mask_e)
+                shift = ((b - 1) * r + mu) * width
+                target = out.setdefault(om ^ bit, {})
+                for ev, c in bucket.items():
+                    e = (ev >> shift) & mask_e
+                    if e:
+                        key = ev - (1 << shift)
+                        cur = target.get(key, 0) + sgn * e * c
+                        if cur:
+                            target[key] = cur
+                        else:
+                            del target[key]
     return SheetedPoly._raw(r, n, {om: t for om, t in out.items() if t}, width)
 
 
@@ -312,6 +324,10 @@ class _SheetMap(dict):
     ``moves`` holds one (shift, delta) per moved sheet, and ``moved`` adds
     delta times the even block at shift to a key.  Tables live for the
     process (``_table``).
+
+    Each edge step of ``evaluate`` acts through one table: ``terms`` moves
+    a bucket's keys once per source mask, as ((moved key, c), key), and
+    ``signed`` and ``derivative`` add them at the table's mask and sign.
     """
 
     def __init__(self, r, width, slots, classes=()):
@@ -320,6 +336,7 @@ class _SheetMap(dict):
         self.block = r * width
         self.mask_b = (1 << self.block) - 1
         self.moves = self._moves(self.slots)
+        self.cut = max(self.slots, default=0) * r
 
     def place(self, om):
         if not self.classes:
@@ -380,22 +397,72 @@ class _SheetMap(dict):
         return [(ev + sum(((ev >> s) & mask_b) * d for s, d in moves), c)
                 for ev, c in pairs]
 
+    def terms(self, bucket, om):
+        moves = self.moves
+        if self.classes:
+            # the source mask's own entry may be None, where the edge's
+            # derivative removes the clash; its blocks above the folded
+            # sheets never clash
+            moves = self[om >> self.cut << self.cut][2]
+        return list(zip(self.moved(bucket.items(), moves), bucket))
 
-# the process's sheet-map tables, keyed by (kind, r, width, and the slot
-# map, fold range or classes); ``merge``, the last step of every
-# evaluation, and ``_times_sheet``, each step of ``lift``, drop them all
-# once they hold more than _TABLE_BOUND entries
+    def signed(self, groups, om, terms, sgn):
+        """groups += sgn * ``terms`` of odd mask ``om``, relabelled."""
+        got = self[om]
+        if got is None:
+            return
+        om, msgn, _ = got
+        sgn *= msgn
+        if not self.slots and om not in groups:
+            # without a slot keys move one to one, so none collide
+            groups[om] = {fev: sgn * c for (fev, c), _ in terms}
+            return
+        target = groups.setdefault(om, {})
+        for (fev, c), _ in terms:
+            cur = target.get(fev, 0) + sgn * c
+            if cur:
+                target[fev] = cur
+            else:
+                del target[fev]
+
+    def derivative(self, groups, om, terms, sgn, shift, one):
+        """``signed`` of d/dx, x the field at ``shift`` of a source key and
+        ``one`` its unit in the moved key."""
+        got = self[om]
+        if got is None:
+            return
+        om, msgn, _ = got
+        sgn *= msgn
+        mask_e = (1 << self.width) - 1
+        if not self.slots and om not in groups:
+            groups[om] = {fev - one: sgn * e * c for (fev, c), ev in terms
+                          if (e := (ev >> shift) & mask_e)}
+            return
+        target = groups.setdefault(om, {})
+        for (fev, c), ev in terms:
+            e = (ev >> shift) & mask_e
+            if e:
+                key = fev - one
+                cur = target.get(key, 0) + sgn * e * c
+                if cur:
+                    target[key] = cur
+                else:
+                    del target[key]
+
+
+# the process's sheet-map tables, keyed by (r, width, slots, classes);
+# ``merge``, the last step of every evaluation, and ``_times_sheet``, each
+# step of ``lift``, drop them all once they hold more than _TABLE_BOUND entries
 _TABLES = {}
 _TABLE_BOUND = 1 << 15
 
 
-def _table(kind, *args):
-    """The table ``kind(*args)`` of a ``_SheetMap`` kind, made on first use
-    and kept for the process."""
-    key = (kind,) + args
-    table = _TABLES.get(key)
+def _table(*args):
+    """The table ``_SheetMap(*args)``, made on first use and kept for the
+    process."""
+    table = _TABLES.get(args)
     if table is None:
-        table = _TABLES[key] = kind(*args)
+        table = _TABLES[args] = _SheetMap(*args)
     return table
 
 
@@ -417,7 +484,7 @@ def merge(sp: SheetedPoly) -> Multivector:
     """
     r, width = sp.nvars, sp.width
     mask_e = (1 << width) - 1
-    table = _table(_SheetMap, r, width, tuple((s, 1) for s in range(2, sp.sheets + 1)))
+    table = _table(r, width, tuple((s, 1) for s in range(2, sp.sheets + 1)))
     comps = {}
     for om, bucket in sp.groups.items():
         got = table[om]
@@ -471,113 +538,16 @@ class _Slots(tuple):
         return got
 
 
-def _add_signed(groups, om, bucket, sgn):
-    """groups[om] += sgn * bucket."""
-    target = groups.get(om)
-    if target is None:
-        groups[om] = dict(bucket) if sgn > 0 else {ev: -c for ev, c in bucket.items()}
-        return
-    for ev, c in bucket.items():
-        cur = target.get(ev, 0) + sgn * c
-        if cur:
-            target[ev] = cur
-        else:
-            del target[ev]
-
-
-def _add_derivative(groups, om, bucket, sgn, shift, mask_e):
-    """groups[om] += sgn * d/dx of bucket, x the exponent field at ``shift``."""
-    one = 1 << shift
-    target = groups.get(om)
-    if target is None:
-        groups[om] = {ev - one: sgn * e * c for ev, c in bucket.items()
-                      if (e := (ev >> shift) & mask_e)}
-        return
-    for ev, c in bucket.items():
-        e = (ev >> shift) & mask_e
-        if e:
-            key = ev - one
-            cur = target.get(key, 0) + sgn * e * c
-            if cur:
-                target[key] = cur
-            else:
-                del target[key]
-
-
-class _Fold(_SheetMap):
-    """The sheet map of an edge step at the last vertex: sheets lo..hi go
-    to slot 1, sheets 2..lo-1 being folded already by the product with
-    sheet n-1 or an earlier step ("Folding a finished sheet" in the module
-    docstring), and the neighbour sheets that later edges reach are twins
-    of power 1, sorted in the classes ``rest`` ("Twin sheets").
-    ``terms`` moves a bucket's keys once per source mask, as ((folded key,
-    c), key); ``signed`` and ``derivative`` then add like ``_add_signed``
-    and ``_add_derivative``, into folded keys at the table's mask and sign.
-    The edge's derivative is in slot 1 or in sheet lo, which folds in this
-    step, so it lowers slot 1's field of the same mu and leaves the blocks
-    above hi, which pick the sort, as they are."""
-
-    def __init__(self, r, width, lo, hi, rest):
-        super().__init__(r, width, dict.fromkeys(range(lo, hi + 1), 1), rest)
-        self.cut = hi * r
-
-    def terms(self, bucket, om):
-        moves = self.moves
-        if self.classes:
-            # the source mask's own entry may be None, where the edge's
-            # derivative removes the clash; its blocks above hi never clash
-            moves = self[om >> self.cut << self.cut][2]
-        return list(zip(self.moved(bucket.items(), moves), bucket))
-
-    def signed(self, groups, om, terms, sgn):
-        got = self[om]
-        if got is None:
-            return
-        om, fsgn, _ = got
-        sgn *= fsgn
-        target = groups.setdefault(om, {})
-        for (fev, c), _ in terms:
-            cur = target.get(fev, 0) + sgn * c
-            if cur:
-                target[fev] = cur
-            else:
-                del target[fev]
-
-    def derivative(self, groups, om, terms, sgn, shift, mask_e):
-        got = self[om]
-        if got is None:
-            return
-        om, fsgn, _ = got
-        sgn *= fsgn
-        one = 1 << (shift % self.block)
-        target = groups.setdefault(om, {})
-        for (fev, c), ev in terms:
-            e = (ev >> shift) & mask_e
-            if e:
-                key = fev - one
-                cur = target.get(key, 0) + sgn * e * c
-                if cur:
-                    target[key] = cur
-                else:
-                    del target[key]
-
-
-class _NoFold:
-    """An edge step that folds no sheet: plain buckets, plain adds."""
-    terms = staticmethod(lambda bucket, om: bucket)
-    signed = staticmethod(_add_signed)
-    derivative = staticmethod(_add_derivative)
-
-
 def _close_vertex(state, k, edges, slots, fold):
     """The edges (i, k), ascending in i, acting by the Leibniz rule on
     ``state`` times entry k ("Closing a vertex" in the module docstring):
     the map from each derivative descriptor d of entry k to the groups of
-    A_d.  With ``fold`` each sheet is folded into slot 1 as soon as no edge
-    is left to act on it, so every A_d comes back in one slot, and after
-    each edge the neighbour sheets later edges reach are sorted."""
+    A_d.  Each edge step adds through one ``_SheetMap``: the identity
+    without ``fold``; with it each sheet folds into slot 1 in the step
+    after which no edge acts on it, so every A_d comes back in one slot,
+    and the neighbour sheets later edges reach are sorted.  The edge's
+    d/dx^mu_(i) lowers sheet i's field, slot 1's once sheet i folds."""
     r, width = state.nvars, state.width
-    mask_e = (1 << width) - 1
     # sheets below ends[t] are finished before edge t acts, all after the last
     ends = [i for i, _ in edges] + [k]
     groups = state.groups
@@ -585,10 +555,9 @@ def _close_vertex(state, k, edges, slots, fold):
     descs = {start: groups} if groups and slots.derivative(k, start) else {}
     for t, (i, _) in enumerate(edges):
         base = (i - 1) * r
-        lo, hi = max(i, 2), ends[t + 1] - 1
+        folds = tuple((s, 1) for s in range(max(i, 2), ends[t + 1])) if fold else ()
         rest = _same_degree(ends[t + 1:-1], slots, 1) if fold else ()
-        folding = (_table(_Fold, r, width, lo, hi, rest)
-                   if fold and (lo <= hi or rest) else _NoFold)
+        table = _table(r, width, folds, rest)
         out = {}
         for (alpha, s), groups in descs.items():
             xis, xs = [], []
@@ -603,16 +572,17 @@ def _close_vertex(state, k, edges, slots, fold):
                 pos = bisect_left(s, mu)
                 d = (alpha, s[:pos] + (mu,) + s[pos:])
                 if slots.derivative(k, d):
-                    xs.append(((base + mu) * width, pos, out.setdefault(d, {})))
+                    one = 1 << ((mu if fold else base + mu) * width)
+                    xs.append(((base + mu) * width, one, pos, out.setdefault(d, {})))
             for om, bucket in groups.items():
-                terms = folding.terms(bucket, om)
+                terms = table.terms(bucket, om)
                 for bit, target in xis:
                     if om & bit:
                         sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
-                        folding.signed(target, om ^ bit, terms, sgn)
-                for shift, pos, target in xs:
+                        table.signed(target, om ^ bit, terms, sgn)
+                for shift, one, pos, target in xs:
                     sgn = -1 if (om.bit_count() + pos) & 1 else 1
-                    folding.derivative(target, om, terms, sgn, shift, mask_e)
+                    table.derivative(target, om, terms, sgn, shift, one)
         descs = {d: nonzero for d, groups in out.items()
                  if (nonzero := {om: t for om, t in groups.items() if t})}
     return descs
@@ -649,7 +619,7 @@ def evaluate(gamma, entries) -> Multivector:
     n = len(slots)
     unit = _unit(slots, 1)
     r, width = unit.nvars, unit.width
-    joining = _table(_SheetMap, r, width, ((2, 1),))
+    joining = _table(r, width, ((2, 1),))
     acc = {}
     for graph, c in terms:
         if graph.n != n:
@@ -664,7 +634,7 @@ def evaluate(gamma, entries) -> Multivector:
             closing[j].append((i, j))
         state = unit
         for k in range(1, n):
-            table = _table(_SheetMap, r, width, *_twins(closing, k, slots))
+            table = _table(r, width, *_twins(closing, k, slots))
             groups = {}
             for d, a in _close_vertex(state, k, closing[k], slots, False).items():
                 _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r,

@@ -133,6 +133,14 @@ def test_output_file(tmp_path, capsys):
     assert parse_multivector(target.read_text(), nvars=4) is not None
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_output_exits_2(where, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, "catalog", "P1", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "jacobi", "--poisson", "(x1@) xi1 xi2")
     assert code == 2

@@ -151,8 +151,10 @@ def test_assemble_structural_degree_mismatch(P1, QP1):
     (lambda p1, q: assemble(mv(4, i1="x1"), p1, AnsatzSpec(4, 2)),
      PreconditionError, "Q must be a bivector"),
     (lambda p1, q: AnsatzSpec(4, -1), PreconditionError, "nonnegative"),
+    (lambda p1, q: AnsatzSpec(4, 1).field_from_coefficients([1] * 15),
+     DimensionError, "wrong length"),
 ], ids=["dimension-mismatch", "p-not-bivector", "q-not-bivector",
-        "negative-degree"])
+        "negative-degree", "coefficient-count"])
 def test_malformed_systems_rejected(call, error, match, P1, QP1):
     with pytest.raises(error, match=match):
         call(P1, QP1)

@@ -284,8 +284,16 @@ def test_graphsum_format_cases():
                 "graph{n=2; edges=(1,2); c=3}")
     s = parse_graphsum(two_line)
     assert render_graphsum(s) == two_line
+    assert parse_graphsum(two_line.replace("\n", "\n\n  \n")) == s
     with pytest.raises(ParseError):
         parse_graph("graph{n=2; edges=(1,2)}")
+
+
+def test_graph_repr_and_comparison_with_other_types():
+    assert repr(stick()) == "Graph(2, [(1, 2)])"
+    assert stick() != (2, ((1, 2),))
+    assert GraphSum.single(stick()) != stick()
+    assert GraphSum.zero() != 0
 
 
 def test_graphsum_constructor_canonicalizes_and_adds_its_terms():

@@ -7,8 +7,9 @@ while one field holds the sum of a variable's exponents over every sheet;
 of every key and adds the exponents as Python integers, so it has no width
 limit.  The cases sit on both sides of the width boundaries.
 
-``_SheetMap`` relabels sheets for ``merge``, the last-vertex fold, the
-twin order and the product with entry n.  ``relabel_oracle`` lists
+``_SheetMap`` relabels sheets for ``merge``, every edge step of
+``evaluate`` (the identity before the last vertex, the fold and neighbour
+sort at it), the twin order and the product with entry n.  ``relabel_oracle`` lists
 the (sheet, mu) odd factors, sorts them by (slot, mu) with a bubble sort
 that counts its swaps, and moves the even exponents field by field.
 """
@@ -20,8 +21,7 @@ import pytest
 
 from poissonflow.errors import DimensionError
 from poissonflow.multivec import Multivector
-from poissonflow.orient import (SheetedPoly, _Fold, _SheetMap, apply_edge, lift,
-                                merge)
+from poissonflow.orient import SheetedPoly, _SheetMap, apply_edge, lift, merge
 from poissonflow.ratpoly import Poly, ratnorm
 
 from test_orient_oracle import rand_grade
@@ -284,6 +284,28 @@ def test_neighbour_order_against_the_brute_force():
         assert (killed >= 50) == many
 
 
+def check_edge_step(table, rng, r, width, sheets, slots, classes, below):
+    """One odd mask through the sheet map of an edge step: its entry against
+    the brute force, and ``terms`` against the relabelled target after a
+    derivative removes an odd factor of sheets 1..``below``, which leaves
+    the sorted blocks as they are.  Returns whether the mask sorted, whether
+    its entry is None and whether ``terms`` held where it is."""
+    om = random_mask(rng, r, sheets)
+    sigma, sgn = sorting_oracle(r, om, classes)
+    hit = check_table(table, rng, r, width, sheets, om, {**slots, **sigma}, sgn)
+    low = om & ((1 << (below * r)) - 1)
+    rescued = False
+    if low:
+        bit = 1 << (low.bit_length() - 1)
+        keys = list(dict.fromkeys(random_keys(rng, r, width, sheets, 3)))
+        want = relabel_oracle(r, width, sheets, {**slots, **sigma}, om ^ bit, keys)
+        if want is not None:
+            moved = [fev for (fev, _), _ in table.terms(dict.fromkeys(keys, 1), om)]
+            assert moved == want[2]
+            rescued = table[om] is None
+    return any(s != t for s, t in sigma.items()), 1 - hit, rescued
+
+
 def test_fold_with_sorted_neighbours_against_the_brute_force():
     # an edge step at the last vertex: sheets lo..hi to slot 1 and the
     # neighbours above hi sorted, at sgn(sigma); the source mask's key moves
@@ -298,27 +320,32 @@ def test_fold_with_sorted_neighbours_against_the_brute_force():
         rest = tuple(sorted(rng.sample(range(hi + 1, sheets + 1),
                                        rng.randint(0, sheets - hi))))
         classes = ((rest, 1),) if len(rest) > 1 else ()
-        table = _Fold(r, width, lo, hi, classes)
-        folded = dict.fromkeys(range(lo, hi + 1), 1)
+        slots = tuple((s, 1) for s in range(lo, hi + 1))
+        table = _SheetMap(r, width, slots, classes)
         for _ in range(3):
-            om = random_mask(rng, r, sheets)
-            sigma, sgn = sorting_oracle(r, om, classes)
-            sorted_ += any(s != t for s, t in sigma.items())
-            hit = check_table(table, rng, r, width, sheets, om, {**folded, **sigma},
-                              sgn)
-            killed += 1 - hit
-            # a derivative in slot 1 or a folding sheet removes an odd factor
-            # below the sorted blocks
-            low = om & ((1 << (hi * r)) - 1)
-            if not low:
-                continue
-            bit = 1 << (low.bit_length() - 1)
-            keys = list(dict.fromkeys(random_keys(rng, r, width, sheets, 3)))
-            want = relabel_oracle(r, width, sheets, {**folded, **sigma}, om ^ bit, keys)
-            if want is not None:
-                moved = [fev for (fev, _), _ in table.terms(dict.fromkeys(keys, 1), om)]
-                assert moved == want[2]
-                rescued += table[om] is None
+            moved, dead, held = check_edge_step(table, rng, r, width, sheets,
+                                                dict(slots), classes, hi)
+            sorted_ += moved
+            killed += dead
+            rescued += held
     assert sorted_ >= 100
     assert killed >= 50
     assert rescued >= 20
+    # the identity, every edge step before vertex n, with a derivative in
+    # any sheet; and a sort with no fold, the first edge at vertex n when
+    # the second is (2, n)
+    sorted_ = 0
+    for _ in range(200):
+        r, sheets = rng.randint(1, 3), rng.randint(3, 7)
+        width = rng.choice([1, 3, 5, 8])
+        table = _SheetMap(r, width, (), ())
+        assert check_edge_step(table, rng, r, width, sheets, {}, (), sheets) == (
+            False, 0, False)
+        hi = rng.randint(1, sheets - 2)
+        rest = tuple(sorted(rng.sample(range(hi + 1, sheets + 1),
+                                       rng.randint(2, sheets - hi))))
+        table = _SheetMap(r, width, (), ((rest, 1),))
+        got = check_edge_step(table, rng, r, width, sheets, {}, ((rest, 1),), hi)
+        assert got[1:] == (0, False)
+        sorted_ += got[0]
+    assert sorted_ >= 50

@@ -49,6 +49,7 @@ def test_lift_single_scalar():
     f = mv(2, i="x1^2 + 3*x2")
     s = lift((f,))
     assert s.terms == {((2 << 0), 0): 1, ((1 << 8), 0): 3}
+    assert repr(s) == "SheetedPoly(r=2, n=1, 2 terms)"
 
 
 def test_lift_total_odd_degree():

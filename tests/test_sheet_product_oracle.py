@@ -145,7 +145,7 @@ def test_entry_n_product_against_the_wedge():
     for _ in range(300):
         left, mv, c = random_product(rng)
         r, width = left.nvars, left.width
-        joining = orient._table(orient._SheetMap, r, width, ((2, 1),))
+        joining = orient._table(r, width, ((2, 1),))
         acc = {}
         orient._add_times_sheet(acc, left.groups, mv, r, joining, c)
         got = merge(SheetedPoly._raw(r, 1, acc, width))

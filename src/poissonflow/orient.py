@@ -49,9 +49,9 @@ term's coefficient is relative to that order.
   factors on one (slot, mu) make it zero.  Even blocks move with their
   sheets, and blocks sharing a slot add.  ``_SheetMap`` works this out
   once per odd mask for ``merge``, every edge step in ``evaluate`` (the
-  identity before vertex n, the fold and neighbour sort at it) and every
-  product with a new sheet: the identity in ``lift``, the twin order for
-  sheet k < n and the join into slot 1 for entry n.
+  identity before vertex n, the fold at it) and every product with a new
+  sheet: the identity in ``lift``, the twin order for sheet k < n and the
+  join into slot 1 for entry n.
 - Folding a finished sheet.  At vertex n the edges act in ascending order
   of i, so once the edges at i have acted no later edge touches sheet i or
   a sheet below it.  The sheet map of that edge step relabels each such
@@ -87,12 +87,13 @@ term's coefficient is relative to that order.
   the edges left, none of which acts on a finished sheet, and ``merge`` of
   a folded state is ``merge`` of the unfolded one: F is unchanged.  The
   fold also adds terms whose finished sheets tie in their odd blocks and
-  differ in their even ones, which a sort keeps apart.  At vertex n, once
-  the edge (i, n) has acted, the neighbours of n that later edges reach
-  are twins with S = {n}, and the sheet map of that edge step sorts them
-  as it folds.  The edge's derivative is in slot 1 or in a sheet
-  that folds, so the sort read off a mask's blocks above the folded
-  sheets is the same before and after the derivative.
+  differ in their even ones, which a sort keeps apart.  Twins are sorted
+  only here, as a sheet comes in; the edge steps fold and never sort.
+  Vertex n needs no sort of its own: the product with sheet n-1 sorts all
+  of n's neighbours as twins with S = {n}, and each edge (i, n) changes
+  only sheet i, which then folds into slot 1, and the derivative of entry
+  n, so the odd blocks of the neighbours that later edges reach stay
+  sorted.
 - Edge order costs the permutation's parity.  Each E_ij is odd, so two
   edge operators anticommute; applying the edges sorted by (larger
   endpoint, smaller endpoint) instead of in listed order multiplies the
@@ -325,9 +326,12 @@ class _SheetMap(dict):
     delta times the even block at shift to a key.  Tables live for the
     process (``_table``).
 
-    Each edge step of ``evaluate`` acts through one table: ``terms`` moves
-    a bucket's keys once per source mask, as ((moved key, c), key), and
-    ``signed`` and ``derivative`` add them at the table's mask and sign.
+    Each edge step of ``evaluate`` acts through one table with no classes:
+    the identity before vertex n, a fold into slot 1 at it.  Its moves are
+    the same for every mask, so ``terms`` moves a bucket's keys once, as
+    ((moved key, c), key), and ``signed`` and ``derivative`` add them at
+    the table's mask and sign.  Only the products of ``_add_times_sheet``
+    sort twins through ``classes``.
     """
 
     def __init__(self, r, width, slots, classes=()):
@@ -336,7 +340,6 @@ class _SheetMap(dict):
         self.block = r * width
         self.mask_b = (1 << self.block) - 1
         self.moves = self._moves(self.slots)
-        self.cut = max(self.slots, default=0) * r
 
     def place(self, om):
         if not self.classes:
@@ -397,14 +400,8 @@ class _SheetMap(dict):
         return [(ev + sum(((ev >> s) & mask_b) * d for s, d in moves), c)
                 for ev, c in pairs]
 
-    def terms(self, bucket, om):
-        moves = self.moves
-        if self.classes:
-            # the source mask's own entry may be None, where the edge's
-            # derivative removes the clash; its blocks above the folded
-            # sheets never clash
-            moves = self[om >> self.cut << self.cut][2]
-        return list(zip(self.moved(bucket.items(), moves), bucket))
+    def terms(self, bucket):
+        return list(zip(self.moved(bucket.items(), self.moves), bucket))
 
     def signed(self, groups, om, terms, sgn):
         """groups += sgn * ``terms`` of odd mask ``om``, relabelled."""
@@ -544,9 +541,10 @@ def _close_vertex(state, k, edges, slots, fold):
     the map from each derivative descriptor d of entry k to the groups of
     A_d.  Each edge step adds through one ``_SheetMap``: the identity
     without ``fold``; with it each sheet folds into slot 1 in the step
-    after which no edge acts on it, so every A_d comes back in one slot,
-    and the neighbour sheets later edges reach are sorted.  The edge's
-    d/dx^mu_(i) lowers sheet i's field, slot 1's once sheet i folds."""
+    after which no edge acts on it, so every A_d comes back in one slot.
+    No step sorts: the product with sheet n-1 has sorted the neighbours
+    ("Twin sheets" in the module docstring).  The edge's d/dx^mu_(i)
+    lowers sheet i's field, slot 1's once sheet i folds."""
     r, width = state.nvars, state.width
     # sheets below ends[t] are finished before edge t acts, all after the last
     ends = [i for i, _ in edges] + [k]
@@ -556,8 +554,7 @@ def _close_vertex(state, k, edges, slots, fold):
     for t, (i, _) in enumerate(edges):
         base = (i - 1) * r
         folds = tuple((s, 1) for s in range(max(i, 2), ends[t + 1])) if fold else ()
-        rest = _same_degree(ends[t + 1:-1], slots, 1) if fold else ()
-        table = _table(r, width, folds, rest)
+        table = _table(r, width, folds)
         out = {}
         for (alpha, s), groups in descs.items():
             xis, xs = [], []
@@ -575,7 +572,7 @@ def _close_vertex(state, k, edges, slots, fold):
                     one = 1 << ((mu if fold else base + mu) * width)
                     xs.append(((base + mu) * width, one, pos, out.setdefault(d, {})))
             for om, bucket in groups.items():
-                terms = table.terms(bucket, om)
+                terms = table.terms(bucket)
                 for bit, target in xis:
                     if om & bit:
                         sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
@@ -604,13 +601,14 @@ def evaluate(gamma, entries) -> Multivector:
     later vertices, in the order its odd mask picks, and with the sheets
     that have no edge left folded into one, so terms that differ by a swap
     of twins are added before the later edges act.  At vertex n the sheets
-    fold into slot 1 as they finish, each edge step sorts the neighbours
-    that later edges reach, and each folded state is multiplied by its
-    derivative of entry n into one accumulator that is merged once.  Each
-    sheet comes in through ``_add_times_sheet`` under one sheet map (see
-    the sign ledger in the module docstring).  A term with coefficient 0
-    or a repeated edge is skipped.  Keys are ``width`` bits per variable,
-    the bit length of n times the largest exponent of the entries.
+    fold into slot 1 as they finish, with no sort, since the product with
+    sheet n-1 has sorted n's neighbours, and each folded state is
+    multiplied by its derivative of entry n into one accumulator that is
+    merged once.  Each sheet comes in through ``_add_times_sheet`` under
+    one sheet map (see the sign ledger in the module docstring).  A term
+    with coefficient 0 or a repeated edge is skipped.  Keys are ``width``
+    bits per variable, the bit length of n times the largest exponent of
+    the entries.
     """
     terms = ((gamma, 1),) if isinstance(gamma, Graph) else gamma.terms.items()
     slots = _Slots(entries)
@@ -650,8 +648,11 @@ def _twins(closing, k, slots):
     """The twin sheets as sheet k is multiplied in ("Twin sheets" in the
     module docstring): sheets 1..k grouped by the set S of vertices j > k
     they have an edge to.  Returns the finished sheets, S empty, as (sheet,
-    slot) pairs folding them into the lowest of them, and the other
-    classes as ``_same_degree`` gives them, with power |S|."""
+    slot) pairs folding them into the lowest of them, and the other classes
+    of two or more sheets as (sheets, |S|) pairs.  Only sheets whose entries
+    have one xi-degree share a class: a swap of sheets whose entries differ
+    in degree seldom maps a term onto another, and sorting them only
+    scatters terms that the later edges would add."""
     later = {i: [] for i in range(1, k + 1)}
     for j in range(k + 1, len(closing)):
         for i, _ in closing[j]:
@@ -659,22 +660,12 @@ def _twins(closing, k, slots):
                 later[i].append(j)
     classes = {}
     for i, js in later.items():
-        classes.setdefault(tuple(js), []).append(i)
-    done = classes.pop((), [])
+        degree = slots.degrees[i - 1] if js else None  # finished sheets all fold
+        classes.setdefault((tuple(js), degree), []).append(i)
+    done = classes.pop(((), None), [])
     return (tuple((s, done[0]) for s in done[1:]),
-            tuple(c for js, sheets in classes.items()
-                  for c in _same_degree(sheets, slots, len(js))))
-
-
-def _same_degree(sheets, slots, power):
-    """The classes of two or more of ``sheets`` whose entries have one
-    xi-degree, as (sheets, power) pairs: a swap of sheets whose entries
-    differ in degree seldom maps a term onto another, and sorting them
-    only scatters terms that the later edges would add."""
-    groups = {}
-    for s in sheets:
-        groups.setdefault(slots.degrees[s - 1], []).append(s)
-    return tuple((tuple(g), power) for g in groups.values() if len(g) > 1)
+            tuple((tuple(sheets), len(js)) for (js, _), sheets in classes.items()
+                  if len(sheets) > 1))
 
 
 def _vertex_count(gamma) -> int:

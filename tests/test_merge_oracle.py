@@ -8,10 +8,11 @@ of every key and adds the exponents as Python integers, so it has no width
 limit.  The cases sit on both sides of the width boundaries.
 
 ``_SheetMap`` relabels sheets for ``merge``, every edge step of
-``evaluate`` (the identity before the last vertex, the fold and neighbour
-sort at it), the twin order and the product with entry n.  ``relabel_oracle`` lists
-the (sheet, mu) odd factors, sorts them by (slot, mu) with a bubble sort
-that counts its swaps, and moves the even exponents field by field.
+``evaluate`` (the identity before the last vertex, the fold at it), the
+twin order as each sheet comes in and the product with entry n.
+``relabel_oracle`` lists the (sheet, mu) odd factors, sorts them by
+(slot, mu) with a bubble sort that counts its swaps, and moves the even
+exponents field by field.
 """
 
 import random
@@ -284,68 +285,50 @@ def test_neighbour_order_against_the_brute_force():
         assert (killed >= 50) == many
 
 
-def check_edge_step(table, rng, r, width, sheets, slots, classes, below):
+def check_edge_step(table, rng, r, width, sheets, slots, below):
     """One odd mask through the sheet map of an edge step: its entry against
     the brute force, and ``terms`` against the relabelled target after a
-    derivative removes an odd factor of sheets 1..``below``, which leaves
-    the sorted blocks as they are.  Returns whether the mask sorted, whether
-    its entry is None and whether ``terms`` held where it is."""
+    derivative removes an odd factor of sheets 1..``below``.  Returns
+    whether the mask's entry is None and whether ``terms`` held where it is."""
     om = random_mask(rng, r, sheets)
-    sigma, sgn = sorting_oracle(r, om, classes)
-    hit = check_table(table, rng, r, width, sheets, om, {**slots, **sigma}, sgn)
+    hit = check_table(table, rng, r, width, sheets, om, slots)
     low = om & ((1 << (below * r)) - 1)
     rescued = False
     if low:
         bit = 1 << (low.bit_length() - 1)
         keys = list(dict.fromkeys(random_keys(rng, r, width, sheets, 3)))
-        want = relabel_oracle(r, width, sheets, {**slots, **sigma}, om ^ bit, keys)
+        want = relabel_oracle(r, width, sheets, slots, om ^ bit, keys)
         if want is not None:
-            moved = [fev for (fev, _), _ in table.terms(dict.fromkeys(keys, 1), om)]
-            assert moved == want[2]
+            bucket = {ev: c for c, ev in enumerate(keys, 1)}
+            assert table.terms(bucket) == [((fev, c), ev) for c, (fev, ev)
+                                           in enumerate(zip(want[2], keys), 1)]
             rescued = table[om] is None
-    return any(s != t for s, t in sigma.items()), 1 - hit, rescued
+    return 1 - hit, rescued
 
 
-def test_fold_with_sorted_neighbours_against_the_brute_force():
-    # an edge step at the last vertex: sheets lo..hi to slot 1 and the
-    # neighbours above hi sorted, at sgn(sigma); the source mask's key moves
-    # are the target mask's, also where the source mask's own entry is None
+def test_fold_and_identity_edge_steps_against_the_brute_force():
+    # an edge step at the last vertex folds sheets lo..hi into slot 1; its
+    # key moves are the target mask's, also where the source mask's own
+    # entry is None and the derivative removes the clash
     rng = random.Random(950)
-    sorted_ = killed = rescued = 0
+    killed = rescued = 0
     for _ in range(300):
         r, sheets = rng.randint(1, 3), rng.randint(3, 7)
         width = rng.choice([1, 3, 5, 8])
         hi = rng.randint(1, sheets - 2)
         lo = rng.randint(2, hi + 1)
-        rest = tuple(sorted(rng.sample(range(hi + 1, sheets + 1),
-                                       rng.randint(0, sheets - hi))))
-        classes = ((rest, 1),) if len(rest) > 1 else ()
         slots = tuple((s, 1) for s in range(lo, hi + 1))
-        table = _SheetMap(r, width, slots, classes)
+        table = _SheetMap(r, width, slots)
         for _ in range(3):
-            moved, dead, held = check_edge_step(table, rng, r, width, sheets,
-                                                dict(slots), classes, hi)
-            sorted_ += moved
+            dead, held = check_edge_step(table, rng, r, width, sheets, dict(slots), hi)
             killed += dead
             rescued += held
-    assert sorted_ >= 100
     assert killed >= 50
     assert rescued >= 20
-    # the identity, every edge step before vertex n, with a derivative in
-    # any sheet; and a sort with no fold, the first edge at vertex n when
-    # the second is (2, n)
-    sorted_ = 0
+    # the identity, every edge step before vertex n and the first at vertex
+    # n when the second is (2, n), with a derivative in any sheet
     for _ in range(200):
         r, sheets = rng.randint(1, 3), rng.randint(3, 7)
         width = rng.choice([1, 3, 5, 8])
-        table = _SheetMap(r, width, (), ())
-        assert check_edge_step(table, rng, r, width, sheets, {}, (), sheets) == (
-            False, 0, False)
-        hi = rng.randint(1, sheets - 2)
-        rest = tuple(sorted(rng.sample(range(hi + 1, sheets + 1),
-                                       rng.randint(2, sheets - hi))))
-        table = _SheetMap(r, width, (), ((rest, 1),))
-        got = check_edge_step(table, rng, r, width, sheets, {}, ((rest, 1),), hi)
-        assert got[1:] == (0, False)
-        sorted_ += got[0]
-    assert sorted_ >= 50
+        table = _SheetMap(r, width, ())
+        assert check_edge_step(table, rng, r, width, sheets, {}, sheets) == (0, False)

@@ -4,8 +4,9 @@ tables, against the multivector calculus.
 As sheet k comes in, ``evaluate`` writes each product term with every class
 of twin sheets, those with edges to the same set S of later vertices and
 entries of one xi-degree, in the order its odd mask picks, at
-sgn(sigma)^|S|, and folds the sheets with no edge left into one; after each
-edge at the last vertex it sorts the neighbours that later edges reach.
+sgn(sigma)^|S|, and folds the sheets with no edge left into one.  Twins
+are sorted only there: the product with sheet n-1 sorts the last vertex's
+neighbours, and its edge steps only fold, which keeps them sorted.
 ``evaluate_oracle`` shares nothing with that: it wedges every entry into
 its own sheet of variables, applies each edge as a differential operator
 and merges.  The graphs below have twins or finished sheets before vertex
@@ -173,6 +174,40 @@ def test_state_entering_the_last_vertex_of_the_pentagon_graphs(monkeypatch, P1):
     for edges, most in zip(NONZERO_6_10, (25000, 40000)):
         evaluate(Graph(6, edges), (P1,) * 6)
         assert 0 < sizes[6] <= most
+
+
+def test_neighbours_of_the_last_vertex_arrive_sorted(monkeypatch, gamma3, P1, P2,
+                                                    euler4):
+    # the product with sheet n-1 sorts n's neighbours whose entries share an
+    # xi-degree, and no edge step at n sorts again: at vertex n every odd
+    # mask of the incoming state has their odd blocks non-decreasing in
+    # sheet order
+    checked = 0
+    close = orient._close_vertex
+
+    def check(state, k, edges, slots, fold):
+        nonlocal checked
+        if fold:
+            r, mask_r = state.nvars, (1 << state.nvars) - 1
+            classes = {}
+            for i, _ in edges:
+                classes.setdefault(slots.degrees[i - 1], []).append(i)
+            for om in state.groups:
+                for sheets in classes.values():
+                    blocks = [(om >> ((s - 1) * r)) & mask_r for s in sheets]
+                    assert blocks == sorted(blocks), (k, edges, sheets, om)
+                checked += 1
+        return close(state, k, edges, slots, fold)
+
+    monkeypatch.setattr(orient, "_close_vertex", check)
+    orient.flow(gamma3, P1)
+    orient.flow(gamma3, P2)
+    for edges in NONZERO_6_10 + (HUB_LAST,):
+        evaluate(Graph(6, edges), (P1,) * 6)
+    directional_flow(gamma3, P1, P2)
+    # the 1-vector's sheet and the bivectors' sheets differ in degree
+    cocycle1(gamma3, euler4, P1)
+    assert checked > 0
 
 
 # -- the field width inside evaluate -----------------------------------------------

@@ -18,8 +18,7 @@ from .gracomplex import (Graph, GraphSum, bracket, canonicalize, differential,
                          insert, is_cocycle, parse_graph, parse_graphsum,
                          point, render_graph, render_graphsum, simple_graph,
                          stick, tetrahedron)
-from .orient import (SheetedPoly, apply_edge, cocycle1, directional_flow,
-                     evaluate, flow, lift, merge)
+from .orient import cocycle1, directional_flow, evaluate, flow
 from .cohomsolve import (AnsatzSpec, AnsatzSystem, Solution, assemble,
                          default_degree, monomials, solve, solve_raw,
                          trivialize)

@@ -297,7 +297,10 @@ def main(argv=None) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        # OSError: an input file that cannot be read, or --output unwritable
+        # OSError: an input file that cannot be read, or --output unwritable;
+        # str() of a KeyError is the repr of its message, so print the message
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:

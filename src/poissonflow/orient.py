@@ -117,14 +117,16 @@ Internally a sheeted polynomial groups its terms by odd mask,
 ``width`` bits of even exponent per (sheet, mu) variable, both ordered
 sheet-major.  Every sign, target mask and exponent shift above depends on
 the odd mask alone, so ``apply_edge`` and the sheet map of each edge step,
-product and ``merge`` compute them once per mask.  The width is the bit
-length of n times the largest exponent of the n vertex contents, at least 1
-bit in ``evaluate`` and 8 in ``lift``, so one field holds the sum of a
-variable's exponents over all sheets: edges only lower exponents, so no
-field overflows into its neighbour, and a sheet map adds the blocks that
-share a slot as plain integers without a carry between fields; the narrowest
-such width keeps keys short.  Terms vanish as soon as a derivative misses,
-which is what keeps the expansion of dense cocycles tractable.
+product and ``merge`` compute them once per mask.  ``lift`` and
+``evaluate`` size the width by one rule: the bit length of n times the
+largest exponent of the n vertex contents, at least 1 bit.  So one field
+holds the sum of a variable's exponents over all sheets: edges only lower
+exponents, so no field overflows into its neighbour, and a sheet map adds
+the blocks that share a slot as plain integers without a carry between
+fields; the narrowest such width keeps keys short.  Every sheeted
+polynomial is built at such a width, so no key can outgrow its fields.
+Terms vanish as soon as a derivative misses, which is what keeps the
+expansion of dense cocycles tractable.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ from .errors import DimensionError, PreconditionError
 from .gracomplex import Graph, GraphSum, _sort_parity, as_graphsum, is_cocycle
 from .multivec import (Multivector, _x_partial, _xi_left, homogeneity_scale,
                        jacobiator)
-from .ratpoly import ANY_DEGREE, Poly, common_degree, ratnorm
+from .ratpoly import ANY_DEGREE, Poly, ratnorm
 
 
 class SheetedPoly:
@@ -145,47 +147,25 @@ class SheetedPoly:
 
     ``groups`` maps each odd mask to its terms ``{even_key: c}``, nonzero
     and never empty; ``terms`` is a flat copy (even_key, odd_mask) -> c.
-    Even exponents occupy ``width`` bits per variable, enough for the sum
-    of a variable's exponents over all sheets: 8 for keys given to the
-    constructor, which rejects larger sums; in ``lift`` 8 or more, wide
-    enough for all n vertex contents; in ``evaluate`` just wide enough for
-    them, down to 1 bit for constant entries.  Odd exponents are 0/1 and a
-    term's sign is relative to ascending (sheet-major) odd order.  Inside
-    ``evaluate`` twin sheets are permuted and finished sheets folded as
-    each sheet comes in, so a sheet may hold other entries than its own,
-    and the sheets of the last vertex fold into slot 1, so slot 1 may hold
-    the odd factors (sorted by mu) and summed exponents of several entries,
-    up to all n of them.
+    Even exponents occupy ``width`` bits per variable, just enough for the
+    sum of a variable's exponents over all sheets, down to 1 bit for
+    constant entries (``_unit``).  The format is internal: ``lift`` and
+    ``evaluate`` build it at that width, and ``apply_edge`` and ``merge``
+    keep it.  Odd exponents are 0/1 and a term's sign is relative to
+    ascending (sheet-major) odd order.  Inside ``evaluate`` twin sheets are
+    permuted and finished sheets folded as each sheet comes in, so a sheet
+    may hold other entries than its own, and the sheets of the last vertex
+    fold into slot 1, so slot 1 may hold the odd factors (sorted by mu) and
+    summed exponents of several entries, up to all n of them.
     """
 
     __slots__ = ("nvars", "sheets", "groups", "width")
 
-    def __init__(self, nvars: int, sheets: int, terms=None):
+    def __init__(self, nvars: int, sheets: int, groups: dict, width: int):
         self.nvars = nvars
         self.sheets = sheets
-        self.width = 8
-        self.groups = {}
-        fields = range(0, sheets * nvars * 8, 8)
-        for (ev, om), c in (terms or {}).items():
-            sums = [0] * nvars
-            for v, shift in enumerate(fields):
-                sums[v % nvars] += (ev >> shift) & 255
-            if ev >> (sheets * nvars * 8) or max(sums, default=0) > 255:
-                raise DimensionError(
-                    "even key %d does not fit %d sheets of %d 8-bit exponents "
-                    "summing below 256" % (ev, sheets, nvars))
-            c = ratnorm(c)
-            if c:
-                self.groups.setdefault(om, {})[ev] = c
-
-    @classmethod
-    def _raw(cls, nvars, sheets, groups, width):
-        sp = object.__new__(cls)
-        sp.nvars = nvars
-        sp.sheets = sheets
-        sp.groups = groups
-        sp.width = width
-        return sp
+        self.groups = groups
+        self.width = width
 
     @property
     def terms(self) -> dict:
@@ -195,24 +175,10 @@ class SheetedPoly:
     def is_zero(self) -> bool:
         return not self.groups
 
-    def total_odd_degree(self):
-        """Common number of odd factors; ANY_DEGREE if empty, None if mixed."""
-        return common_degree(om.bit_count() for om in self.groups)
 
-    def __eq__(self, other):
-        if not isinstance(other, SheetedPoly):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.sheets == other.sheets
-                and self.width == other.width and self.groups == other.groups)
-
-    def __repr__(self):
-        return "SheetedPoly(r=%d, n=%d, %d terms)" % (
-            self.nvars, self.sheets, len(self.terms))
-
-
-def _unit(entries, floor=8) -> SheetedPoly:
+def _unit(entries) -> SheetedPoly:
     """The product over no sheets, wide enough for the n entries: the field
-    width holds n times their largest exponent, and is at least ``floor``."""
+    width is the bit length of n times their largest exponent, at least 1."""
     if not entries:
         raise PreconditionError("empty vertex tuple")
     r = entries[0].nvars
@@ -220,8 +186,7 @@ def _unit(entries, floor=8) -> SheetedPoly:
         raise DimensionError("vertex contents over different dimensions")
     top = max((e for mv in entries for poly in mv.components.values()
                for exps in poly.terms for e in exps), default=0)
-    width = max(floor, (len(entries) * top).bit_length())
-    return SheetedPoly._raw(r, 0, {0: {0: 1}}, width)
+    return SheetedPoly(r, 0, {0: {0: 1}}, max(1, (len(entries) * top).bit_length()))
 
 
 def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
@@ -230,7 +195,7 @@ def _times_sheet(sp: SheetedPoly, mv: Multivector) -> SheetedPoly:
     _add_times_sheet(groups, sp.groups, mv, sp.sheets * sp.nvars,
                      _table(sp.nvars, sp.width, (), ()), 1)
     _trim_tables()
-    return SheetedPoly._raw(sp.nvars, sp.sheets + 1, groups, sp.width)
+    return SheetedPoly(sp.nvars, sp.sheets + 1, groups, sp.width)
 
 
 def _add_times_sheet(groups, left, mv, base, table, scale):
@@ -270,7 +235,9 @@ def _add_times_sheet(groups, left, mv, base, table, scale):
 
 
 def lift(entries) -> SheetedPoly:
-    """Product over sheets i of entry i rewritten in sheet-i variables."""
+    """Product over sheets i of entry i rewritten in sheet-i variables, at
+    the width ``evaluate`` uses (``_unit``): with ``apply_edge`` and
+    ``merge``, the listed-order reference pipeline for ``evaluate``."""
     entries = list(entries)
     return reduce(_times_sheet, entries, _unit(entries))
 
@@ -308,7 +275,7 @@ def apply_edge(sp: SheetedPoly, i: int, j: int) -> SheetedPoly:
                             target[key] = cur
                         else:
                             del target[key]
-    return SheetedPoly._raw(r, n, {om: t for om, t in out.items() if t}, width)
+    return SheetedPoly(r, n, {om: t for om, t in out.items() if t}, width)
 
 
 class _SheetMap(dict):
@@ -449,7 +416,7 @@ class _SheetMap(dict):
 
 # the process's sheet-map tables, keyed by (r, width, slots, classes);
 # ``merge``, the last step of every evaluation, and ``_times_sheet``, each
-# step of ``lift``, drop them all once they hold more than _TABLE_BOUND entries
+# step of the reference ``lift``, drop them all past _TABLE_BOUND entries
 _TABLES = {}
 _TABLE_BOUND = 1 << 15
 
@@ -615,7 +582,7 @@ def evaluate(gamma, entries) -> Multivector:
     if None in slots.degrees:
         raise PreconditionError("vertex contents must have pure xi-degree")
     n = len(slots)
-    unit = _unit(slots, 1)
+    unit = _unit(slots)
     r, width = unit.nvars, unit.width
     joining = _table(r, width, ((2, 1),))
     acc = {}
@@ -637,11 +604,11 @@ def evaluate(gamma, entries) -> Multivector:
             for d, a in _close_vertex(state, k, closing[k], slots, False).items():
                 _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r,
                                  table, 1)
-            state = SheetedPoly._raw(r, k, {om: t for om, t in groups.items() if t},
-                                     width)
+            state = SheetedPoly(r, k, {om: t for om, t in groups.items() if t},
+                                width)
         for d, a in _close_vertex(state, n, closing[n], slots, True).items():
             _add_times_sheet(acc, a, slots.derivative(n, d), r, joining, sgn * c)
-    return merge(SheetedPoly._raw(r, 1, acc, width))
+    return merge(SheetedPoly(r, 1, acc, width))
 
 
 def _twins(closing, k, slots):

@@ -8,7 +8,6 @@ from poissonflow.cohomsolve import _homdeg
 from poissonflow.errors import PreconditionError
 from poissonflow.multivec import Multivector, parse_multivector
 from poissonflow.nambu import weight_degree
-from poissonflow.orient import SheetedPoly
 from poissonflow.ratpoly import ANY_DEGREE, Poly, common_degree, parse_poly
 
 
@@ -20,11 +19,6 @@ def mv3(text):
     return parse_multivector(text, 3)
 
 
-def odd_factors(*masks):
-    """A sheeted polynomial with one term per odd-factor bit mask."""
-    return SheetedPoly(3, 1, {(0, om): 1 for om in masks})
-
-
 # degree of, (zero input, pure input, its degree, mixed input)
 CALLERS = {
     "common_degree": (common_degree, ([], [2, 2, 2], 2, [1, 2])),
@@ -33,9 +27,6 @@ CALLERS = {
     "Multivector.degree": (Multivector.degree, (
         Multivector.zero(3), mv3("(x1) xi1 xi2 + (1) xi2 xi3"), 2,
         mv3("(1) + (x1) xi1"))),
-    "SheetedPoly.total_odd_degree": (SheetedPoly.total_odd_degree, (
-        odd_factors(), odd_factors(0b011, 0b101), 2,
-        odd_factors(0b001, 0b011))),
     "weight_degree": (lambda p: weight_degree(p, (1, 2, 1)), (
         Poly.zero(3), poly3("x1^2 + x2"), 2, poly3("x1 + x2"))),
 }

@@ -20,9 +20,8 @@ from itertools import combinations
 
 import pytest
 
-from poissonflow.errors import DimensionError
 from poissonflow.multivec import Multivector
-from poissonflow.orient import SheetedPoly, _SheetMap, apply_edge, lift, merge
+from poissonflow.orient import _SheetMap, apply_edge, lift, merge
 from poissonflow.ratpoly import Poly, ratnorm
 
 from test_orient_oracle import rand_grade
@@ -87,7 +86,7 @@ def test_lift_width_holds_the_exponent_sum_over_sheets(n, top):
         grades[rng.randrange(n)] += 1
     entries = [top_entry(top, 3, g, rng) for g in grades]
     sp = lift(entries)
-    assert sp.width >= (len(entries) * top).bit_length()
+    assert sp.width == (len(entries) * top).bit_length()
     got = merge(sp)
     assert got == merge_fieldwise(sp)
     assert not got.is_zero()
@@ -116,17 +115,6 @@ def test_random_states_after_edges():
             assert merge(state) == merge_fieldwise(state)
         nonzero += not merge(state).is_zero()
     assert nonzero >= 10
-
-
-def test_constructor_rejects_exponent_sums_past_its_width():
-    # two sheets of x1^200: the merged exponent 400 needs nine bits
-    with pytest.raises(DimensionError):
-        SheetedPoly(1, 2, {(200 | 200 << 8, 0): 1})
-    with pytest.raises(DimensionError):
-        SheetedPoly(1, 2, {(1 << 16, 0): 1})  # a third sheet's field
-    sp = SheetedPoly(1, 2, {(100 | 155 << 8, 0): 1})
-    assert merge(sp) == merge_fieldwise(sp) == Multivector(
-        1, {(): Poly(1, {(255,): 1})})
 
 
 def bubble_sort(items):

@@ -13,14 +13,12 @@ multivector calculus over n*r variables.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from poissonflow.gracomplex import Graph, GraphSum, tetrahedron
 from poissonflow.multivec import Multivector, parse_multivector
-from poissonflow.orient import (SheetedPoly, apply_edge, evaluate, flow, lift,
-                                merge)
+from poissonflow.orient import apply_edge, evaluate, flow, lift, merge
 from poissonflow.ratpoly import Poly
 
 from test_orient_oracle import evaluate_oracle, rand_grade
@@ -162,15 +160,3 @@ def test_graph_sum_is_the_sum_of_its_canonical_terms(P2):
     assert evaluate(GraphSum.zero(), (P2,) * 2).is_zero()
 
 
-def test_flat_terms_view_round_trips_the_constructor():
-    terms = {(3, 0b101): 2, (1 << 8, 0b101): Fraction(1, 2), (0, 0): -1,
-             (5, 0b10): Fraction(4, 2)}
-    sp = SheetedPoly(2, 2, {**terms, (7, 0b1): 0})
-    assert sp.terms == terms
-    assert dict(sp.terms) == terms
-    assert len(sp.terms) == 4
-    assert sp.terms[(5, 0b10)] == 2 and type(sp.terms[(5, 0b10)]) is int
-    assert (7, 0b1) not in sp.terms
-    assert SheetedPoly(2, 2, dict(sp.terms)) == sp
-    assert set(sp.groups) == {0b101, 0, 0b10}
-    assert SheetedPoly(2, 2).terms == {} and SheetedPoly(2, 2).is_zero()

@@ -135,7 +135,7 @@ def random_product(rng):
         idx = tuple(mu for mu in range(1, r + 1) if rng.random() < 0.5)
         exps = tuple(rng.randint(0, half) for _ in range(r))
         comps[idx] = Poly(r, {exps: coefficient(), (0,) * r: coefficient()})
-    return (SheetedPoly._raw(r, 1, groups, width), Multivector(r, comps),
+    return (SheetedPoly(r, 1, groups, width), Multivector(r, comps),
             rng.choice([1, -1, 3, Fraction(2, 5), Fraction(-7, 3)]))
 
 
@@ -148,7 +148,7 @@ def test_entry_n_product_against_the_wedge():
         joining = orient._table(r, width, ((2, 1),))
         acc = {}
         orient._add_times_sheet(acc, left.groups, mv, r, joining, c)
-        got = merge(SheetedPoly._raw(r, 1, acc, width))
+        got = merge(SheetedPoly(r, 1, acc, width))
         want = wedge(merge(left), mv).scale(c)
         assert got == want
         zero += want.is_zero()

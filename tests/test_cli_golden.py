@@ -38,6 +38,7 @@ PATH3 = "graph{n=3; edges=(1,2)(2,3); c=1}"
 POINT = "graph{n=1; edges=; c=1}"
 STICK = "graph{n=2; edges=(1,2); c=1}"
 TETRAHEDRON_HALF = "graph{n=4; edges=(1,2)(1,3)(1,4)(2,3)(2,4)(3,4); c=-1/2}"
+K4_MINUS_EDGE = "graph{n=4; edges=(1,2)(1,3)(1,4)(2,3)(2,4); c=1}"
 
 CASES = [
     ["schouten", "--left", "Y1", "--right", "P1"],
@@ -71,6 +72,7 @@ CASES = [
     ["graph-bracket", "--left", "{dir}/stick.txt", "--right", TRIANGLE],
     ["graph-bracket", "--left", POINT + "\n" + STICK.replace("c=1", "c=2"),
      "--right", STICK + "\n" + TETRAHEDRON_HALF],
+    ["graph-bracket", "--left", K4_MINUS_EDGE, "--right", "tetrahedron"],
     ["nambu", "--casimir", "x3"],
     ["nambu", "--casimir", "1/3*x1^3 + 1/3*x2^3 + 1/3*x3^3"],
     ["nambu", "--casimir", "x1^4 + x2^4 + x3^4", "--density", "x1"],

@@ -30,6 +30,19 @@ edge (v, w) between vertices of valence >= 3, the split of v and the split
 of w that each move one end of that edge alone cancel.  On graphs of
 minimum valence 3 what is left is the standard form of d, the splits into
 two vertices of valence >= 3 (Willwacher, arXiv:1009.1654).
+
+The insertion builds one term per symmetry orbit.  The canonical-labeling
+search finds every maximizing labeling, and any two differ by an
+automorphism, so it returns those automorphisms too.  Let a be a nonzero
+graph (no odd automorphism): an automorphism pi of a takes vertex v to
+pi(v) and the reattachments at v one to one onto those at pi(v), with
+equal terms at sign +1, because pi permutes a's edges evenly; likewise an
+automorphism of b takes a reattachment to another with an equal term.  So
+insert(a, b) is the sum over the Aut(a)-orbits of v and the Aut(b)-orbits
+of reattachments at v of |orbit(v)| * |orbit| * term.  A graph with an odd
+automorphism contributes 0: its raw terms cancel in pairs.  The
+differential stays raw: the terms of d(g) fed back into d have few
+automorphisms, and a search per term would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from .ratpoly import _number_text, _text_int, parse_poly, ratnorm
 
 #: most vertices a graph may have.  ``degrees`` allocates a slot per vertex
 #: and the differential splits every vertex: d of a 9 999-vertex graph takes
-#: about half a second.  ``differential`` and ``insert_terms`` check the
+#: about half a second.  ``differential`` and ``_insertions`` check the
 #: vertex count of their terms before building any, so a d or bracket whose
 #: terms would pass the bound raises an error naming the input's count.
 MAX_VERTICES = 10_000
@@ -141,22 +154,38 @@ def canonicalize(g: Graph):
     position order (1,2),(1,3),(2,3),(1,4),..., which is the labeling whose
     sorted edge list is smallest.  All maximizing labelings are enumerated,
     and a sign clash between any two of them is exactly an odd-edge-parity
-    automorphism.
+    automorphism.  Any two of them differ by an automorphism, and the one
+    search that finds them, ``_canonical_form``, also returns those
+    automorphisms; ``insert`` sums over their orbits.
+    """
+    canon, sign, _ = _canonical_form(g)
+    return canon, sign
 
-    Giving new labels one vertex at a time reveals that string level by
-    level: placing label d+1 appends the d bits of its adjacency to labels
-    1..d.  An unlabeled vertex's bits form an integer key, first label most
-    significant, extended as ``key = (key << 1) | adjacent(new label)``;
-    keys of one level have the same length, so comparing them as integers
-    compares the strings.  The search is breadth first, one level at a
-    time, over the frontier of partial labelings whose revealed prefix is
-    the best one.  Each carries the best key among its unlabeled vertices
-    and the bitmask of the vertices reaching it.  A level takes the maximum
-    key over the whole frontier first, then extends each labeling that
-    reaches it by each vertex that does.  Strings are compared level by
-    level, so a labeling dropped at some level is beaten there by every
-    survivor whatever follows: the last frontier holds every maximizing
-    labeling and nothing else.
+
+def _canonical_form(g: Graph):
+    """The canonical-labeling search: ``(graph, sign, automorphisms)``.
+
+    ``graph`` and ``sign`` are what ``canonicalize`` returns.  With L_0,
+    L_1, ... the maximizing labelings, ``automorphisms`` lists the vertex
+    permutations L_0^-1 L_k, identity first, each as a sequence p with p[v]
+    the image of vertex v (p[0] = 0).  They are every automorphism of g
+    that fixes its isolated vertices, a subgroup of Aut(g), and each
+    permutes the edges evenly; the list is empty when the graph is zero.
+
+    Giving new labels one vertex at a time reveals the adjacency string
+    level by level: placing label d+1 appends the d bits of its adjacency
+    to labels 1..d.  An unlabeled vertex's bits form an integer key, first
+    label most significant, extended as ``key = (key << 1) | adjacent(new
+    label)``; keys of one level have the same length, so comparing them as
+    integers compares the strings.  The search is breadth first, one level
+    at a time, over the frontier of partial labelings whose revealed prefix
+    is the best one.  Each carries the best key among its unlabeled
+    vertices and the bitmask of the vertices reaching it.  A level takes
+    the maximum key over the whole frontier first, then extends each
+    labeling that reaches it by each vertex that does.  Strings are
+    compared level by level, so a labeling dropped at some level is beaten
+    there by every survivor whatever follows: the last frontier holds every
+    maximizing labeling and nothing else.
 
     After placing v, the best key and its vertices come cheaply when v had
     a tie: the other tied vertices keep the best old key, and those adjacent
@@ -173,11 +202,12 @@ def canonicalize(g: Graph):
     """
     edges = g.edges
     if len(set(edges)) != len(edges):
-        return None, 0
-    index = {v: k for k, v in enumerate(sorted({v for e in edges for v in e}))}
+        return None, 0, []
+    verts = sorted({v for e in edges for v in e})
+    index = {v: k for k, v in enumerate(verts)}
     m = len(index)
     if not m:
-        return Graph(g.n, ()), 1
+        return Graph(g.n, ()), 1, [range(g.n + 1)]
     pairs = [(index[i], index[j]) for (i, j) in edges]
     adj = [0] * m
     for (i, j) in pairs:
@@ -220,6 +250,8 @@ def canonicalize(g: Graph):
 
     canon_edges = None
     sign = 0
+    identity = range(g.n + 1)
+    automorphisms = [identity]
     for labeling, _, _, _ in frontier:
         newlabel = [0] * m
         for k, v in enumerate(labeling, 1):
@@ -230,10 +262,17 @@ def canonicalize(g: Graph):
             relabeled.append((a, b) if a < b else (b, a))
         key, s = _sort_parity(relabeled)
         if canon_edges is None:
-            canon_edges, sign = key, s
-        elif s != sign:
-            return None, 0
-    return Graph(g.n, canon_edges), sign
+            canon_edges, sign, first = key, s, labeling
+            continue
+        if s != sign:
+            return None, 0, []
+        # L_k gives labeling[j] the label L_0 gives first[j], so
+        # L_0^-1 L_k takes the one vertex to the other
+        perm = list(identity)
+        for u, w in zip(labeling, first):
+            perm[verts[u]] = verts[w]
+        automorphisms.append(perm)
+    return Graph(g.n, canon_edges), sign, automorphisms
 
 
 class GraphSum:
@@ -345,7 +384,27 @@ def insert_terms(g1: Graph, g2: Graph):
     Vertex v of g1 is replaced by the whole of g2; every edge end formerly
     at v may go to any vertex of g2.  Surviving g1 vertices keep their
     relative order as labels 1..n1-1, g2's vertices follow as n1..n1+n2-1.
-    g1's edges come first (redirected), g2's are appended.
+    g1's edges come first (redirected), g2's are appended.  These are the
+    terms of ``_insertions`` under trivial groups, each of weight 1.
+    """
+    identity1, identity2 = [range(g1.n + 1)], [range(g2.n + 1)]
+    for _, term in _insertions(g1, g2, identity1, identity2):
+        yield term
+
+
+def _insertions(g1: Graph, g2: Graph, autos1, autos2):
+    """Insertion terms of g2 into g1, one per symmetry orbit: yields
+    ``(weight, Graph)``, the terms of ``insert_terms`` grouped.
+
+    ``autos1`` and ``autos2`` are groups of automorphisms of g1 and g2 that
+    permute the edges evenly, as ``_canonical_form`` returns them.  One
+    term is built per autos1-orbit of the vertex v and, at its first
+    vertex, per autos2-orbit of the reattachments of v's edge ends, with
+    weight the product of the two orbit sizes.  Every term of an orbit
+    equals the one built, at sign +1: an automorphism of g1 taking v to
+    v' carries the reattachments at v one to one onto those at v', and one
+    of g2 carries a reattachment onto another, each moving the edges of
+    the term by an even permutation.
     """
     n1, n2 = g1.n, g2.n
     if n1 + n2 - 1 > MAX_VERTICES:
@@ -354,27 +413,61 @@ def insert_terms(g1: Graph, g2: Graph):
             "on %d vertices, past the bound of %d"
             % (n2, n1, n1 + n2 - 1, MAX_VERTICES))
     tail = [(n1 - 1 + i, n1 - 1 + j) for (i, j) in g2.edges]
+    done = set()
     for v in range(1, n1 + 1):
+        if v in done:
+            continue
+        orbit = {p[v] for p in autos1}
+        done |= orbit
         # labels above v move down by one; v's own label stays, so the
         # relabeled other end of an edge at v is its label sum minus v
         moved = [(i - (i > v), j - (j > v)) for (i, j) in g1.edges]
         slots = [k for k, (i, j) in enumerate(g1.edges) if v in (i, j)]
         ends = [sum(moved[k]) - v for k in slots]
-        for targets in product(range(n1, n1 + n2), repeat=len(slots)):
+        seen = set()
+        for targets in product(range(1, n2 + 1), repeat=len(slots)):
+            if targets in seen:
+                continue
+            images = {tuple([p[t] for t in targets]) for p in autos2}
+            seen |= images
             edges = moved[:]
             for k, end, t in zip(slots, ends, targets):
-                edges[k] = (end, t)
-            yield Graph(n1 + n2 - 1, edges + tail)
+                edges[k] = (end, n1 - 1 + t)
+            yield len(orbit) * len(images), Graph(n1 + n2 - 1, edges + tail)
+
+
+def _symmetric_terms(s):
+    """(graph, coefficient, automorphisms) for each term of a GraphSum, or
+    for a Graph at coefficient 1 as given, zero graphs left out: they have
+    odd automorphisms, and their insertion terms cancel in pairs."""
+    out = []
+    for g, c in (((s, 1),) if isinstance(s, Graph) else s.terms.items()):
+        autos = _canonical_form(g)[2]
+        if autos:
+            out.append((g, c, autos))
+    return out
+
+
+def _add_insertions(out, terms1, terms2, reverse):
+    """Add c_a c_b insert(a, b) to ``out`` for each term of ``terms1`` and
+    of ``terms2``, times -(-1)^(E_a*E_b) when ``reverse``."""
+    for a, ca, autos_a in terms1:
+        for b, cb, autos_b in terms2:
+            c = ca * cb
+            if reverse and not a.n_edges & b.n_edges & 1:
+                c = -c
+            for weight, term in _insertions(a, b, autos_a, autos_b):
+                out.add_term(term, weight * c)
 
 
 def insert(g1, g2) -> GraphSum:
-    """Insertion sum; accepts Graphs or GraphSums, extended bilinearly."""
+    """Insertion sum; accepts Graphs or GraphSums, extended bilinearly.
+
+    The raw terms are summed over symmetry orbits (``_insertions``): each
+    orbit is built and canonicalized once, at its size as coefficient.
+    """
     out = GraphSum.zero()
-    for a, ca in as_graphsum(g1).terms.items():
-        for b, cb in as_graphsum(g2).terms.items():
-            c = ca * cb
-            for term in insert_terms(a, b):
-                out.add_term(term, c)
+    _add_insertions(out, _symmetric_terms(g1), _symmetric_terms(g2), False)
     return out
 
 
@@ -382,15 +475,13 @@ def bracket(s1, s2) -> GraphSum:
     """Graded bracket [s1,s2] with degree = edge count.
 
     insert(s1, s2) minus (-1)^(E_a*E_b) c_a c_b insert(b, a) for each term
-    c_a a of s1 and c_b b of s2, with E_a and E_b their edge counts.
+    c_a a of s1 and c_b b of s2, with E_a and E_b their edge counts.  The
+    automorphisms of each term are found once and serve both insertions.
     """
-    s1, s2 = as_graphsum(s1), as_graphsum(s2)
-    out = insert(s1, s2)
-    for b, cb in s2.terms.items():
-        for a, ca in s1.terms.items():
-            c = ca * cb if a.n_edges & b.n_edges & 1 else -ca * cb
-            for term in insert_terms(b, a):
-                out.add_term(term, c)
+    terms1, terms2 = _symmetric_terms(s1), _symmetric_terms(s2)
+    out = GraphSum.zero()
+    _add_insertions(out, terms1, terms2, False)
+    _add_insertions(out, terms2, terms1, True)
     return out
 
 

@@ -3,11 +3,12 @@
 ``differential`` builds each vertex split that survives cancellation once,
 in the graph's own labels: one of each mirror pair at twice the
 coefficient, no leaf splits or stick leaves, and no split isolating an edge
-between two vertices of valence >= 3; ``bracket`` canonicalizes every raw
-insertion term.  They must give the same GraphSum on graphs of every
-valence, isolated vertices and zero graphs included, on the nonzero
-min-valence-3 classes and every term of their d, and on sums mixing edge
-parities and rational coefficients.
+between two vertices of valence >= 3.  The oracle sums the bracket raw:
+every term of ``insert_terms`` canonicalized on its own, with none of the
+orbit weighting ``insert`` and ``bracket`` use.  They must give the same
+GraphSum on graphs of every valence, isolated vertices and zero graphs
+included, on the nonzero min-valence-3 classes and every term of their d,
+and on sums mixing edge parities and rational coefficients.
 """
 
 import random
@@ -16,13 +17,34 @@ from itertools import combinations
 
 import pytest
 
-from poissonflow.gracomplex import (Graph, GraphSum, bracket, canonicalize,
-                                    differential, point, simple_graph, stick,
-                                    tetrahedron)
+from poissonflow.gracomplex import (Graph, GraphSum, as_graphsum, canonicalize,
+                                    differential, insert_terms, point,
+                                    simple_graph, stick, tetrahedron)
+
+
+def raw_insert(s1, s2):
+    """insert(s1, s2) as the plain sum of its raw terms, each canonicalized."""
+    out = GraphSum.zero()
+    for a, ca in as_graphsum(s1).terms.items():
+        for b, cb in as_graphsum(s2).terms.items():
+            for term in insert_terms(a, b):
+                out.add_term(term, ca * cb)
+    return out
+
+
+def raw_bracket(s1, s2):
+    """bracket(s1, s2) from raw insertion sums: insert(s1, s2) minus
+    (-1)^(E_a*E_b) c_a c_b insert(b, a) over the terms of s1 and s2."""
+    out = raw_insert(s1, s2)
+    for b, cb in as_graphsum(s2).terms.items():
+        for a, ca in as_graphsum(s1).terms.items():
+            sign = 1 if a.n_edges * b.n_edges % 2 else -1
+            out = out + raw_insert(b, a).scale(sign * ca * cb)
+    return out
 
 
 def oracle(s):
-    return -bracket(stick(), s)
+    return -raw_bracket(stick(), s)
 
 
 def present(rng, n, edges):

@@ -8,7 +8,10 @@ case).  Linear combinations are held in canonical form, vertex insertion
 gives a graded bracket, and the differential splits vertices.
 ``simple_graph(n, mask)`` enumerates the simple graphs on n labelled
 vertices, one per bitmask over the pairs of K_n; the d^2 = 0 suites run on
-its graphs.
+its graphs.  ``Graph(n, edges)`` checks its input (integers, pairs, no
+loops, labels in 1..n, n at most ``MAX_VERTICES``); ``Graph._raw`` builds,
+unchecked, the graphs this module makes valid by construction: canonical
+forms, vertex splits and insertion terms.
 
 Sign conventions here, validated by property tests rather than cited:
 
@@ -32,21 +35,29 @@ minimum valence 3 what is left is the standard form of d, the splits into
 two vertices of valence >= 3 (Willwacher, arXiv:1009.1654).
 
 The insertion builds one term per symmetry orbit.  The canonical-labeling
-search finds every maximizing labeling, and any two differ by an
-automorphism, so it returns those automorphisms too.  Let a be a nonzero
-graph (no odd automorphism): an automorphism pi of a takes vertex v to
-pi(v) and the reattachments at v one to one onto those at pi(v), with
-equal terms at sign +1, because pi permutes a's edges evenly; likewise an
-automorphism of b takes a reattachment to another with an equal term.  So
-insert(a, b) is the sum over the Aut(a)-orbits of v and the Aut(b)-orbits
-of reattachments at v of |orbit(v)| * |orbit| * term.  A graph with an odd
-automorphism contributes 0: its raw terms cancel in pairs.  The
-differential stays raw: the terms of d(g) fed back into d have few
-automorphisms, and a search per term would cost more than it saves.
+search keeps, level by level, only the partial labelings whose revealed
+adjacency reaches the best one so far, and so ends with every maximizing
+labeling; any two differ by an automorphism, so it returns those
+automorphisms too, each signed by the parity of the permutation it induces
+on the edge positions rather than by sorting the edges again.  Let a be a
+nonzero graph (no odd automorphism): an automorphism pi of a takes vertex
+v to pi(v) and the reattachments at v one to one onto those at pi(v),
+with equal terms at sign +1, because pi permutes a's edges evenly;
+likewise an automorphism of b takes a reattachment to another with an
+equal term.  So insert(a, b) is the sum over the Aut(a)-orbits of v and
+the Aut(b)-orbits of reattachments at v of |orbit(v)| * |orbit| * term.
+A graph with an odd automorphism contributes 0: its raw terms cancel in
+pairs.  The automorphisms found fix the isolated vertices; any
+permutation of those moves no edge, so the isolated vertices of a are one
+orbit, and reattachments differing only in which isolated vertices of b
+they reach are one orbit too.  The differential stays raw: the terms of
+d(g) fed back into d have few automorphisms, and a search per term would
+cost more than it saves.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import combinations, product
 
@@ -68,13 +79,18 @@ class Graph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges):
-        if n < 1:
-            raise MalformedGraphError("vertex count must be positive")
-        if n > MAX_VERTICES:
-            raise MalformedGraphError("vertex count %s exceeds %d"
-                                     % (_number_text(n), MAX_VERTICES))
+        _check_count(n)
         norm = []
-        for (i, j) in edges:
+        for k, e in enumerate(edges, 1):
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise MalformedGraphError("edge %d is not a pair of vertices"
+                                          % k) from None
+            if not (_is_int(i) and _is_int(j)):
+                raise MalformedGraphError(
+                    "edge %d has an endpoint of type %s, not an integer"
+                    % (k, type(j if _is_int(i) else i).__name__))
             if i == j:
                 raise MalformedGraphError("loop edge (%s,%s)"
                                          % (_number_text(i), _number_text(j)))
@@ -84,6 +100,17 @@ class Graph:
             norm.append((i, j) if i < j else (j, i))
         self.n = n
         self.edges = tuple(norm)
+
+    @classmethod
+    def _raw(cls, n, edges):
+        """A graph built unchecked, for callers whose vertex count is in
+        1..MAX_VERTICES and whose edges are pairs i < j of integers in
+        1..n by construction: the canonical form, the splits of the
+        differential and the insertion terms."""
+        g = object.__new__(cls)
+        g.n = n
+        g.edges = tuple(edges)
+        return g
 
     @property
     def n_edges(self) -> int:
@@ -111,13 +138,53 @@ class Graph:
         return render_graph(self, 1)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_count(n):
+    if not _is_int(n):
+        raise MalformedGraphError("vertex count of type %s, not an integer"
+                                  % type(n).__name__)
+    if n < 1:
+        raise MalformedGraphError("vertex count must be positive")
+    if n > MAX_VERTICES:
+        raise MalformedGraphError("vertex count %s exceeds %d"
+                                  % (_number_text(n), MAX_VERTICES))
+
+
 def simple_graph(n: int, mask: int) -> Graph:
     """The graph on n vertices whose edges are the pairs of K_n, in the
     order (1,2),(1,3),...,(1,n),(2,3),..., that ``mask`` selects: bit k
     selects pair k.  Masks 0..2^(n(n-1)/2)-1 give every simple graph on
-    1..n, each once."""
+    1..n, each once; any other mask raises ``MalformedGraphError``."""
+    _check_count(n)
+    if not _is_int(mask):
+        raise MalformedGraphError("mask of type %s, not an integer"
+                                  % type(mask).__name__)
+    npairs = n * (n - 1) // 2
+    if mask < 0 or mask.bit_length() > npairs:
+        raise MalformedGraphError("mask %s outside 0..2^%d-1"
+                                  % (_number_text(mask), npairs))
     pairs = combinations(range(1, n + 1), 2)
-    return Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+    return Graph._raw(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+
+
+def _is_odd(perm) -> bool:
+    """Whether a permutation of 0..len(perm)-1, as a sequence of images,
+    is odd: a cycle of length L is L - 1 transpositions."""
+    seen = [False] * len(perm)
+    odd = False
+    for s in range(len(perm)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        t = perm[s]
+        while t != s:
+            seen[t] = True
+            t = perm[t]
+            odd = not odd
+    return odd
 
 
 def _sort_parity(seq):
@@ -126,20 +193,7 @@ def _sort_parity(seq):
     The sort is stable, so equal items keep their order and the sign is the
     parity of the permutation that stable sort applies."""
     order = sorted(range(len(seq)), key=seq.__getitem__)
-    seen = [False] * len(order)
-    sign = 1
-    for s in range(len(order)):
-        if seen[s]:
-            continue
-        length = 0
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            t = order[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(seq[k] for k in order), sign
+    return tuple(seq[k] for k in order), -1 if _is_odd(order) else 1
 
 
 def canonicalize(g: Graph):
@@ -180,12 +234,25 @@ def _canonical_form(g: Graph):
     integers compares the strings.  The search is breadth first, one level
     at a time, over the frontier of partial labelings whose revealed prefix
     is the best one.  Each carries the best key among its unlabeled
-    vertices and the bitmask of the vertices reaching it.  A level takes
-    the maximum key over the whole frontier first, then extends each
-    labeling that reaches it by each vertex that does.  Strings are
-    compared level by level, so a labeling dropped at some level is beaten
-    there by every survivor whatever follows: the last frontier holds every
-    maximizing labeling and nothing else.
+    vertices and the bitmask of the vertices reaching it, and all of them
+    carry the same key.  A level extends each labeling by each vertex
+    reaching its key and keeps a child only if the child's own key reaches
+    the best one seen so far at that level: a child that beats it clears
+    the children kept before, and a child's labeling tuple is built only
+    when it is kept.  The children kept are those with the level's maximum
+    key, in the order they were made.  Strings are compared level by level,
+    so a labeling dropped at some level is beaten there by every survivor
+    whatever follows: after n - 1 levels, each completed by the one vertex
+    left, the frontier holds every maximizing labeling and nothing else.
+
+    L_0 is signed by sorting its relabeled edges.  Any other maximizing
+    labeling L_k gives the same sorted edge list, so the edges it relabels
+    are those of L_0 permuted by sigma, where sigma takes the position of
+    an edge e to that of its image under pi = L_0^-1 L_k; the sort of L_k
+    is the sort of L_0 after sigma, and sign(L_k) = sign(L_0) sgn(sigma).
+    The positions are looked up in a map of the input edges and the parity
+    of sigma read off its cycles, in O(E) and without a sort: the graph is
+    zero exactly when some sigma is odd.
 
     After placing v, the best key and its vertices come cheaply when v had
     a tie: the other tied vertices keep the best old key, and those adjacent
@@ -207,7 +274,7 @@ def _canonical_form(g: Graph):
     index = {v: k for k, v in enumerate(verts)}
     m = len(index)
     if not m:
-        return Graph(g.n, ()), 1, [range(g.n + 1)]
+        return Graph._raw(g.n, ()), 1, [range(g.n + 1)]
     pairs = [(index[i], index[j]) for (i, j) in edges]
     adj = [0] * m
     for (i, j) in pairs:
@@ -218,12 +285,10 @@ def _canonical_form(g: Graph):
     # vertices, the best key among them, the vertices reaching it).
     everyone = (1 << m) - 1
     frontier = [((), everyone, 0, everyone)]
-    for _ in range(m):
-        top = max(state[2] for state in frontier)
+    for _ in range(m - 1):
         grown = []
+        best = -1
         for labeled, rest, key, cand in frontier:
-            if key != top:
-                continue
             tied = cand & (cand - 1)
             c = cand
             while c:
@@ -242,37 +307,51 @@ def _canonical_form(g: Graph):
                             cand2 = hit
                             key2 |= 1
                 hit = cand2 & adj[v]
+                key2 <<= 1
                 if hit:
-                    grown.append((labeled + (v,), rest2, (key2 << 1) | 1, hit))
-                else:
-                    grown.append((labeled + (v,), rest2, key2 << 1, cand2))
+                    key2 |= 1
+                    cand2 = hit
+                if key2 < best:
+                    continue
+                if key2 > best:
+                    best = key2
+                    grown = []
+                grown.append((labeled + (v,), rest2, key2, cand2))
         frontier = grown
+    # one vertex is left for the last label
+    labelings = [labeled + (rest.bit_length() - 1,)
+                 for labeled, rest, _, _ in frontier]
 
-    canon_edges = None
-    sign = 0
+    first = labelings[0]
+    newlabel = [0] * m
+    for k, v in enumerate(first, 1):
+        newlabel[v] = k
+    relabeled = []
+    for (i, j) in pairs:
+        a, b = newlabel[i], newlabel[j]
+        relabeled.append((a, b) if a < b else (b, a))
+    canon_edges, sign = _sort_parity(relabeled)
     identity = range(g.n + 1)
     automorphisms = [identity]
-    for labeling, _, _, _ in frontier:
-        newlabel = [0] * m
-        for k, v in enumerate(labeling, 1):
-            newlabel[v] = k
-        relabeled = []
-        for (i, j) in pairs:
-            a, b = newlabel[i], newlabel[j]
-            relabeled.append((a, b) if a < b else (b, a))
-        key, s = _sort_parity(relabeled)
-        if canon_edges is None:
-            canon_edges, sign, first = key, s, labeling
-            continue
-        if s != sign:
-            return None, 0, []
-        # L_k gives labeling[j] the label L_0 gives first[j], so
-        # L_0^-1 L_k takes the one vertex to the other
-        perm = list(identity)
-        for u, w in zip(labeling, first):
-            perm[verts[u]] = verts[w]
-        automorphisms.append(perm)
-    return Graph(g.n, canon_edges), sign, automorphisms
+    if len(labelings) > 1:
+        position = {}
+        for k, (i, j) in enumerate(pairs):
+            position[i * m + j] = position[j * m + i] = k
+        image = [0] * m
+        for labeling in labelings[1:]:
+            # L_k gives labeling[j] the label L_0 gives first[j], so
+            # L_0^-1 L_k takes the one vertex to the other; the edge at
+            # position k goes to the one at sigma[k]
+            for u, w in zip(labeling, first):
+                image[u] = w
+            sigma = [position[image[i] * m + image[j]] for (i, j) in pairs]
+            if _is_odd(sigma):
+                return None, 0, []
+            perm = list(identity)
+            for u, w in zip(labeling, first):
+                perm[verts[u]] = verts[w]
+            automorphisms.append(perm)
+    return Graph._raw(g.n, canon_edges), sign, automorphisms
 
 
 class GraphSum:
@@ -387,8 +466,7 @@ def insert_terms(g1: Graph, g2: Graph):
     g1's edges come first (redirected), g2's are appended.  These are the
     terms of ``_insertions`` under trivial groups, each of weight 1.
     """
-    identity1, identity2 = [range(g1.n + 1)], [range(g2.n + 1)]
-    for _, term in _insertions(g1, g2, identity1, identity2):
+    for _, term in _insertions(g1, g2, None, None):
         yield term
 
 
@@ -397,10 +475,18 @@ def _insertions(g1: Graph, g2: Graph, autos1, autos2):
     ``(weight, Graph)``, the terms of ``insert_terms`` grouped.
 
     ``autos1`` and ``autos2`` are groups of automorphisms of g1 and g2 that
-    permute the edges evenly, as ``_canonical_form`` returns them.  One
-    term is built per autos1-orbit of the vertex v and, at its first
-    vertex, per autos2-orbit of the reattachments of v's edge ends, with
-    weight the product of the two orbit sizes.  Every term of an orbit
+    permute the edges evenly and fix the isolated vertices, as
+    ``_canonical_form`` returns them; every permutation of a graph's
+    isolated vertices, which moves no edge, is taken on top.  ``None`` is
+    the trivial group, with no isolated vertex moved.
+
+    One term is built per orbit of the vertex v and, at its first vertex,
+    per orbit of the reattachments of v's edge ends, with weight the
+    product of the two orbit sizes.  The isolated vertices of g1 form one
+    orbit.  A reattachment that sends ends to r distinct isolated vertices
+    of g2 is built only when they are the first r, in order of first use;
+    its orbit has the size of its autos2-orbit times the I!/(I-r)! ways to
+    place them among g2's I isolated vertices.  Every term of an orbit
     equals the one built, at sign +1: an automorphism of g1 taking v to
     v' carries the reattachments at v one to one onto those at v', and one
     of g2 carries a reattachment onto another, each moving the edges of
@@ -412,28 +498,60 @@ def _insertions(g1: Graph, g2: Graph, autos1, autos2):
             "inserting a graph on %d vertices into one on %d gives graphs "
             "on %d vertices, past the bound of %d"
             % (n2, n1, n1 + n2 - 1, MAX_VERTICES))
+    loose1, autos1 = _free_vertices(g1, autos1)
+    loose2, autos2 = _free_vertices(g2, autos2)
+    rank2 = {u: r for r, u in enumerate(loose2)}
+    kept2 = [u for u in range(1, n2 + 1) if u not in rank2]
     tail = [(n1 - 1 + i, n1 - 1 + j) for (i, j) in g2.edges]
-    done = set()
+    # the first isolated vertex of g1 stands for all of them
+    done = set(loose1[1:])
     for v in range(1, n1 + 1):
         if v in done:
             continue
         orbit = {p[v] for p in autos1}
         done |= orbit
+        size = len(loose1) if loose1 and v == loose1[0] else len(orbit)
         # labels above v move down by one; v's own label stays, so the
         # relabeled other end of an edge at v is its label sum minus v
         moved = [(i - (i > v), j - (j > v)) for (i, j) in g1.edges]
         slots = [k for k, (i, j) in enumerate(g1.edges) if v in (i, j)]
         ends = [sum(moved[k]) - v for k in slots]
         seen = set()
-        for targets in product(range(1, n2 + 1), repeat=len(slots)):
+        for targets in product(kept2 + loose2[:len(slots)], repeat=len(slots)):
             if targets in seen:
+                continue
+            used = _first_uses(targets, rank2) if rank2 else 0
+            if used is None:
                 continue
             images = {tuple([p[t] for t in targets]) for p in autos2}
             seen |= images
             edges = moved[:]
             for k, end, t in zip(slots, ends, targets):
                 edges[k] = (end, n1 - 1 + t)
-            yield len(orbit) * len(images), Graph(n1 + n2 - 1, edges + tail)
+            yield (size * len(images) * math.perm(len(loose2), used),
+                   Graph._raw(n1 + n2 - 1, edges + tail))
+
+
+def _free_vertices(g: Graph, autos):
+    """The isolated vertices ``_insertions`` permutes freely on top of
+    ``autos``, and the group itself: none, and the identity, for None."""
+    if autos is None:
+        return [], [range(g.n + 1)]
+    deg = g.degrees()
+    return [v for v in range(1, g.n + 1) if not deg[v]], autos
+
+
+def _first_uses(targets, rank):
+    """The number of distinct vertices of ``rank`` that ``targets`` hits,
+    or None unless the k-th new one it hits has rank k."""
+    used = 0
+    for t in targets:
+        r = rank.get(t)
+        if r == used:
+            used += 1
+        elif r is not None and r > used:
+            return None
+    return used
 
 
 def _symmetric_terms(s):
@@ -521,7 +639,7 @@ def differential(s) -> GraphSum:
         for v in range(1, n + 1):
             slots = [k for k, e in enumerate(edges) if v in e]
             if not slots:
-                out.add_term(Graph(n + 1, edges + [(v, n + 1)]), -split_c)
+                out.add_term(Graph._raw(n + 1, edges + [(v, n + 1)]), -split_c)
                 continue
             far = {k: sum(edges[k]) - v for k in slots}
             first, rest = slots[0], slots[1:]
@@ -535,7 +653,7 @@ def differential(s) -> GraphSum:
                     split = edges[:]
                     for k in moved:
                         split[k] = (far[k], n + 1)
-                    out.add_term(Graph(n + 1, split + [(v, n + 1)]), 2 * split_c)
+                    out.add_term(Graph._raw(n + 1, split + [(v, n + 1)]), 2 * split_c)
     return out
 
 

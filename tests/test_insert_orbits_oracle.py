@@ -6,8 +6,9 @@ search finds (see the ``gracomplex`` module docstring).  The oracle sums
 every raw term of ``insert_terms``, each canonicalized on its own, and
 shares no orbit code with them.  They must agree on every simple graph on
 at most 4 vertices paired both ways with small graphs, on graphs with
-isolated vertices, on sums holding zero terms, on sums with rational
-coefficients, and on the pairs the ``graph`` benchmark brackets.
+isolated vertices on either side (all of them one orbit), on sums holding
+zero terms, on sums with rational coefficients, and on the pairs the
+``graph`` benchmark brackets.
 """
 
 import random
@@ -119,3 +120,59 @@ def test_bracket_of_g3_and_k4e_searches_once_per_orbit(monkeypatch):
     assert calls["canonicalize"] <= 30
     # every search: the canonicalizations and the inputs' automorphisms
     assert calls["_canonical_form"] <= 30
+
+
+# nonzero graphs whose isolated vertices sit before, between and after the
+# others, so that an orbit of isolated vertices is summed on either side
+G3_AND_TWO = Graph(6, ((1, 3), (1, 4), (1, 6), (3, 4), (3, 6), (4, 6)))
+K4E_AND_THREE = Graph(7, ((2, 3), (2, 5), (2, 7), (3, 5), (3, 7)))
+STICK_AND_FOUR = Graph(6, ((2, 5),))
+TWO_ALONE = Graph(2, ())
+
+
+@pytest.mark.parametrize("g", [G3_AND_TWO, K4E_AND_THREE, STICK_AND_FOUR, TWO_ALONE],
+                         ids=["g3+2", "k4e+3", "stick+4", "two-alone"])
+def test_isolated_vertices_on_both_sides(g):
+    for h in (K4E_AND_THREE, STICK_AND_FOUR, TWO_ALONE, stick(), tetrahedron()):
+        check(g, h)
+
+
+def test_sums_with_isolated_vertices():
+    check(GraphSum({G3_AND_TWO: Fraction(2, 3), STICK_AND_FOUR: -1}),
+          GraphSum({K4E_AND_THREE: 5, TWO_ALONE: Fraction(1, 7)}))
+
+
+def count_searches(monkeypatch):
+    """Count every ``_canonical_form`` call, ``canonicalize``'s included."""
+    calls = Counter()
+    real = gracomplex._canonical_form
+
+    def counted(g):
+        calls["_canonical_form"] += 1
+        return real(g)
+    monkeypatch.setattr(gracomplex, "_canonical_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("edges, inserted, searches", [
+    (((1, 2),), False, 2 + 2), (((1, 2),), True, 2 + 2),
+    (K4_MINUS_EDGE.edges, False, 2 + 7), (K4_MINUS_EDGE.edges, True, 2 + 3),
+], ids=["stick-into", "stick-inserted", "k4e-into", "k4e-inserted"])
+def test_isolated_vertices_form_one_orbit(edges, inserted, searches, monkeypatch):
+    # a graph with 1 998 or 1 996 isolated vertices, into which the stick is
+    # inserted or which is inserted into it: its isolated vertices were that
+    # many orbits on the g1 side, and that many reattachments on the g2 side
+    def pair(n):
+        g = Graph(n, edges)
+        return (stick(), g) if inserted else (g, stick())
+
+    calls = count_searches(monkeypatch)
+    out = insert(*pair(2000))
+    monkeypatch.undo()
+    # the two inputs, then one term per orbit: the stick's vertices with
+    # the two ends of the stick, and the isolated vertices; K4-e's vertices
+    # of valence 3 and 2, with 4 and 2 reattachment orbits of the stick, or
+    # as targets of its end, and the isolated vertices
+    assert calls["_canonical_form"] == searches
+    assert out.is_zero() == (edges == ((1, 2),))
+    assert insert(*pair(40)) == raw_insert(*pair(40))

@@ -17,7 +17,8 @@ from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
 from poissonflow.errors import (DimensionError, MalformedGraphError,
                                ParseError, PreconditionError)
 from poissonflow.gracomplex import (MAX_VERTICES, Graph, GraphSum,
-                                   insert_terms, parse_graph, stick)
+                                   insert_terms, parse_graph, simple_graph,
+                                   stick)
 from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
                                   homogeneity_scale, parse_multivector,
                                   render_multivector, schouten, schouten_sym)
@@ -631,6 +632,41 @@ def test_graph_vertex_bound_is_inclusive():
     assert Graph(MAX_VERTICES, ((1, MAX_VERTICES),)).n == MAX_VERTICES
     with pytest.raises(MalformedGraphError, match="exceeds 10000"):
         Graph(MAX_VERTICES + 1, ())
+
+
+# -- gracomplex: counts, endpoints and masks are integers --------------------------
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(3, [(1, 2.5)]), "edge 1 has an endpoint of type float"),
+    (lambda: Graph(3, [(1, 2), ("1", 3)]), "edge 2 has an endpoint of type str"),
+    (lambda: Graph(3, [(True, 2)]), "edge 1 has an endpoint of type bool"),
+    (lambda: Graph(2.0, [(1, 2)]), "vertex count of type float"),
+    (lambda: Graph(True, []), "vertex count of type bool"),
+    (lambda: Graph(3, [(1, 2, 3)]), "edge 1 is not a pair of vertices"),
+    (lambda: Graph(3, [5]), "edge 1 is not a pair of vertices"),
+    (lambda: simple_graph(3, -1), "mask -1 outside 0..2^3-1"),
+    (lambda: simple_graph(3, 8), "mask 8 outside 0..2^3-1"),
+    (lambda: simple_graph(1, 1), "mask 1 outside 0..2^0-1"),
+    (lambda: simple_graph(3, 7.0), "mask of type float"),
+    (lambda: simple_graph(2.0, 1), "vertex count of type float"),
+], ids=["float-endpoint", "str-endpoint", "bool-endpoint", "float-count",
+        "bool-count", "triple", "not-a-sequence", "negative-mask",
+        "mask-past-the-pairs", "mask-on-one-vertex", "float-mask", "float-n"])
+def test_graph_inputs_must_be_integers(build, message):
+    # a float endpoint was truncated by the renderer into a different graph,
+    # a float count accepted, a triple or a str endpoint raised a bare
+    # ValueError or TypeError, and a mask out of range was read modulo the
+    # pairs, -1 as K3 and 8 as the empty graph
+    with pytest.raises(MalformedGraphError) as exc:
+        build()
+    assert str(exc.value).startswith(message)
+
+
+def test_simple_graph_accepts_every_mask_in_range():
+    assert simple_graph(3, 7) == Graph(3, [(1, 2), (1, 3), (2, 3)])
+    assert simple_graph(3, 0) == Graph(3, [])
+    assert simple_graph(1, 0) == Graph(1, [])
 
 
 # -- multivec: xi indices start at 1 -------------------------------------------------

@@ -33,8 +33,8 @@ it.  The pivot columns fix the answer: the particular solution sets every
 free unknown to 0 and each kernel vector sets one free unknown to 1, and
 both are unique.  Back-substitution stays in integers: one bottom-up pass
 over the pivot rows serves the particular solution and every kernel
-vector, each held as integer numerators over its own denominator, and
-Fractions are built only for the returned values.
+vector, each held as integer numerators over its own denominator and
+returned in that sparse form: a map ``{col: value}`` of its nonzero values.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def _bound(count: int, what: str) -> None:
 @dataclass
 class RawSolution:
     status: str                       # "solved" | "infeasible"
-    particular: list | None = None    # Fractions, free unknowns set to zero
-    kernel: list = field(default_factory=list)
+    particular: dict | None = None    # {col: value}, free unknowns set to zero
+    kernel: list = field(default_factory=list)  # a {col: value} per free unknown
     witness: object = None            # label of an inconsistent equation
 
 
@@ -144,7 +144,8 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     Each vector keeps integer numerators over its own denominator, and a
     row touches only the vectors that are nonzero in its columns.  A pivot
     that does not divide a vector's sum rescales that vector alone.
-    Fractions are built only for the returned values.
+    Each vector is returned as a map ``{col: value}`` of its nonzero values
+    in column order, each reduced and an int wherever it is integral.
     """
     if ncols is None and matrix:
         raise DimensionError("solve_raw: a system with rows needs ncols")
@@ -257,14 +258,9 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
         if here:
             holders[col] = here
 
-    zero = Fraction(0)
-    vectors = []
-    for x, d in zip(nums, dens):
-        vec = [zero] * ncols
-        for c, v in x.items():
-            if c != ncols:
-                vec[c] = Fraction(v, d)
-        vectors.append(vec)
+    del nums[0][ncols]          # the right-hand side's -1
+    vectors = [{c: Fraction(x[c], d) if x[c] % d else x[c] // d
+                for c in sorted(x)} for x, d in zip(nums, dens)]
     return RawSolution(status="solved", particular=vectors[0], kernel=vectors[1:])
 
 
@@ -327,19 +323,22 @@ class AnsatzSpec:
         return [(i, exps) for i in range(1, self.nvars + 1) for exps in monos]
 
     def field_from_coefficients(self, coeffs) -> Multivector:
-        return _field(self.nvars, self.basis(), coeffs)
+        basis = self.basis()
+        if len(coeffs) != len(basis):
+            raise DimensionError("coefficient vector has wrong length")
+        return _field(self.nvars, basis,
+                      {k: ratnorm(c) for k, c in enumerate(coeffs) if c})
 
 
 def _field(nvars: int, basis, coeffs) -> Multivector:
-    """The field sum_k coeffs[k] * x^a xi_i over ``basis`` = [(i, a), ...]."""
-    if len(coeffs) != len(basis):
-        raise DimensionError("coefficient vector has wrong length")
+    """The field sum_k coeffs[k] * x^a xi_i over ``basis`` = [(i, a), ...]
+    from a ``solve_raw`` map ``{k: coeffs[k]}`` of nonzero reduced values."""
     comps = {}
-    for (i, exps), c in zip(basis, coeffs):
-        if c:
-            comps.setdefault((i,), {})[exps] = ratnorm(c)
-    return Multivector(nvars, {
-        idx: Poly(nvars, terms) for idx, terms in comps.items()})
+    for k, c in coeffs.items():
+        i, exps = basis[k]
+        comps.setdefault((i,), {})[exps] = c
+    return Multivector._raw(nvars, {
+        idx: Poly._raw(nvars, terms) for idx, terms in comps.items()})
 
 
 @dataclass

@@ -37,9 +37,9 @@ two vertices of valence >= 3 (Willwacher, arXiv:1009.1654).
 The insertion builds one term per symmetry orbit.  The canonical-labeling
 search keeps, level by level, only the partial labelings whose revealed
 adjacency reaches the best one so far, and so ends with every maximizing
-labeling; any two differ by an automorphism, so it returns those
-automorphisms too, each signed by the parity of the permutation it induces
-on the edge positions rather than by sorting the edges again.  Let a be a
+labeling; any two differ by an automorphism, each tested by the parity of
+the permutation it induces on the edge positions rather than by sorting
+again; only the insertion builds the automorphisms.  Let a be a
 nonzero graph (no odd automorphism): an automorphism pi of a takes vertex
 v to pi(v) and the reattachments at v one to one onto those at pi(v),
 with equal terms at sign +1, because pi permutes a's edges evenly;
@@ -208,23 +208,21 @@ def canonicalize(g: Graph):
     position order (1,2),(1,3),(2,3),(1,4),..., which is the labeling whose
     sorted edge list is smallest.  All maximizing labelings are enumerated,
     and a sign clash between any two of them is exactly an odd-edge-parity
-    automorphism.  Any two of them differ by an automorphism, and the one
-    search that finds them, ``_canonical_form``, also returns those
-    automorphisms; ``insert`` sums over their orbits.
+    automorphism.  Any two of them differ by an automorphism: the one
+    search that finds them, ``_canonical_form``, also returns the labelings,
+    and ``insert`` sums over the orbits of those automorphisms.
     """
     canon, sign, _ = _canonical_form(g)
     return canon, sign
 
 
 def _canonical_form(g: Graph):
-    """The canonical-labeling search: ``(graph, sign, automorphisms)``.
+    """The canonical-labeling search: ``(graph, sign, labelings)``.
 
-    ``graph`` and ``sign`` are what ``canonicalize`` returns.  With L_0,
-    L_1, ... the maximizing labelings, ``automorphisms`` lists the vertex
-    permutations L_0^-1 L_k, identity first, each as a sequence p with p[v]
-    the image of vertex v (p[0] = 0).  They are every automorphism of g
-    that fixes its isolated vertices, a subgroup of Aut(g), and each
-    permutes the edges evenly; the list is empty when the graph is zero.
+    ``graph`` and ``sign`` are what ``canonicalize`` returns.  ``labelings``
+    lists the maximizing labelings L_0, L_1, ... of the non-isolated
+    vertices, each as the tuple of the vertices that take labels 1, 2, ...;
+    it is empty when the graph is zero.
 
     Giving new labels one vertex at a time reveals the adjacency string
     level by level: placing label d+1 appends the d bits of its adjacency
@@ -274,7 +272,7 @@ def _canonical_form(g: Graph):
     index = {v: k for k, v in enumerate(verts)}
     m = len(index)
     if not m:
-        return Graph._raw(g.n, ()), 1, [range(g.n + 1)]
+        return Graph._raw(g.n, ()), 1, [()]
     pairs = [(index[i], index[j]) for (i, j) in edges]
     adj = [0] * m
     for (i, j) in pairs:
@@ -331,8 +329,6 @@ def _canonical_form(g: Graph):
         a, b = newlabel[i], newlabel[j]
         relabeled.append((a, b) if a < b else (b, a))
     canon_edges, sign = _sort_parity(relabeled)
-    identity = range(g.n + 1)
-    automorphisms = [identity]
     if len(labelings) > 1:
         position = {}
         for k, (i, j) in enumerate(pairs):
@@ -347,11 +343,9 @@ def _canonical_form(g: Graph):
             sigma = [position[image[i] * m + image[j]] for (i, j) in pairs]
             if _is_odd(sigma):
                 return None, 0, []
-            perm = list(identity)
-            for u, w in zip(labeling, first):
-                perm[verts[u]] = verts[w]
-            automorphisms.append(perm)
-    return Graph._raw(g.n, canon_edges), sign, automorphisms
+    return (Graph._raw(g.n, canon_edges), sign,
+            [tuple(map(verts.__getitem__, lab)) for lab in labelings])
+
 
 
 class GraphSum:
@@ -476,7 +470,7 @@ def _insertions(g1: Graph, g2: Graph, autos1, autos2):
 
     ``autos1`` and ``autos2`` are groups of automorphisms of g1 and g2 that
     permute the edges evenly and fix the isolated vertices, as
-    ``_canonical_form`` returns them; every permutation of a graph's
+    ``_symmetric_terms`` builds them; every permutation of a graph's
     isolated vertices, which moves no edge, is taken on top.  ``None`` is
     the trivial group, with no isolated vertex moved.
 
@@ -557,11 +551,17 @@ def _first_uses(targets, rank):
 def _symmetric_terms(s):
     """(graph, coefficient, automorphisms) for each term of a GraphSum, or
     for a Graph at coefficient 1 as given, zero graphs left out: they have
-    odd automorphisms, and their insertion terms cancel in pairs."""
+    odd automorphisms, and their insertion terms cancel in pairs.  The
+    automorphisms are L_0^-1 L_k over the labelings of ``_canonical_form``,
+    identity first, each a list p with p[v] the image of v (p[0] = 0)."""
     out = []
     for g, c in (((s, 1),) if isinstance(s, Graph) else s.terms.items()):
-        autos = _canonical_form(g)[2]
-        if autos:
+        labelings = _canonical_form(g)[2]
+        if labelings:
+            autos = [list(range(g.n + 1)) for _ in labelings]
+            for p, labeling in zip(autos, labelings):
+                for u, w in zip(labeling, labelings[0]):
+                    p[u] = w
             out.append((g, c, autos))
     return out
 

@@ -103,8 +103,7 @@ def tangent_fit(q: Multivector, a: Poly, rho: Poly | None = None):
     if raw.status != "solved":
         return "infeasible", None, None
     adot_terms, rhodot_terms = {}, {}
-    for (kind, exps), c in zip(kinds, raw.particular):
-        if not c:
-            continue
+    for k, c in raw.particular.items():
+        kind, exps = kinds[k]
         (adot_terms if kind == "a" else rhodot_terms)[exps] = c
-    return "solved", Poly(3, adot_terms), Poly(3, rhodot_terms)
+    return "solved", Poly._raw(3, adot_terms), Poly._raw(3, rhodot_terms)

@@ -9,7 +9,8 @@ runs; a second pins the automorphism lists of the same graphs, in order.
 The digests were recorded from the breadth-first search that filtered each
 level by its maximum key and signed every maximizing labeling by sorting.
 
-The automorphisms ``_canonical_form`` returns are checked against every
+The automorphisms ``_symmetric_terms`` builds from the labelings that
+``_canonical_form`` returns are checked against every
 vertex permutation of small graphs, and the terms ``differential`` and
 ``_insertions`` build through the trusted ``Graph._raw`` against the
 checking constructor.
@@ -21,9 +22,9 @@ from itertools import permutations
 
 import poissonflow.gracomplex as gracomplex
 from poissonflow.gracomplex import (Graph, GraphSum, _canonical_form,
-                                    _insertions, canonicalize, differential,
-                                    point, render_graph, simple_graph, stick,
-                                    tetrahedron)
+                                    _insertions, _symmetric_terms, canonicalize,
+                                    differential, point, render_graph,
+                                    simple_graph, stick, tetrahedron)
 
 from test_canonicalize_oracle import random_graph
 from test_differential_oracle import CLASSES, present
@@ -59,6 +60,12 @@ AUTOMORPHISMS_SHA256 = (
     "2db3e4b56e32db51a805a1412594731d73357b62591e962d06a81a8ba41deb1b")
 
 
+def automorphisms(g):
+    """The automorphisms ``insert`` sums over for g; [] when g is zero."""
+    terms = _symmetric_terms(g)
+    return terms[0][2] if terms else []
+
+
 def pinned_graphs():
     """Every simple graph on 1..5 vertices (1 099), then five seeded
     relabelings of each benchmark class."""
@@ -74,7 +81,8 @@ def pinned_graphs():
 def digests():
     canon, autos = hashlib.sha256(), hashlib.sha256()
     for g in pinned_graphs():
-        graph, sign, found = _canonical_form(g)
+        graph, sign, _ = _canonical_form(g)
+        found = automorphisms(g)
         canon.update(b"zero\n" if graph is None else
                      (render_graph(graph, sign) + "\n").encode())
         autos.update(("%r\n" % [list(p)[1:] for p in found]).encode())
@@ -115,7 +123,8 @@ def test_automorphisms_match_brute_force():
     kinds = set()
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 6))
-        graph, sign, autos = _canonical_form(g)
+        graph, sign, _ = _canonical_form(g)
+        autos = automorphisms(g)
         found, odd = brute_automorphisms(g)
         if odd:
             assert (graph, sign, autos) == (None, 0, []), g
@@ -158,7 +167,7 @@ def test_unchecked_graphs_pass_the_checking_constructor(monkeypatch):
             assert_checked(canon)
     for g1 in graphs[-4:]:
         for g2 in graphs[-4:]:
-            autos1, autos2 = _canonical_form(g1)[2], _canonical_form(g2)[2]
+            autos1, autos2 = automorphisms(g1), automorphisms(g2)
             for _, t in _insertions(g1, g2, None, None):
                 assert_checked(t)
             if autos1 and autos2:

@@ -65,6 +65,8 @@ CASES = [
     ["trivialize", "--target", "0", "--poisson", "P1", "--nvars", "4"],
     ["trivialize", "--target", "0", "--poisson", "gl2kk", "--nvars", "4",
      "--degree", "1"],
+    ["trivialize", "--target", "0", "--poisson", "0", "--nvars", "2",
+     "--degree", "1"],
     ["graph-d", "--graph", "tetrahedron"],
     ["graph-d", "--graph", POINT],
     ["graph-d", "--graph", PATH3],

@@ -12,7 +12,7 @@ from poissonflow.errors import DimensionError, PreconditionError
 from poissonflow.multivec import (Multivector, hamiltonian_field,
                                   parse_multivector, schouten)
 from poissonflow.ratpoly import Poly, parse_poly
-from test_solve_sparse import dense_to_sparse
+from test_solve_sparse import dense_to_sparse, sparse
 
 
 def mv(nvars, **components):
@@ -75,12 +75,12 @@ def test_solve_raw_against_rational_elimination():
         assert raw.status == "solved"
         # the particular solution satisfies every equation exactly
         for row, b in zip(matrix, rhs):
-            assert sum(a * x for a, x in zip(row, raw.particular)) == b
+            assert sum(row[c] * x for c, x in raw.particular.items()) == b
         # kernel dimension matches rank, kernel vectors annihilate A
         assert len(raw.kernel) == ncols - rank
         for k in raw.kernel:
             for row in matrix:
-                assert sum(a * x for a, x in zip(row, k)) == 0
+                assert sum(row[c] * x for c, x in k.items()) == 0
 
 
 def test_solve_raw_fractional_rows():
@@ -88,7 +88,7 @@ def test_solve_raw_fractional_rows():
     rhs = [Fraction(5, 6), 1]
     raw = solve_raw(dense_to_sparse(matrix), rhs, None, 2)
     assert raw.status == "solved"
-    assert raw.particular == [Fraction(1), Fraction(1)]
+    assert raw.particular == sparse([Fraction(1), Fraction(1)])
 
 
 def test_solve_raw_infeasible_names_witness():

@@ -3,6 +3,7 @@ failure exits."""
 
 import random
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -17,8 +18,8 @@ from poissonflow.cohomsolve import (AnsatzSpec, default_degree, monomials,
 from poissonflow.errors import (DimensionError, MalformedGraphError,
                                ParseError, PreconditionError)
 from poissonflow.gracomplex import (MAX_VERTICES, Graph, GraphSum,
-                                   insert_terms, parse_graph, simple_graph,
-                                   stick)
+                                   canonicalize, insert_terms, parse_graph,
+                                   simple_graph, stick)
 from poissonflow.multivec import (Multivector, euler_field, hamiltonian_field,
                                   homogeneity_scale, parse_multivector,
                                   render_multivector, schouten, schouten_sym)
@@ -28,7 +29,7 @@ from poissonflow.orient import (cocycle1, directional_flow, evaluate, flow,
                                 lift, merge)
 from poissonflow.ratpoly import ANY_DEGREE, Poly, parse_poly, render_poly
 from poissonflow.verify import uniform_ratio
-from test_solve_sparse import dense_to_sparse
+from test_solve_sparse import dense_to_sparse, sparse
 
 
 # -- orient: exponents past eight bits -------------------------------------------
@@ -316,8 +317,8 @@ def test_system_without_equations_keeps_its_unknowns():
     zero = Multivector.zero(2)
     raw = solve_raw(*multivector_columns_system([zero, zero], zero))
     assert raw.status == "solved"
-    assert raw.particular == [0, 0]
-    assert sorted(raw.kernel) == [[0, 1], [1, 0]]
+    assert raw.particular == sparse([0, 0])
+    assert raw.kernel == [sparse([1, 0]), sparse([0, 1])]
 
 
 def test_solve_raw_rejects_a_row_wider_than_its_unknowns():
@@ -333,14 +334,14 @@ def test_solve_raw_rejects_a_row_wider_than_its_unknowns():
         solve_raw([], [], ncols=-1)
     with pytest.raises(DimensionError):
         solve_raw([{0: 1}], [2])    # ncols is not guessed from the rows
-    assert solve_raw([{0: 1}], [2], ncols=2).particular == [2, 0]
+    assert solve_raw([{0: 1}], [2], ncols=2).particular == sparse([2, 0])
 
 
 def test_solve_raw_drops_stored_zeros():
     # a stored 0 in column 0 must not become its pivot
     raw = solve_raw([{0: 0, 1: 1}, {0: 0}], [1, 0], ncols=2)
     assert raw.status == "solved"
-    assert raw.particular == [0, 1] and raw.kernel == [[1, 0]]
+    assert raw.particular == sparse([0, 1]) and raw.kernel == [sparse([1, 0])]
     raw = solve_raw([{0: 0, 1: 0}], [Fraction(1, 2)], ["zero row"], 2)
     assert raw.status == "infeasible" and raw.witness == "zero row"
 
@@ -352,7 +353,7 @@ def test_solve_raw_rejects_a_missing_right_hand_side_or_label():
     with pytest.raises(DimensionError):
         solve_raw(dense_to_sparse([[1, 0], [0, 1]]), [2, 3], ["first"], 2)
     raw = solve_raw(dense_to_sparse([[1, 0], [0, 1]]), [2, 3], ncols=2)
-    assert raw.particular == [2, 3] and raw.kernel == []
+    assert raw.particular == sparse([2, 3]) and raw.kernel == []
 
 
 # -- cohomsolve: the zero bivector -------------------------------------------------
@@ -369,6 +370,37 @@ def test_trivialize_over_the_zero_bivector():
     assert sol.status == "infeasible"
     idx, exps = sol.witness
     assert q.component(idx).terms[exps]
+
+
+def traced_peak_mb(run):
+    """``run()``'s result and the peak of memory traced while it ran, in MB."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_all_free_system_costs_no_dense_vectors():
+    # [[Y,0]] = 0 at degree 16 on R^4: 3 876 unknowns, all free; dense
+    # answers of 3 876 entries each peaked at about 118 MB traced
+    zero = Multivector.zero(4)
+    sol, peak = traced_peak_mb(lambda: trivialize(zero, zero, 16))
+    assert sol.status == "solved" and sol.particular.is_zero()
+    assert sol.kernel_dim == AnsatzSpec(4, 16).unknown_count == 3876
+    assert all(len(k.components) == 1 for k in sol.kernel_basis)
+    assert peak < 20
+
+
+def test_field_from_coefficients_drops_zeros_and_reduces():
+    spec = AnsatzSpec(2, 1)      # unknowns x1 xi1, x2 xi1, x1 xi2, x2 xi2
+    field = spec.field_from_coefficients([0, Fraction(4, 2), 0, Fraction(1, 2)])
+    assert field == parse_multivector("(2*x2) xi1 + (1/2*x2) xi2", 2)
+    assert type(field.component((1,)).terms[(0, 1)]) is int
+    assert spec.field_from_coefficients([0] * 4).is_zero()
+    with pytest.raises(DimensionError):
+        spec.field_from_coefficients([1] * 3)
 
 
 def test_cli_trivialize_over_the_zero_bivector(capsys):
@@ -563,6 +595,16 @@ def test_cli_graph_d_with_many_isolated_vertices(capsys):
     # them aside instead of trying their orders
     assert main(["graph-d", "--graph", "graph{n=14; edges=(1,2); c=1}"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_canonicalize_builds_no_automorphism_list():
+    # K6 has 720 automorphisms; each used to be built as a list over all
+    # n + 1 vertices, about 22 MB traced at n = 1000
+    k6 = simple_graph(6, 2**15 - 1).edges
+    for n in (6, 1000):
+        (canon, sign), peak = traced_peak_mb(lambda: canonicalize(Graph(n, k6)))
+        assert canon == Graph(n, k6) and sign == 1
+        assert peak < 2
 
 
 # -- gracomplex: vertex counts past the bound --------------------------------------

@@ -5,9 +5,12 @@ eliminator replaced; it takes dense rows and ``solve_raw`` the same rows
 through ``dense_to_sparse``.  ``rational_solve_raw`` is the sparse solver
 that scanned every row for each pivot and back-substituted each solution
 vector on its own in Fractions.  With the same pivot rule all three must
-give the same status, particular solution, kernel basis and witness.
+give the same status, particular solution, kernel basis and witness.  The
+oracles answer in dense vectors, ``solve_raw`` in ``{col: value}`` maps;
+``sparse`` turns the one into the other.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,7 +22,7 @@ from poissonflow.cohomsolve import (AnsatzSpec, RawSolution, assemble,
                                     monomials, solve_raw, trivialize)
 from poissonflow.errors import DimensionError
 from poissonflow.multivec import Multivector, schouten
-from poissonflow.ratpoly import Poly
+from poissonflow.ratpoly import Poly, ratnorm
 
 
 # -- oracle: dense Bareiss elimination -----------------------------------------
@@ -28,6 +31,12 @@ from poissonflow.ratpoly import Poly
 def dense_to_sparse(matrix):
     """Dense rows as the ``{col: coeff}`` rows that ``solve_raw`` takes."""
     return [{c: x for c, x in enumerate(row) if x} for row in matrix]
+
+
+def sparse(vec):
+    """A dense solution vector as the ``{col: value}`` map ``solve_raw``
+    returns: its nonzero values only, each an int wherever it is integral."""
+    return {c: ratnorm(x) for c, x in enumerate(vec) if x}
 
 
 def _integerize(row, b):
@@ -188,10 +197,24 @@ def rational_solve_raw(matrix, rhs, row_labels=None, ncols=0):
     return RawSolution(status="solved", particular=particular, kernel=kernel)
 
 
+def assert_clean_maps(raw, ncols):
+    """Every map of a solved ``raw`` holds columns in range(ncols), in
+    order, and nonzero reduced values only, an int wherever integral."""
+    for vec in [raw.particular] + raw.kernel:
+        assert type(vec) is dict and list(vec) == sorted(vec)
+        assert set(vec) <= set(range(ncols))
+        for x in vec.values():
+            assert type(x) is int or type(x) is Fraction and x.denominator > 1
+            assert x != 0
+
+
 def assert_same(got, want):
+    """``solve_raw``'s answer ``got`` against an oracle's dense ``want``."""
+    if want.status == "solved":
+        assert_clean_maps(got, len(want.particular))
+        want = dataclasses.replace(want, particular=sparse(want.particular),
+                                   kernel=[sparse(v) for v in want.kernel])
     assert got == want
-    for vec in [got.particular or []] + got.kernel:
-        assert all(type(x) is Fraction for x in vec)
 
 
 # -- seeded systems -------------------------------------------------------------
@@ -255,6 +278,27 @@ def test_sparse_matches_bareiss_on_seeded_systems():
     assert min(statuses.values()) > 50
 
 
+def test_answers_are_clean_maps_on_seeded_systems():
+    rng = random.Random(95)
+    kinds = set()
+    for _ in range(300):
+        matrix, rhs, labels, ncols = random_case(rng)
+        got = solve_raw(dense_to_sparse(matrix), rhs, labels, ncols)
+        if got.status == "solved":
+            assert_clean_maps(got, ncols)
+            # kernel vector k is 1 at its free column, the last it holds,
+            # where the particular solution and every other vector are 0
+            free = [max(vec) for vec in got.kernel]
+            assert all(vec[c] == 1 for vec, c in zip(got.kernel, free))
+            assert free == sorted(set(free))
+            assert not set(free) & set(got.particular)
+            assert all(vec.keys() & set(free) == {c}
+                       for vec, c in zip(got.kernel, free))
+            kinds |= {type(x) for vec in [got.particular] + got.kernel
+                      for x in vec.values()}
+    assert kinds == {int, Fraction}
+
+
 def combination_rows(rng, nrows, ncols, rank, fractional):
     """``nrows`` rows in the span of ``rank`` random rows, the first ``rank``
     of them those rows themselves."""
@@ -287,7 +331,7 @@ def test_wide_kernels_match_both_oracles():
         rhs = consistent_rhs(rng, matrix, 40, fractional)
         got = assert_matches_oracles(matrix, rhs, None, 40)
         assert got.status == "solved" and len(got.kernel) == 35
-        assert sum(x != 0 for vec in got.kernel for x in vec) > 35 * 3
+        assert sum(len(vec) for vec in got.kernel) > 35 * 3
 
 
 def test_pivot_swaps_match_both_oracles():
@@ -377,8 +421,8 @@ def test_rows_with_fractions_and_duplicates():
     rhs = [Fraction(5, 6), Fraction(5, 6), Fraction(7, 5), 0]
     got = solve_raw(dense_to_sparse(matrix), rhs, None, 3)
     assert got.status == "solved"
-    assert got.particular == [Fraction(5, 3), Fraction(7, 2), 0]
-    assert got.kernel == [[Fraction(-2, 3), Fraction(-5, 2), 1]]
+    assert got.particular == sparse([Fraction(5, 3), Fraction(7, 2), 0])
+    assert got.kernel == [sparse([Fraction(-2, 3), Fraction(-5, 2), 1])]
     assert_same(got, bareiss_solve_raw(matrix, rhs))
 
 

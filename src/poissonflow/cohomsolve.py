@@ -113,7 +113,7 @@ def _bound(count: int, what: str) -> None:
 @dataclass
 class RawSolution:
     status: str                       # "solved" | "infeasible"
-    particular: dict | None = None    # {col: value}, free unknowns set to zero
+    particular: dict | None = None    # {col: value}; free unknowns 0, absent
     kernel: list = field(default_factory=list)  # a {col: value} per free unknown
     witness: object = None            # label of an inconsistent equation
 

@@ -217,7 +217,7 @@ def cmd_catalog(args):
 
 def cmd_verify_paper(args):
     t0 = time.perf_counter()
-    report = run_checks(fast=args.fast)
+    report = run_checks()
     text = report.table()
     if report.outputs:
         text += "\n" + "\n".join("%s = %s" % (k, v)
@@ -259,9 +259,7 @@ COMMANDS = (
       ("--weights", {"default": "1,1,1"}))),
     ("catalog", "list or print built-in objects", cmd_catalog,
      (("name", {"nargs": "?"}),)),
-    ("verify-paper", "run the full acceptance suite", cmd_verify_paper,
-     (("--fast", {"action": "store_true",
-                  "help": "skip the flow and solver checks"}),)),
+    ("verify-paper", "run the full acceptance suite", cmd_verify_paper, ()),
 )
 
 # accepted by every subcommand, after its own arguments

@@ -62,7 +62,8 @@ import re
 from itertools import combinations, product
 
 from .errors import MalformedGraphError, ParseError
-from .ratpoly import _number_text, _text_int, parse_poly, ratnorm
+from .ratpoly import (_coefficient, _is_int, _number_text, _text_int,
+                      parse_poly, ratnorm)
 
 
 #: most vertices a graph may have.  ``degrees`` allocates a slot per vertex
@@ -136,10 +137,6 @@ class Graph:
 
     def __str__(self):
         return render_graph(self, 1)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_count(n):
@@ -381,7 +378,7 @@ class GraphSum:
 
     def add_term(self, graph: Graph, c):
         """Accumulate ``c`` times a (not necessarily canonical) graph."""
-        c = ratnorm(c)
+        c = _coefficient(c)
         if not c:
             return
         canon, sign = canonicalize(graph)
@@ -421,7 +418,7 @@ class GraphSum:
         return self + (-other)
 
     def scale(self, c) -> "GraphSum":
-        c = ratnorm(c)
+        c = _coefficient(c)
         if not c:
             return GraphSum.zero()
         return GraphSum._raw({gr: ratnorm(k * c) for gr, k in self.terms.items()})

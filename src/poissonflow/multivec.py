@@ -34,8 +34,9 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DimensionError, ParseError, PreconditionError
-from .ratpoly import (ANY_DEGREE, Poly, _check_nvars, _number_text, _text_int,
-                      common_degree, parse_poly, ratnorm, render_poly)
+from .ratpoly import (ANY_DEGREE, Poly, _check_nvars, _coefficient,
+                      _number_text, _text_int, common_degree, parse_poly,
+                      ratnorm, render_poly)
 
 
 class Multivector:
@@ -132,7 +133,7 @@ class Multivector:
         return self + (-other)
 
     def scale(self, c) -> "Multivector":
-        c = ratnorm(c)
+        c = _coefficient(c)
         if not c:
             return Multivector.zero(self.nvars)
         return Multivector._raw(self.nvars,
@@ -405,10 +406,13 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
             maxvar = max(maxvar, _text_int(v))
     if nvars is None:
         nvars = maxvar
-    out = Multivector.zero(nvars)  # DimensionError past 0..MAX_NVARS
+    _check_nvars(nvars)  # DimensionError past 0..MAX_NVARS
     if maxvar > nvars:
         raise ParseError("index %s exceeds declared dimension %d"
                          % (_number_text(maxvar), nvars))
+    # each component's terms are gathered once and made a Poly once: adding
+    # piece by piece would copy the component's terms for every piece
+    gathered = {}
     for sign, start, poly_text, idx in pieces:
         try:
             p = parse_poly(poly_text, nvars)
@@ -416,7 +420,8 @@ def parse_multivector(text: str, nvars=None) -> Multivector:
             if exc.position is not None:
                 exc.position += start
             raise
-        if sign == "-":
-            p = -p
-        out = out + Multivector(nvars, {idx: p})
-    return out
+        terms = gathered.setdefault(idx, {})
+        for exps, c in p.terms.items():
+            terms[exps] = terms.get(exps, 0) + (-c if sign == "-" else c)
+    return Multivector(nvars, {idx: Poly(nvars, terms)
+                               for idx, terms in gathered.items()})

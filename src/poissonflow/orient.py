@@ -421,12 +421,14 @@ _TABLES = {}
 _TABLE_BOUND = 1 << 15
 
 
-def _table(*args):
-    """The table ``_SheetMap(*args)``, made on first use and kept for the
-    process."""
-    table = _TABLES.get(args)
+def _table(r, width, slots, classes=()):
+    """The table ``_SheetMap(r, width, slots, classes)``, made on first use
+    and kept for the process under all four values, so a map reached with
+    and without its default ``classes`` is one table."""
+    key = (r, width, slots, classes)
+    table = _TABLES.get(key)
     if table is None:
-        table = _TABLES[args] = _SheetMap(*args)
+        table = _TABLES[key] = _SheetMap(*key)
     return table
 
 

@@ -3,8 +3,11 @@
 A polynomial in variables x1..xr is a map from exponent tuples to nonzero
 rational coefficients.  Coefficients are Python ints or ``fractions.Fraction``
 values; a Fraction with unit denominator is always collapsed to int, so every
-stored coefficient is reduced with positive denominator.  All arithmetic is
-exact and arbitrary precision.
+stored coefficient is reduced with positive denominator.  The checked entry
+points (``Poly(...)``, ``Poly.constant`` and the ``scale`` methods here and in
+``multivec`` and ``gracomplex``) raise TypeError on any other coefficient
+type, a float, a Decimal or a bool, and ``Poly(...)`` on an exponent that is
+not an int.  All arithmetic is exact and arbitrary precision.
 
 The canonical term order is graded lexicographic (total degree first, then
 the exponent tuple); rendering lists terms in descending grlex order so the
@@ -36,6 +39,19 @@ def ratnorm(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _coefficient(c):
+    """``ratnorm(c)`` for an exact coefficient: an int (not a bool) or a
+    Fraction.  Anything else, a float or a Decimal, raises TypeError."""
+    if not (_is_int(c) or isinstance(c, Fraction)):
+        raise TypeError("coefficient of type %s, not an int or Fraction"
+                        % type(c).__name__)
+    return ratnorm(c)
 
 
 def common_degree(degrees):
@@ -74,9 +90,13 @@ class Poly:
             if len(exps) != nvars:
                 raise DimensionError(
                     "exponent tuple %r does not have length %d" % (exps, nvars))
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent in %r" % (exps,))
-            c = ratnorm(c)
+            for e in exps:
+                if not _is_int(e):
+                    raise TypeError("exponent of type %s, not an int"
+                                    % type(e).__name__)
+                if e < 0:
+                    raise ValueError("negative exponent in %r" % (exps,))
+            c = _coefficient(c)
             if c:
                 clean[exps] = clean.get(exps, 0) + c
                 if not clean[exps]:
@@ -102,7 +122,7 @@ class Poly:
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
         _check_nvars(nvars)
-        c = ratnorm(c)
+        c = _coefficient(c)
         return cls._raw(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
@@ -172,7 +192,7 @@ class Poly:
         return Poly._raw(self.nvars, {e: ratnorm(c) for e, c in out.items()})
 
     def scale(self, c) -> "Poly":
-        c = ratnorm(c)
+        c = _coefficient(c)
         if not c:
             return Poly.zero(self.nvars)
         return Poly._raw(self.nvars,

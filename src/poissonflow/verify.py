@@ -83,14 +83,14 @@ def uniform_ratio(value: Multivector, reference: Multivector):
     return _ratio(value, reference) or None
 
 
-# -- randomized inputs for the property suites ---------------------------
+# -- randomized inputs for the property suites: up to 3 terms of degree <= 2
 
 
-def random_poly(rng, nvars, maxdeg=2, maxterms=3):
+def random_poly(rng, nvars):
     terms = {}
-    for _ in range(rng.randint(1, maxterms)):
+    for _ in range(rng.randint(1, 3)):
         exps = [0] * nvars
-        for _ in range(rng.randint(0, maxdeg)):
+        for _ in range(rng.randint(0, 2)):
             exps[rng.randrange(nvars)] += 1
         c = rng.randint(-4, 4)
         if rng.random() < 0.25:
@@ -99,19 +99,19 @@ def random_poly(rng, nvars, maxdeg=2, maxterms=3):
     return Poly(nvars, terms)
 
 
-def random_homogeneous_multivector(rng, nvars, grade, maxdeg=2):
+def random_homogeneous_multivector(rng, nvars, grade):
     comps = {}
     for idx in combinations(range(1, nvars + 1), grade):
         if rng.random() < 0.7:
-            comps[idx] = random_poly(rng, nvars, maxdeg)
+            comps[idx] = random_poly(rng, nvars)
     return Multivector(nvars, comps)
 
 
-def random_multivector(rng, nvars, maxdeg=2):
+def random_multivector(rng, nvars):
     out = Multivector.zero(nvars)
     for grade in range(nvars + 1):
         if rng.random() < 0.6:
-            out = out + random_homogeneous_multivector(rng, nvars, grade, maxdeg)
+            out = out + random_homogeneous_multivector(rng, nvars, grade)
     return out
 
 
@@ -132,8 +132,8 @@ def _run(ident, description, fn, budget=None) -> CheckResult:
     return CheckResult(ident, description, passed, detail, dt)
 
 
-def run_checks(objects=None, fast=False) -> RunReport:
-    """Execute the acceptance checks; ``fast`` skips flows and solver runs."""
+def run_checks(objects=None) -> RunReport:
+    """Run all 20 checks in print order; ``objects`` overrides table entries."""
     obj = default_objects()
     if objects:
         obj.update(objects)
@@ -150,11 +150,12 @@ def run_checks(objects=None, fast=False) -> RunReport:
 
     # 2: homogeneity of scale 1
     for name in ("P1", "P2"):
+        def scale_check(n=name):
+            lam = homogeneity_scale(E, obj[n])
+            return lam == 1, "scale=%s" % (lam,)
+
         add(_run("scale-%s" % name.lower(), "[[E,%s]] = %s" % (name, name),
-                 lambda n=name: (
-                     (lambda lam: (lam == 1, "scale=%s" % (lam,)))(
-                         homogeneity_scale(E, obj[n]))),
-                 budget=1.0))
+                 scale_check, budget=1.0))
 
     # 3: coboundary identities, coefficient for coefficient
     for name, yname, qname in (("P1", "Y1", "QP1"), ("P2", "Y2", "QP2")):
@@ -165,34 +166,33 @@ def run_checks(objects=None, fast=False) -> RunReport:
                  budget=1.0))
 
     flows = {}
-    if not fast:
-        # 4: the graph flow reproduces the stored values up to one ratio
-        for name, qname, key in (("P1", "QP1", "lambda1"),
-                                 ("P2", "QP2", "lambda2")):
-            def flow_check(n=name, q=qname, k=key):
-                f = flow(g3, obj[n])
-                flows[n] = f
-                lam = uniform_ratio(f, obj[q])
-                report.outputs[k] = str(lam)
-                expected = ratnorm(Fraction(frozen[k]))
-                return lam is not None and lam == expected, "lambda=%s" % (lam,)
+    # 4: the graph flow reproduces the stored values up to one ratio
+    for name, qname, key in (("P1", "QP1", "lambda1"),
+                             ("P2", "QP2", "lambda2")):
+        def flow_check(n=name, q=qname, k=key):
+            f = flow(g3, obj[n])
+            flows[n] = f
+            lam = uniform_ratio(f, obj[q])
+            report.outputs[k] = str(lam)
+            expected = ratnorm(Fraction(frozen[k]))
+            return lam is not None and lam == expected, "lambda=%s" % (lam,)
 
-            add(_run("flow-%s" % name.lower(),
-                     "flow(g3,%s) = lambda*%s, lambda frozen at %s"
-                     % (name, qname, frozen[key]), flow_check, budget=60.0))
+        add(_run("flow-%s" % name.lower(),
+                 "flow(g3,%s) = lambda*%s, lambda frozen at %s"
+                 % (name, qname, frozen[key]), flow_check, budget=60.0))
 
-        # 5: flows are cocycles
-        for name in ("P1", "P2"):
-            add(_run("flow-cocycle-%s" % name.lower(),
-                     "[[%s, flow(g3,%s)]] = 0" % (name, name),
-                     lambda n=name: (schouten(obj[n], flows[n]).is_zero(), "")))
+    # 5: flows are cocycles
+    for name in ("P1", "P2"):
+        add(_run("flow-cocycle-%s" % name.lower(),
+                 "[[%s, flow(g3,%s)]] = 0" % (name, name),
+                 lambda n=name: (schouten(obj[n], flows[n]).is_zero(), "")))
 
-        # 6: vertex-count scaling of the flow
-        for name in ("P1", "P2"):
-            add(_run("flow-scale-%s" % name.lower(),
-                     "[[E, flow(g3,%s)]] = 4*flow(g3,%s)" % (name, name),
-                     lambda n=name: (
-                         schouten(E, flows[n]) == flows[n].scale(4), "")))
+    # 6: vertex-count scaling of the flow
+    for name in ("P1", "P2"):
+        add(_run("flow-scale-%s" % name.lower(),
+                 "[[E, flow(g3,%s)]] = 4*flow(g3,%s)" % (name, name),
+                 lambda n=name: (
+                     schouten(E, flows[n]) == flows[n].scale(4), "")))
 
     # 7: the universal 1-vector vanishes for the linear Euler field on R^4
     for name in ("P1", "P2"):
@@ -237,25 +237,24 @@ def run_checks(objects=None, fast=False) -> RunReport:
     add(_run("graph-complex", "d(point) = -stick, d(g3) = 0, d^2 = 0 suites",
              graph_checks, budget=30.0))
 
-    if not fast:
-        # 10: exact trivialization and membership of the stored fields
-        for name, qname, yname, key in (("P1", "QP1", "Y1", "kernel_dim_p1_d4"),
-                                        ("P2", "QP2", "Y2", "kernel_dim_p2_d4")):
-            def solver_check(n=name, q=qname, y=yname, k=key):
-                sol = trivialize(obj[q], obj[n], 4)
-                if sol.status != "solved":
-                    return False, "infeasible"
-                if n == "P1":
-                    report.outputs["kernel_dim"] = sol.kernel_dim
-                resid = schouten(sol.particular, obj[n]) - obj[q]
-                member = sol.contains(obj[y])
-                return (resid.is_zero() and member
-                        and sol.kernel_dim == frozen[k],
-                        "kernel_dim=%d" % sol.kernel_dim)
+    # 10: exact trivialization and membership of the stored fields
+    for name, qname, yname, key in (("P1", "QP1", "Y1", "kernel_dim_p1_d4"),
+                                    ("P2", "QP2", "Y2", "kernel_dim_p2_d4")):
+        def solver_check(n=name, q=qname, y=yname, k=key):
+            sol = trivialize(obj[q], obj[n], 4)
+            if sol.status != "solved":
+                return False, "infeasible"
+            if n == "P1":
+                report.outputs["kernel_dim"] = sol.kernel_dim
+            resid = schouten(sol.particular, obj[n]) - obj[q]
+            member = sol.contains(obj[y])
+            return (resid.is_zero() and member
+                    and sol.kernel_dim == frozen[k],
+                    "kernel_dim=%d" % sol.kernel_dim)
 
-            add(_run("solver-%s" % name.lower(),
-                     "trivialize(%s,%s,D=4) solved; %s in solution set"
-                     % (qname, name, yname), solver_check, budget=60.0))
+        add(_run("solver-%s" % name.lower(),
+                 "trivialize(%s,%s,D=4) solved; %s in solution set"
+                 % (qname, name, yname), solver_check, budget=60.0))
 
     # 11: algebraic property suites, exact, on seeded random inputs
     def property_suite():
@@ -274,7 +273,7 @@ def run_checks(objects=None, fast=False) -> RunReport:
                 return False, "graded Jacobi failed"
         P1 = obj["P1"]
         for _ in range(10):
-            omega = random_multivector(rng, 4, maxdeg=2)
+            omega = random_multivector(rng, 4)
             if not schouten(P1, schouten(P1, omega)).is_zero():
                 return False, "d_P^2 != 0 on P1"
         return True, ""

@@ -161,7 +161,7 @@ def test_bad_input_exits_2(argv, capsys):
 def test_cli_byte_determinism(capsys):
     outs = set()
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "verify-paper", "--fast")
+        code, out, _ = run_cli(capsys, "verify-paper")
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
@@ -186,13 +186,20 @@ def test_fault_injection_isolates_failures(P1):
     bad_comps = dict(P1.components)
     bad_comps[(1, 2)] = bad_comps[(1, 2)] + Poly.monomial(4, (3, 0, 0, 0), 1)
     bad = Multivector(4, bad_comps)
-    report = run_checks(objects={"P1": bad}, fast=True)
+    report = run_checks(objects={"P1": bad})
+    # all 20 checks run; the added cubic term keeps both scales, so
+    # scale-p1 and flow-scale-p1 pass with every -p2 check and the checks
+    # that never read P1
     by_id = {c.ident: c.passed for c in report.checks}
-    assert by_id["jacobi-p1"] is False
-    assert by_id["coboundary-p1"] is False
-    assert by_id["jacobi-p2"] is True
-    assert by_id["coboundary-p2"] is True
-    assert by_id["graph-complex"] is True
+    assert len(by_id) == 20
+    assert {ident for ident, passed in by_id.items() if not passed} == {
+        "jacobi-p1", "coboundary-p1", "flow-p1", "flow-cocycle-p1",
+        "vanishing-p1", "solver-p1", "property-suites"}
+    details = {c.ident: c.detail for c in report.checks}
+    assert details["flow-p1"] == "lambda=None"
+    assert details["vanishing-p1"] == "error: bivector is not Poisson"
+    assert details["solver-p1"].startswith("error: target is not a cocycle")
+    assert details["property-suites"] == "d_P^2 != 0 on P1"
     assert report.passed is False
 
 
@@ -213,8 +220,7 @@ def test_run_contains_failures_and_budgets(fn, budget, passed, detail):
 
 
 def test_machine_format_verify(capsys):
-    code, out, _ = run_cli(capsys, "verify-paper", "--fast",
-                           "--format", "machine")
+    code, out, _ = run_cli(capsys, "verify-paper", "--format", "machine")
     assert code == 0
     data = json.loads(out)
     assert data["status"] == "pass"

@@ -85,7 +85,6 @@ CASES = [
     ["catalog", "tetrahedron"],
     ["catalog", "nambu-cubic"],
     ["catalog", "nope"],
-    ["verify-paper", "--fast"],
     ["verify-paper"],
     # errors
     ["jacobi", "--poisson", "(x1@) xi1 xi2"],
@@ -126,7 +125,7 @@ MACHINE_CASES = [
 MERGED_CASES = [
     ["nambu", "--casimir", "1/3*x1^3 + 1/3*x2^3 + 1/3*x3^3"],
     ["graph-d", "--graph", POINT],
-    ["verify-paper", "--fast", "--format", "machine"],
+    ["verify-paper", "--format", "machine"],
 ]
 
 

@@ -7,10 +7,9 @@ from math import comb
 import pytest
 
 from poissonflow.cohomsolve import (AnsatzSpec, assemble, default_degree,
-                                    monomials, solve, solve_raw, trivialize)
+                                    monomials, solve_raw, trivialize)
 from poissonflow.errors import DimensionError, PreconditionError
-from poissonflow.multivec import (Multivector, hamiltonian_field,
-                                  parse_multivector, schouten)
+from poissonflow.multivec import Multivector, hamiltonian_field, schouten
 from poissonflow.ratpoly import Poly, parse_poly
 from test_solve_sparse import dense_to_sparse, sparse
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 

@@ -4,7 +4,6 @@ import pytest
 
 from poissonflow.cli import main
 from poissonflow.errors import PreconditionError
-from poissonflow.gracomplex import tetrahedron
 from poissonflow.multivec import (Multivector, euler_field, homogeneity_scale,
                                   jacobiator, schouten)
 from poissonflow.nambu import (homogenizing_field_exists, nambu_bivector,

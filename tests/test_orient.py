@@ -2,14 +2,13 @@
 
 import random
 import warnings
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
 from poissonflow.errors import DimensionError, PreconditionError
-from poissonflow.gracomplex import Graph, GraphSum, bracket, stick, tetrahedron
-from poissonflow.multivec import (Multivector, euler_field, jacobiator,
-                                  parse_multivector, schouten)
+from poissonflow.gracomplex import Graph, bracket, stick, tetrahedron
+from poissonflow.multivec import Multivector, euler_field, schouten
 from poissonflow.nambu import nambu_bivector
 from poissonflow.orient import (apply_edge, cocycle1, directional_flow,
                                 evaluate, flow, lift, merge)

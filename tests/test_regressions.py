@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -811,7 +812,7 @@ def test_parse_multivector_positions_count_from_the_given_text(text, message,
     ["graph-bracket", "--left", "tetrahedron", "--right", "tetrahedron"],
     ["nambu", "--casimir", "x3"],
     ["catalog"],
-    ["verify-paper", "--fast"],
+    ["verify-paper"],
 ], ids=lambda argv: argv[0])
 def test_cli_nvars_rejected_where_no_multivector_is_parsed(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -891,3 +892,63 @@ def test_render_poly_prints_a_5000_digit_exponent():
 def test_cli_5000_digit_indices_exit_2(argv, err, capsys):
     code = main(argv)
     assert (code,) + capsys.readouterr() == (2, "", err)
+
+
+# -- ratpoly: coefficients are ints or Fractions, exponents ints ---------------------
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Poly(2, {(1, 0): 0.5}), "coefficient of type float"),
+    (lambda: Poly(2, {(2.0, 0): 3}), "exponent of type float"),
+    (lambda: Poly(2, {(True, 0): 3}), "exponent of type bool"),
+    (lambda: Poly(2, {(1, 0): Decimal("0.5")}), "coefficient of type Decimal"),
+    (lambda: Poly(2, {(1, 0): Decimal(2)}), "coefficient of type Decimal"),
+    (lambda: Poly(2, {(1, 0): True}), "coefficient of type bool"),
+    (lambda: Poly.constant(2, 0.25), "coefficient of type float"),
+    (lambda: Poly.variable(2, 1).scale(0.5), "coefficient of type float"),
+    (lambda: Poly.variable(2, 1).scale(0.0), "coefficient of type float"),
+    (lambda: euler_field(2).scale(1e-3), "coefficient of type float"),
+    (lambda: Multivector.zero(2).scale(0.0), "coefficient of type float"),
+    (lambda: GraphSum({stick(): 0.5}), "coefficient of type float"),
+    (lambda: GraphSum.single(stick()).scale(0.5), "coefficient of type float"),
+    (lambda: GraphSum.zero().scale(0.0), "coefficient of type float"),
+], ids=["poly-float", "poly-float-exponent", "poly-bool-exponent",
+        "poly-decimal", "poly-integral-decimal", "poly-bool", "constant-float",
+        "poly-scale-float", "poly-scale-float-zero", "multivector-scale-float",
+        "multivector-scale-float-zero", "graphsum-float", "graphsum-scale-float",
+        "graphsum-scale-float-zero"])
+def test_inexact_coefficients_raise_type_error(build, message):
+    # floats and Decimals were stored as given and rendered (0.5*x1,
+    # x1^2.0), and a scale by 0.0 took the zero shortcut unchecked
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value).startswith(message)
+
+
+def test_trivialize_of_a_float_scaled_target_raises_type_error(P1, QP1):
+    # the float reached solve_raw, which failed on c.denominator
+    with pytest.raises(TypeError, match="coefficient of type float"):
+        trivialize(QP1.scale(0.5), P1, 4)
+
+
+# -- multivec: parsing adds no Poly per piece ----------------------------------------
+
+
+def test_parse_multivector_adds_no_poly_per_piece(monkeypatch):
+    # each piece was added to its component with Poly.__add__, which copies
+    # the terms so far: 999 calls for 1 000 pieces, quadratic time in all
+    calls = []
+    poly_add = Poly.__add__
+
+    def counting_add(self, other):
+        calls.append(None)
+        return poly_add(self, other)
+
+    monkeypatch.setattr(Poly, "__add__", counting_add)
+    counts = []
+    for n in (1000, 2000):
+        calls.clear()
+        mv = parse_multivector(" + ".join("(x1^%d) xi1" % k for k in range(n)))
+        assert len(mv.components[(1,)].terms) == n
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -18,7 +18,7 @@ from poissonflow.multivec import Multivector, wedge
 from poissonflow.orient import SheetedPoly, directional_flow, evaluate, merge
 from poissonflow.ratpoly import Poly
 
-from test_last_vertex_oracle import graded_entries, placements_calculus, sparse_entry
+from test_last_vertex_oracle import graded_entries, placements_calculus
 from test_orient_oracle import evaluate_oracle, lift_oracle, merge_oracle
 from test_placements_oracle import NONZERO_6_10, RawSum, cubic_bivector, relabelled
 

@@ -308,6 +308,16 @@ def test_cold_and_warm_tables_give_one_value():
         assert evaluate(g, entries) == streaming_oracle(g, entries)
 
 
+def test_identity_map_is_one_table(gamma3, euler4, P1):
+    # the identity map was kept twice, under (r, width, ()) from the edge
+    # steps and (r, width, (), ()) from the products with a new sheet
+    orient._TABLES.clear()
+    orient.flow(gamma3, P1)
+    cocycle1(gamma3, euler4, P1)
+    identity = [key[:2] for key in orient._TABLES if not any(key[2:])]
+    assert identity and len(set(identity)) == len(identity)
+
+
 def test_tables_stay_within_their_bound(monkeypatch):
     monkeypatch.setattr(orient, "_TABLE_BOUND", 100)
     orient._TABLES.clear()
@@ -319,6 +329,6 @@ def test_tables_stay_within_their_bound(monkeypatch):
         assert size <= 100
         dropped += size < last
         last = size
-        pairs |= {key[1:3] for key in orient._TABLES}   # (r, width)
+        pairs |= {key[:2] for key in orient._TABLES}   # (r, width)
     assert dropped >= 3
     assert len(pairs) >= 6

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, test module or demo imports a name it never
+uses.
 
 ``__init__.py`` is left out: its imports are the package's public names.
 A name counts as used when it appears anywhere in the module as a bare
@@ -10,8 +11,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "poissonflow"
+ROOT = pathlib.Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "poissonflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
 
 def unused_imports(source):
@@ -36,6 +39,8 @@ def test_the_check_sees_an_unused_name():
     assert unused_imports(source) == [(3, "cd")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=[p.name for p in MODULES]
+                         + [p.relative_to(ROOT).as_posix() for p in SCRIPTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

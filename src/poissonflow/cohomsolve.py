@@ -16,25 +16,28 @@ xi_i ^ (d/dxi_k>P) once and makes every column from monomial shifts of
 them, with no bracket per unknown.
 
 Rows are sparse from assembly to elimination: ``{col: coeff}`` over the
-nonzero entries.  The assembled systems are 1-2.5% dense, so an
-elimination step in ``solve_raw`` touches only the rows that have a
-nonzero in the pivot column and only their nonzero entries.  The pivot
-rule is fixed: walk the columns in order; the pivot is the first row at or
-below the current pivot row, in the current row order, with a nonzero in
-the column.  Every eliminated row is a nonzero multiple of the row that
-plain Gaussian elimination (or fraction-free Bareiss elimination) would
-hold at the same step, so all three see the same zero pattern: the same
-pivot columns, the same row order and the same inconsistent row, which is
-reported as the infeasibility witness.  The rows to update at a pivot
-column are read from an index, not found by scanning every row: a row
-that is not yet a pivot row is filed under its leading column, the
-smallest column it holds, and moves to a later one when an update clears
-it.  The pivot columns fix the answer: the particular solution sets every
-free unknown to 0 and each kernel vector sets one free unknown to 1, and
-both are unique.  Back-substitution stays in integers: one bottom-up pass
+nonzero entries.  The assembled systems are 1-2.5% dense, so a reduction
+step in ``solve_raw`` touches only the nonzero entries of two rows.  Rows
+enter one at a time, in the order given, and each column keeps at most one
+pivot row, a row whose leading (smallest) column it is.  An arriving row
+is reduced against the pivot row of its leading column until it leads at a
+column with no pivot row, where it becomes the pivot row, or vanishes.
+When it is shorter than the stored pivot row, counting its right-hand
+side, the two change places first: the shorter row is kept as the pivot
+row, and the old one is reduced in its place, which keeps the fill-in of
+the pivot rows low.  The pivot rows always span the same space as the rows
+taken so far, so the pivot columns in the end are those of the reduced
+echelon form of the row space, whichever rows hold them.  The pivot
+columns fix the answer: the particular solution sets every free unknown to
+0 and each kernel vector sets one free unknown to 1, and both are unique.
+A row that reduces to 0 = b ends the solve at once; it is the first row,
+in the given order, that contradicts the rows before it, and its label is
+reported as the infeasibility witness, which depends on the row order and
+on nothing else.  Back-substitution stays in integers: one bottom-up pass
 over the pivot rows serves the particular solution and every kernel
 vector, each held as integer numerators over its own denominator and
-returned in that sparse form: a map ``{col: value}`` of its nonzero values.
+returned in that sparse form: a map ``{col: value}`` of its nonzero
+values.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from operator import add
 
 from .errors import DimensionError, PreconditionError
 from .multivec import Multivector, _x_partial, _xi_left, schouten, wedge
-from .ratpoly import (ANY_DEGREE, MAX_MONOMIALS, Poly, _number_text,
-                      common_degree, ratnorm)
+from .ratpoly import (ANY_DEGREE, MAX_MONOMIALS, Poly, _check_int,
+                      _coefficient, _number_text, common_degree, ratnorm)
 
 
 def _monomial_count(nvars: int, degree: int) -> int:
@@ -115,7 +118,8 @@ class RawSolution:
     status: str                       # "solved" | "infeasible"
     particular: dict | None = None    # {col: value}; free unknowns 0, absent
     kernel: list = field(default_factory=list)  # a {col: value} per free unknown
-    witness: object = None            # label of an inconsistent equation
+    witness: object = None            # label of the first row, in the given
+                                      # order, that contradicts the rows before it
 
 
 def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
@@ -125,22 +129,24 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     over columns in ``range(ncols)``; ``ncols`` is the number of unknowns
     and must be given when there are rows.  A column outside that range, a
     negative ``ncols``, or ``rhs`` and ``row_labels`` not having one entry
-    per row raise ``DimensionError``.
+    per row raise ``DimensionError``; an entry or right-hand side that is
+    neither an int nor a Fraction raises ``TypeError``.  All rows are
+    checked before any is eliminated.
 
     Each row is scaled by the lcm of its denominators to integers (a row of
     ints is taken as it is), and its zero values are dropped: they must
-    never become pivot candidates.  The module docstring gives the pivot
-    rule and why the answer is that of Bareiss elimination.  With pivot
-    ``piv`` in row ``base``, each later row with an entry ``factor != 0``
-    in the pivot column becomes ``(piv/g)*row - (factor/g)*base``, where
-    ``g = gcd(piv, factor)``, divided by its content; rows without an entry
-    there are left alone.  Every row not yet a pivot row sits in the bucket
-    of its smallest column, so the bucket of the pivot column holds exactly
-    the rows with an entry there, and the pivot is the one among them that
-    comes first in the current order.
+    never become pivot candidates.  The module docstring gives the
+    elimination scheme and why its answer does not depend on the pivot
+    rows.  A row with an entry ``factor`` at the leading column of a pivot
+    row ``base`` with pivot ``piv`` becomes ``(piv/g)*row - (factor/g)*base``,
+    where ``g = gcd(piv, factor)``, divided by its content.  A reduction
+    that leaves ``0 = b``, of the arriving row or of the pivot row it
+    swapped out, ends the solve, and the arriving row's label is the
+    witness.
 
-    Back-substitution is in integers too: it walks the pivot rows once,
-    bottom up, for the particular solution and every kernel vector at once.
+    Back-substitution is in integers too: it walks the pivot rows once, by
+    descending pivot column, for the particular solution and every kernel
+    vector at once.
     Each vector keeps integer numerators over its own denominator, and a
     row touches only the vectors that are nonzero in its columns.  A pivot
     that does not divide a vector's sum rescales that vector alone.
@@ -159,76 +165,58 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
                              % (len(matrix), len(rhs), len(row_labels)))
     cols = set(range(ncols))
     rows = []
-    labels = []
-    # bucket[c] holds the rows whose smallest column is c; b sits at key
-    # ncols, which no unknown can take, so bucket[ncols] holds the rows
-    # that read 0 = b
-    bucket = [[] for _ in range(ncols + 1)]
     for row, b, label in zip(matrix, rhs, row_labels):
         if not row.keys() <= cols:
             bad = [c for c in row if c not in cols]
             raise DimensionError("solve_raw: column %r in a system of %d unknowns"
                                  % (bad[0], ncols))
+        types = set(map(type, row.values()))
+        types.add(type(b))
+        if types != {int}:
+            if not types <= {int, Fraction}:    # TypeError on a float or a bool
+                row = {c: _coefficient(x) for c, x in row.items()}
+                b = _coefficient(b)
+            m = lcm(b.denominator, *[x.denominator for x in row.values()])
+            row = {c: int(x * m) for c, x in row.items()}
+            b = int(b * m)
         entries = {c: x for c, x in row.items() if x}
         if b:
             entries[ncols] = b
         if entries:
-            if set(map(type, entries.values())) != {int}:
-                m = lcm(*[x.denominator for x in entries.values()])
-                entries = {c: int(x * m) for c, x in entries.items()}
-            bucket[min(entries)].append(len(rows))
-            rows.append(entries)
-            labels.append(label)
-    nrows = len(rows)
-    # rows keep their index; order[k] is the row at position k, pos its inverse
-    order = list(range(nrows))
-    pos = order[:]
+            rows.append((entries, label))
 
-    piv_cols = []
-    piv_row = 0
-    for col in range(ncols):
-        if piv_row == nrows:
-            break
-        hits = bucket[col]
-        if not hits:
-            continue
-        sel = min(hits, key=pos.__getitem__)
-        top = order[piv_row]
-        if sel != top:
-            order[piv_row], order[pos[sel]] = sel, top
-            pos[top], pos[sel] = pos[sel], piv_row
-        base = rows[sel]
-        piv = base[col]
-        rest = [(c, v) for c, v in base.items() if c != col]
-        for rw in hits:
-            if rw == sel:
-                continue
-            row = rows[rw]
-            factor = row.pop(col)
-            g = gcd(piv, factor)
-            a, f = piv // g, factor // g
-            new = row if a == 1 else {c: a * v for c, v in row.items()}
-            for c, v in rest:
-                v = new.get(c, 0) - f * v
+    # pivots[c] is the pivot row whose leading column is c; b sits at key
+    # ncols, which no unknown can take, so a row led by it reads 0 = b
+    pivots = {}
+    for row, label in rows:
+        while row:
+            col = min(row)
+            if col == ncols:
+                return RawSolution(status="infeasible", witness=label)
+            base = pivots.get(col)
+            if base is None:
+                pivots[col] = row
+                break
+            if len(row) < len(base):
+                pivots[col], row, base = row, base, row
+            piv, factor = base[col], row[col]
+            g = gcd(piv, factor) if piv > 0 else -gcd(piv, factor)
+            a, f = piv // g, factor // g    # a > 0, so a == 1 when piv | factor
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            # base[col] cancels row[col], so the loop deletes col from row
+            for c, v in base.items():
+                v = row.get(c, 0) - f * v
                 if v:
-                    new[c] = v
+                    row[c] = v
                 else:
-                    del new[c]
-            if new:
-                content = gcd(*new.values())
+                    del row[c]
+            if row:
+                content = gcd(*row.values())
                 if content > 1:
-                    new = {c: v // content for c, v in new.items()}
-                bucket[min(new)].append(rw)
-            rows[rw] = new
-        piv_cols.append(col)
-        piv_row += 1
+                    row = {c: v // content for c, v in row.items()}
 
-    if bucket[ncols]:
-        return RawSolution(status="infeasible",
-                           witness=labels[min(bucket[ncols], key=pos.__getitem__)])
-
-    pivset = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in pivset]
+    free_cols = [c for c in range(ncols) if c not in pivots]
     # vector 0 is the particular solution, -1 at key ncols; vector k >= 1
     # is the kernel vector with 1 at free_cols[k - 1]
     nums = [{ncols: -1}] + [{fc: 1} for fc in free_cols]
@@ -236,8 +224,8 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     holders = {ncols: [0]}      # column -> the vectors nonzero there
     for k, fc in enumerate(free_cols, 1):
         holders[fc] = [k]
-    for k in range(piv_row - 1, -1, -1):
-        col, row = piv_cols[k], rows[order[k]]
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
         sums = {}
         for c, a in row.items():
             for v in holders.get(c, ()):
@@ -305,6 +293,8 @@ class AnsatzSpec:
     degree: int
 
     def __post_init__(self):
+        _check_int(self.nvars, "ansatz nvars")
+        _check_int(self.degree, "ansatz degree")
         if self.nvars < 1:
             raise PreconditionError("ansatz needs at least one variable")
         if self.degree < 0:

@@ -63,8 +63,16 @@ def common_degree(degrees):
     return shared.pop() if len(shared) == 1 else None
 
 
+def _check_int(n, what):
+    """Raise TypeError unless ``n`` is an int (not a bool)."""
+    if not _is_int(n):
+        raise TypeError("%s of type %s, not an int" % (what, type(n).__name__))
+
+
 def _check_nvars(nvars):
-    """Raise DimensionError unless 0 <= nvars <= MAX_NVARS."""
+    """Raise TypeError unless nvars is an int (not a bool), and
+    DimensionError unless 0 <= nvars <= MAX_NVARS."""
+    _check_int(nvars, "nvars")
     if nvars < 0:
         raise DimensionError("nvars must be nonnegative, got %s" % _number_text(nvars))
     if nvars > MAX_NVARS:
@@ -129,6 +137,7 @@ class Poly:
     def variable(cls, nvars: int, i: int) -> "Poly":
         """The monomial x_i, 1-based index."""
         _check_nvars(nvars)
+        _check_int(i, "variable index")
         if not 1 <= i <= nvars:
             raise IndexError("variable index %d out of range 1..%d" % (i, nvars))
         exps = tuple(1 if k == i - 1 else 0 for k in range(nvars))

@@ -931,6 +931,61 @@ def test_trivialize_of_a_float_scaled_target_raises_type_error(P1, QP1):
         trivialize(QP1.scale(0.5), P1, 4)
 
 
+# -- dimensions, degrees and indices are ints -------------------------------------
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Poly(2.0, {(1, 0): 1}), "nvars of type float"),
+    (lambda: Poly(True, {(1,): 1}), "nvars of type bool"),
+    (lambda: Poly.zero(2.0), "nvars of type float"),
+    (lambda: Poly.constant(2.0, 1), "nvars of type float"),
+    (lambda: Poly.variable(2.0, 1), "nvars of type float"),
+    (lambda: Poly.variable(2, 1.0), "variable index of type float"),
+    (lambda: Poly.variable(2, True), "variable index of type bool"),
+    (lambda: Multivector(True, {}), "nvars of type bool"),
+    (lambda: Multivector.zero(Decimal(2)), "nvars of type Decimal"),
+    (lambda: parse_poly("x1", nvars=2.0), "nvars of type float"),
+    (lambda: AnsatzSpec(4.0, 1), "ansatz nvars of type float"),
+    (lambda: AnsatzSpec(4, True), "ansatz degree of type bool"),
+    (lambda: AnsatzSpec(4, 2.0), "ansatz degree of type float"),
+], ids=["poly-float", "poly-bool", "zero-float", "constant-float",
+        "variable-float-nvars", "variable-float-index", "variable-bool-index",
+        "multivector-bool", "multivector-decimal", "parse-float", "ansatz-float-nvars",
+        "ansatz-bool-degree", "ansatz-float-degree"])
+def test_inexact_dimensions_raise_type_error(build, message):
+    # Poly(2.0, ...) had nvars == 2.0, Poly.constant(2.0, 1) failed on
+    # tuple repetition, Poly.variable(2, 1.0) built x1 and AnsatzSpec(4,
+    # True) an ansatz of degree 1
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value).startswith(message)
+
+
+def test_trivialize_at_a_bool_degree_raises_type_error(P1, QP1):
+    # solved at degree 1 and reported the system infeasible
+    with pytest.raises(TypeError, match="ansatz degree of type bool"):
+        trivialize(QP1, P1, True)
+
+
+# -- cohomsolve: solve_raw takes ints and Fractions --------------------------------
+
+
+@pytest.mark.parametrize("matrix, rhs", [
+    ([{0: 0.5}], [1]),
+    ([{0: 1}], [0.5]),
+    ([{0: 1, 1: Fraction(1, 2)}], [Decimal(1)]),
+    ([{0: 0.0, 1: 1}], [1]),
+    ([{0: 1}], [0.0]),
+    ([{0: True}], [1]),
+], ids=["float-entry", "float-rhs", "decimal-rhs", "float-zero-entry",
+        "float-zero-rhs", "bool-entry"])
+def test_solve_raw_rejects_inexact_entries(matrix, rhs):
+    # a float raised AttributeError on .denominator, and a float zero or
+    # a bool was taken as it was
+    with pytest.raises(TypeError, match="coefficient of type"):
+        solve_raw(matrix, rhs, ncols=2)
+
+
 # -- multivec: parsing adds no Poly per piece ----------------------------------------
 
 

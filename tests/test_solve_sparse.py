@@ -1,13 +1,17 @@
-"""The sparse eliminator in ``solve_raw`` against two earlier solvers.
+"""The row-at-a-time eliminator in ``solve_raw`` against earlier solvers.
 
-``bareiss_solve_raw`` is the dense fraction-free solver that the sparse
-eliminator replaced; it takes dense rows and ``solve_raw`` the same rows
-through ``dense_to_sparse``.  ``rational_solve_raw`` is the sparse solver
-that scanned every row for each pivot and back-substituted each solution
-vector on its own in Fractions.  With the same pivot rule all three must
-give the same status, particular solution, kernel basis and witness.  The
-oracles answer in dense vectors, ``solve_raw`` in ``{col: value}`` maps;
-``sparse`` turns the one into the other.
+``bareiss_solve_raw`` is a dense fraction-free solver with the pivot rule
+"first row at or below the pivot row, swapped in"; it takes dense rows and
+``solve_raw`` the same rows through ``dense_to_sparse``.
+``rational_solve_raw`` is a sparse solver with that pivot rule that scans
+every row for each pivot and back-substitutes each solution vector on its
+own in Fractions.  The pivot columns are those of the reduced echelon form
+of the row space, whatever rows hold them, so all three must give the same
+status, particular solution and kernel basis.  The witness of an
+infeasible system is checked against ``prefix_witness``: the first row, in
+the given order, that contradicts the rows before it.  The oracles answer
+in dense vectors, ``solve_raw`` in ``{col: value}`` maps; ``sparse`` turns
+the one into the other.
 """
 
 import dataclasses
@@ -208,13 +212,29 @@ def assert_clean_maps(raw, ncols):
             assert x != 0
 
 
-def assert_same(got, want):
-    """``solve_raw``'s answer ``got`` against an oracle's dense ``want``."""
+def prefix_witness(matrix, rhs, labels=None, ncols=None):
+    """The label of the first dense row that contradicts the rows before
+    it: row k for the least k at which ``bareiss_solve_raw`` finds rows
+    0..k infeasible; None for a solvable system."""
+    if labels is None:
+        labels = range(len(matrix))
+    if bareiss_solve_raw(matrix, rhs, labels, ncols).status == "solved":
+        return None
+    return next(labels[k] for k in range(len(matrix))
+                if bareiss_solve_raw(matrix[:k + 1], rhs[:k + 1], labels[:k + 1],
+                                     ncols).status == "infeasible")
+
+
+def assert_same(got, want, witness):
+    """``solve_raw``'s answer ``got`` against an oracle's dense ``want``
+    in status, particular solution and kernel, and against ``witness``,
+    the ``prefix_witness`` of the system, in its witness."""
+    assert (witness is None) == (want.status == "solved")
     if want.status == "solved":
         assert_clean_maps(got, len(want.particular))
         want = dataclasses.replace(want, particular=sparse(want.particular),
                                    kernel=[sparse(v) for v in want.kernel])
-    assert got == want
+    assert got == dataclasses.replace(want, witness=witness)
 
 
 # -- seeded systems -------------------------------------------------------------
@@ -264,8 +284,9 @@ def assert_matches_oracles(matrix, rhs, labels, ncols):
     oracles; returns its solution."""
     sparse = dense_to_sparse(matrix)
     got = solve_raw(sparse, rhs, labels, ncols)
-    assert_same(got, bareiss_solve_raw(matrix, rhs, labels, ncols))
-    assert_same(got, rational_solve_raw(sparse, rhs, labels, ncols))
+    witness = prefix_witness(matrix, rhs, labels, ncols)
+    assert_same(got, bareiss_solve_raw(matrix, rhs, labels, ncols), witness)
+    assert_same(got, rational_solve_raw(sparse, rhs, labels, ncols), witness)
     return got
 
 
@@ -335,9 +356,8 @@ def test_wide_kernels_match_both_oracles():
 
 
 def test_pivot_swaps_match_both_oracles():
-    # rows sorted by descending leading column: the row at the pivot row
-    # rarely holds the pivot column, so most pivots swap rows, and a row
-    # swapped down must still be found by its leading column later
+    # rows sorted by descending leading column: the oracles swap a later
+    # row up for most pivots, while solve_raw takes the rows as they come
     rng = random.Random(93)
     swapped = 0
     for k in range(150):
@@ -358,10 +378,16 @@ def test_pivot_swaps_match_both_oracles():
 
 
 def test_infeasible_row_after_swaps_is_the_oracles_witness():
-    # two rows contradict earlier ones; the first sits on top with the
-    # latest leading column, so swaps move it down before the witness is read
+    # two inserted rows each copy a row up to their right-hand side: "top"
+    # on top, with the latest leading column, and "inner" anywhere below.
+    # The witness is the first row that contradicts the rows before it:
+    # "inner" when it comes after the row it copies, else a later row
+    # ("top" only when it copies a zero row and reads 0 = b).  Shorter rows
+    # arriving at a column swap out the pivot stored there, so the row that
+    # reduces to 0 = b may be an old pivot; the witness is still the
+    # arriving row.
     rng = random.Random(94)
-    witnesses = set()
+    kinds = set()
     for k in range(120):
         ncols = rng.randint(3, 10)
         rank = rng.randint(1, ncols)
@@ -379,8 +405,8 @@ def test_infeasible_row_after_swaps_is_the_oracles_witness():
             labels.insert(at, label)
         got = assert_matches_oracles(matrix, rhs, labels, ncols)
         assert got.status == "infeasible"
-        witnesses.add(got.witness)
-    assert {"top", "inner"} <= witnesses
+        kinds.add(got.witness if got.witness in ("top", "inner") else "later")
+    assert {"inner", "later"} <= kinds
 
 
 def test_sparse_matches_bareiss_and_requires_ncols():
@@ -390,10 +416,12 @@ def test_sparse_matches_bareiss_and_requires_ncols():
         if not matrix:
             continue
         want = bareiss_solve_raw(matrix, rhs)    # ncols defaults to the width
-        assert_same(solve_raw(dense_to_sparse(matrix), rhs, None, ncols), want)
+        witness = prefix_witness(matrix, rhs)
+        assert_same(solve_raw(dense_to_sparse(matrix), rhs, None, ncols), want,
+                    witness)
         # stored zeros are dropped, never taken as pivots
         with_zeros = [dict(enumerate(row)) for row in matrix]
-        assert_same(solve_raw(with_zeros, rhs, None, ncols), want)
+        assert_same(solve_raw(with_zeros, rhs, None, ncols), want, witness)
         with pytest.raises(DimensionError):
             solve_raw(dense_to_sparse(matrix), rhs)
 
@@ -401,7 +429,7 @@ def test_sparse_matches_bareiss_and_requires_ncols():
 @pytest.mark.parametrize("ncols", [0, 1, 4])
 def test_no_rows_with_ncols_given(ncols):
     got = solve_raw([], [], ncols=ncols)
-    assert_same(got, bareiss_solve_raw([], [], ncols=ncols))
+    assert_same(got, bareiss_solve_raw([], [], ncols=ncols), None)
     assert len(got.kernel) == ncols
 
 
@@ -412,7 +440,8 @@ def test_labelled_infeasible_system_names_the_same_row():
     labels = ["a", "b", "c", "d"]
     got = solve_raw(dense_to_sparse(matrix), rhs, labels, 4)
     assert got.status == "infeasible" and got.witness == "c"
-    assert_same(got, bareiss_solve_raw(matrix, rhs, labels))
+    assert_same(got, bareiss_solve_raw(matrix, rhs, labels),
+                prefix_witness(matrix, rhs, labels))
 
 
 def test_rows_with_fractions_and_duplicates():
@@ -423,7 +452,63 @@ def test_rows_with_fractions_and_duplicates():
     assert got.status == "solved"
     assert got.particular == sparse([Fraction(5, 3), Fraction(7, 2), 0])
     assert got.kernel == [sparse([Fraction(-2, 3), Fraction(-5, 2), 1])]
-    assert_same(got, bareiss_solve_raw(matrix, rhs))
+    assert_same(got, bareiss_solve_raw(matrix, rhs), None)
+
+
+def test_shorter_arriving_row_takes_the_pivot():
+    # every row leads at column 0 and the first, with every entry and its
+    # right-hand side nonzero, is the longest: each shorter row arriving
+    # there is kept as the pivot and the old pivot is reduced in its place
+    rng = random.Random(96)
+    statuses = {"solved": 0, "infeasible": 0}
+    for k in range(150):
+        ncols = rng.randint(2, 9)
+        fractional = k % 2 == 1
+        nonzero = filter(None, iter(lambda: _entry(rng, fractional), None))
+        matrix = [[next(nonzero) for _ in range(ncols)]]
+        for _ in range(rng.randint(1, 5)):
+            matrix.append([next(nonzero)] + [_entry(rng, fractional)
+                                             for _ in range(ncols - 1)])
+        if rng.random() < 0.5:
+            rhs = consistent_rhs(rng, matrix, ncols, fractional)
+        else:
+            rhs = [_entry(rng, fractional) for _ in matrix]
+        rhs[0] = rhs[0] or 1
+        assert len(matrix[0]) == ncols and all(matrix[0])
+        got = assert_matches_oracles(matrix, rhs, None, ncols)
+        statuses[got.status] += 1
+    assert min(statuses.values()) > 20
+
+
+def test_swapped_out_pivot_that_reads_0_equals_b_names_the_arriving_row():
+    # "short" (2 entries) swaps out "long" (3), which then reduces to 0 = 1
+    matrix = [[1, 1], [2, 2]]
+    rhs = [1, 0]
+    labels = ["long", "short"]
+    got = solve_raw(dense_to_sparse(matrix), rhs, labels, 2)
+    assert got.witness == "short"
+    assert_same(got, bareiss_solve_raw(matrix, rhs, labels), "short")
+    # on a tie the stored pivot stays, and the arriving row reads 0 = b
+    rhs = [1, 3]
+    assert solve_raw(dense_to_sparse(matrix), rhs, labels, 2).witness == "short"
+
+
+def test_zero_equals_b_row_is_its_own_witness():
+    # "z" reads 0 = 2 before "c" contradicts "a"; a stored zero is no entry
+    for z in ({}, {1: 0}):
+        got = solve_raw([{0: 1, 1: 1}, z, {0: 1, 1: 1}], [1, 2, 3],
+                        ["a", "z", "c"], 2)
+        assert got.status == "infeasible" and got.witness == "z"
+    matrix = [[1, 1], [0, 0], [1, 1]]
+    assert prefix_witness(matrix, [1, 2, 3], ["a", "z", "c"]) == "z"
+
+
+def test_every_row_is_checked_before_elimination():
+    # the second row is the witness, and the third is still checked
+    with pytest.raises(DimensionError, match="column 2"):
+        solve_raw([{0: 1}, {0: 1}, {2: 1}], [0, 1, 0], ncols=2)
+    with pytest.raises(TypeError, match="coefficient of type float"):
+        solve_raw([{0: 1}, {0: 1}, {1: 0.5}], [0, 1, 0], ncols=2)
 
 
 # -- assembled coboundary systems -------------------------------------------------
@@ -465,7 +550,7 @@ def test_zero_target_gives_the_kernel_of_the_bracket(name, degree, request):
         assert not k.is_zero() and schouten(k, p).is_zero()
     system = assemble(zero, p, AnsatzSpec(4, degree))
     args = (system.matrix, system.rhs, system.row_labels, system.n_cols)
-    assert_same(solve_raw(*args), rational_solve_raw(*args))
+    assert_same(solve_raw(*args), rational_solve_raw(*args), None)
 
 
 @pytest.mark.parametrize("degree", [3, 4])
@@ -479,5 +564,6 @@ def test_assembled_systems_match_bareiss(name, degree, request):
     assert dense_to_sparse(dense) == system.matrix
     args = (system.matrix, system.rhs, system.row_labels, ncols)
     got = solve_raw(*args)
-    assert_same(got, bareiss_solve_raw(dense, system.rhs, system.row_labels, ncols))
-    assert_same(got, rational_solve_raw(*args))
+    assert_same(got, bareiss_solve_raw(dense, system.rhs, system.row_labels, ncols),
+                None)
+    assert_same(got, rational_solve_raw(*args), None)

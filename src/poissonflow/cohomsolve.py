@@ -442,7 +442,8 @@ def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
                "coefficients of a degree-%d bivector over %d variables"
                % (out_deg, r))
         comps = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-        grid = [(c, m) for c in comps for m in monomials(r, out_deg)]
+        monos = monomials(r, out_deg)
+        grid = [(c, m) for c in comps for m in monos]
     basis = spec.basis()
     matrix, rhs, row_labels, _ = multivector_columns_system([], q, grid)
     index = {lab: k for k, lab in enumerate(row_labels)}

@@ -51,7 +51,10 @@ term's coefficient is relative to that order.
   once per odd mask for ``merge``, every edge step in ``evaluate`` (the
   identity before vertex n, the fold at it) and every product with a new
   sheet: the identity in ``lift``, the twin order for sheet k < n and the
-  join into slot 1 for entry n.
+  join into slot 1 for entry n.  ``merge`` and the edge steps move each
+  bucket's keys once and add them through the map's ``signed`` or
+  ``derivative``, the one way a relabelled bucket is added; a map that
+  moves nothing passes the bucket's own items.
 - Folding a finished sheet.  At vertex n the edges act in ascending order
   of i, so once the edges at i have acted no later edge touches sheet i or
   a sheet below it.  The sheet map of that edge step relabels each such
@@ -293,12 +296,13 @@ class _SheetMap(dict):
     delta times the even block at shift to a key.  Tables live for the
     process (``_table``).
 
-    Each edge step of ``evaluate`` acts through one table with no classes:
-    the identity before vertex n, a fold into slot 1 at it.  Its moves are
-    the same for every mask, so ``terms`` moves a bucket's keys once, as
-    ((moved key, c), key), and ``signed`` and ``derivative`` add them at
-    the table's mask and sign.  Only the products of ``_add_times_sheet``
-    sort twins through ``classes``.
+    A table with no classes has the same moves, ``moves``, for every mask.
+    Each edge step of ``evaluate`` adds through one such table, the identity
+    before vertex n and a fold into slot 1 at it, and so does ``merge``: the
+    caller moves a bucket's keys once with ``moved``, which hands back the
+    bucket's own items when nothing moves, and ``signed`` and ``derivative``
+    add the moved pairs at the table's mask and sign.  Only the products of
+    ``_add_times_sheet`` sort twins through ``classes``.
     """
 
     def __init__(self, r, width, slots, classes=()):
@@ -367,43 +371,34 @@ class _SheetMap(dict):
         return [(ev + sum(((ev >> s) & mask_b) * d for s, d in moves), c)
                 for ev, c in pairs]
 
-    def terms(self, bucket):
-        return list(zip(self.moved(bucket.items(), self.moves), bucket))
-
-    def signed(self, groups, om, terms, sgn):
-        """groups += sgn * ``terms`` of odd mask ``om``, relabelled."""
+    def signed(self, groups, om, moved, sgn):
+        """groups += sgn * the (moved key, c) pairs ``moved`` of odd mask
+        ``om``, at the table's mask and sign."""
         got = self[om]
         if got is None:
             return
         om, msgn, _ = got
         sgn *= msgn
-        if not self.slots and om not in groups:
-            # without a slot keys move one to one, so none collide
-            groups[om] = {fev: sgn * c for (fev, c), _ in terms}
-            return
         target = groups.setdefault(om, {})
-        for (fev, c), _ in terms:
+        for fev, c in moved:
             cur = target.get(fev, 0) + sgn * c
             if cur:
                 target[fev] = cur
             else:
                 del target[fev]
 
-    def derivative(self, groups, om, terms, sgn, shift, one):
-        """``signed`` of d/dx, x the field at ``shift`` of a source key and
-        ``one`` its unit in the moved key."""
+    def derivative(self, groups, om, moved, bucket, sgn, shift, one):
+        """``signed`` of d/dx, x the field at ``shift`` of a source key of
+        ``bucket``, whose keys ``moved`` holds in order, and ``one`` its
+        unit in the moved key."""
         got = self[om]
         if got is None:
             return
         om, msgn, _ = got
         sgn *= msgn
         mask_e = (1 << self.width) - 1
-        if not self.slots and om not in groups:
-            groups[om] = {fev - one: sgn * e * c for (fev, c), ev in terms
-                          if (e := (ev >> shift) & mask_e)}
-            return
         target = groups.setdefault(om, {})
-        for (fev, c), ev in terms:
+        for (fev, c), ev in zip(moved, bucket):
             e = (ev >> shift) & mask_e
             if e:
                 key = fev - one
@@ -444,28 +439,23 @@ def merge(sp: SheetedPoly) -> Multivector:
 
     The sheet map sending every sheet to slot 1 gives each odd mask its
     sorted factors and sign, or kills a term keeping two odd factors with
-    equal mu ("Relabelling sheets" in the module docstring).  A key's
-    sheet blocks are added as integers: the width holds the sum of a
-    variable's exponents over all sheets, so no field carries.
+    equal mu ("Relabelling sheets" in the module docstring), and its
+    ``signed`` adds each bucket's moved keys into slot 1.  A key's sheet
+    blocks are added as integers: the width holds the sum of a variable's
+    exponents over all sheets, so no field carries.
     """
     r, width = sp.nvars, sp.width
     mask_e = (1 << width) - 1
     table = _table(r, width, tuple((s, 1) for s in range(2, sp.sheets + 1)))
-    comps = {}
+    groups = {}
     for om, bucket in sp.groups.items():
-        got = table[om]
-        if got is None:
-            continue
-        om, sgn, moves = got
-        target = comps.setdefault(tuple(mu + 1 for mu in range(r) if om >> mu & 1), {})
-        for key, c in table.moved(bucket.items(), moves):
-            target[key] = target.get(key, 0) + sgn * c
+        table.signed(groups, om, table.moved(bucket.items(), table.moves), 1)
     out = {}
-    for idx, bucket in comps.items():
-        terms = {tuple((key >> (mu * width)) & mask_e for mu in range(r)):
-                 ratnorm(c) for key, c in bucket.items() if c}
-        if terms:
-            out[idx] = Poly._raw(r, terms)
+    for om, bucket in groups.items():
+        if bucket:
+            out[tuple(mu + 1 for mu in range(r) if om >> mu & 1)] = Poly._raw(
+                r, {tuple((key >> (mu * width)) & mask_e for mu in range(r)):
+                    ratnorm(c) for key, c in bucket.items()})
     _trim_tables()
     return Multivector._raw(r, out)
 
@@ -504,17 +494,20 @@ class _Slots(tuple):
         return got
 
 
-def _close_vertex(state, k, edges, slots, fold):
+def _close_vertex(state, k, edges, slots):
     """The edges (i, k), ascending in i, acting by the Leibniz rule on
     ``state`` times entry k ("Closing a vertex" in the module docstring):
     the map from each derivative descriptor d of entry k to the groups of
     A_d.  Each edge step adds through one ``_SheetMap``: the identity
-    without ``fold``; with it each sheet folds into slot 1 in the step
+    before the last vertex; at it each sheet folds into slot 1 in the step
     after which no edge acts on it, so every A_d comes back in one slot.
     No step sorts: the product with sheet n-1 has sorted the neighbours
-    ("Twin sheets" in the module docstring).  The edge's d/dx^mu_(i)
-    lowers sheet i's field, slot 1's once sheet i folds."""
+    ("Twin sheets" in the module docstring).  Each bucket's keys are moved
+    once per step, and ``signed`` and ``derivative`` add the moved pairs
+    at every target.  The edge's d/dx^mu_(i) lowers sheet i's field, slot
+    1's once sheet i folds."""
     r, width = state.nvars, state.width
+    fold = k == len(slots)
     # sheets below ends[t] are finished before edge t acts, all after the last
     ends = [i for i, _ in edges] + [k]
     groups = state.groups
@@ -541,14 +534,14 @@ def _close_vertex(state, k, edges, slots, fold):
                     one = 1 << ((mu if fold else base + mu) * width)
                     xs.append(((base + mu) * width, one, pos, out.setdefault(d, {})))
             for om, bucket in groups.items():
-                terms = table.terms(bucket)
+                moved = table.moved(bucket.items(), table.moves)
                 for bit, target in xis:
                     if om & bit:
                         sgn = -1 if (om & (bit - 1)).bit_count() & 1 else 1
-                        table.signed(target, om ^ bit, terms, sgn)
+                        table.signed(target, om ^ bit, moved, sgn)
                 for shift, one, pos, target in xs:
                     sgn = -1 if (om.bit_count() + pos) & 1 else 1
-                    table.derivative(target, om, terms, sgn, shift, one)
+                    table.derivative(target, om, moved, bucket, sgn, shift, one)
         descs = {d: nonzero for d, groups in out.items()
                  if (nonzero := {om: t for om, t in groups.items() if t})}
     return descs
@@ -603,12 +596,12 @@ def evaluate(gamma, entries) -> Multivector:
         for k in range(1, n):
             table = _table(r, width, *_twins(closing, k, slots))
             groups = {}
-            for d, a in _close_vertex(state, k, closing[k], slots, False).items():
+            for d, a in _close_vertex(state, k, closing[k], slots).items():
                 _add_times_sheet(groups, a, slots.derivative(k, d), (k - 1) * r,
                                  table, 1)
             state = SheetedPoly(r, k, {om: t for om, t in groups.items() if t},
                                 width)
-        for d, a in _close_vertex(state, n, closing[n], slots, True).items():
+        for d, a in _close_vertex(state, n, closing[n], slots).items():
             _add_times_sheet(acc, a, slots.derivative(n, d), r, joining, sgn * c)
     return merge(SheetedPoly(r, 1, acc, width))
 

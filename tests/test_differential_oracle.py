@@ -4,31 +4,60 @@
 in the graph's own labels: one of each mirror pair at twice the
 coefficient, no leaf splits or stick leaves, and no split isolating an edge
 between two vertices of valence >= 3.  The oracle sums the bracket raw:
-every term of ``insert_terms`` canonicalized on its own, with none of the
-orbit weighting ``insert`` and ``bracket`` use.  They must give the same
+every insertion term, built from its definition by ``insertion_edges``
+and canonicalized on its own, with none of the orbit weighting or term
+generator ``insert`` and ``bracket`` use.  They must give the same
 GraphSum on graphs of every valence, isolated vertices and zero graphs
 included, on the nonzero min-valence-3 classes and every term of their d,
 and on sums mixing edge parities and rational coefficients.
+``insert_terms`` must list exactly the oracle's edge lists, in order.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from poissonflow.gracomplex import (Graph, GraphSum, as_graphsum, canonicalize,
-                                    differential, insert_terms, point,
-                                    simple_graph, stick, tetrahedron)
+from poissonflow.gracomplex import (Graph, GraphSum, canonicalize, differential,
+                                    insert_terms, point, simple_graph, stick,
+                                    tetrahedron)
+
+
+def insertion_edges(g1, g2):
+    """The edge lists of the raw insertions of g2 into g1, straight from the
+    definition: for each vertex v of g1 in turn, remove v and move the
+    labels above it down by one, put g2's vertices at n1..n1+n2-1, send
+    each end at v to a vertex of g2 (every choice, in lexicographic order
+    over g1's edges), and list g1's edges in place, then g2's."""
+    n1 = g1.n
+    for v in range(1, n1 + 1):
+        at_v = [k for k, e in enumerate(g1.edges) if v in e]
+        for targets in product(range(1, g2.n + 1), repeat=len(at_v)):
+            to = dict(zip(at_v, targets))
+            edges = []
+            for k, (a, b) in enumerate(g1.edges):
+                if k in to:
+                    other = b if a == v else a
+                    edges.append((other - (other > v), n1 - 1 + to[k]))
+                else:
+                    edges.append((a - (a > v), b - (b > v)))
+            edges += [(n1 - 1 + a, n1 - 1 + b) for a, b in g2.edges]
+            yield edges
+
+
+def summands(s):
+    """(graph, coefficient) pairs of a GraphSum, or of a Graph at 1."""
+    return ((s, 1),) if isinstance(s, Graph) else s.terms.items()
 
 
 def raw_insert(s1, s2):
     """insert(s1, s2) as the plain sum of its raw terms, each canonicalized."""
     out = GraphSum.zero()
-    for a, ca in as_graphsum(s1).terms.items():
-        for b, cb in as_graphsum(s2).terms.items():
-            for term in insert_terms(a, b):
-                out.add_term(term, ca * cb)
+    for a, ca in summands(s1):
+        for b, cb in summands(s2):
+            for edges in insertion_edges(a, b):
+                out.add_term(Graph(a.n + b.n - 1, edges), ca * cb)
     return out
 
 
@@ -36,8 +65,8 @@ def raw_bracket(s1, s2):
     """bracket(s1, s2) from raw insertion sums: insert(s1, s2) minus
     (-1)^(E_a*E_b) c_a c_b insert(b, a) over the terms of s1 and s2."""
     out = raw_insert(s1, s2)
-    for b, cb in as_graphsum(s2).terms.items():
-        for a, ca in as_graphsum(s1).terms.items():
+    for b, cb in summands(s2):
+        for a, ca in summands(s1):
             sign = 1 if a.n_edges * b.n_edges % 2 else -1
             out = out + raw_insert(b, a).scale(sign * ca * cb)
     return out
@@ -45,6 +74,17 @@ def raw_bracket(s1, s2):
 
 def oracle(s):
     return -raw_bracket(stick(), s)
+
+
+def test_insert_terms_are_the_insertions_of_the_definition():
+    # edges listed out of order, several ends at one vertex, isolated vertices
+    small = (point(), stick(), Graph(3, ((2, 3), (1, 2))), tetrahedron(),
+             Graph(3, ()), Graph(4, ((3, 4), (1, 3))), Graph(4, ((1, 2), (1, 3), (2, 3))))
+    for g1 in small:
+        for g2 in small:
+            got = [(g.n, list(g.edges)) for g in insert_terms(g1, g2)]
+            assert got == [(g1.n + g2.n - 1, edges)
+                           for edges in insertion_edges(g1, g2)], (g1, g2)
 
 
 def present(rng, n, edges):

@@ -3,8 +3,9 @@
 ``insert`` and ``bracket`` build one insertion term per symmetry orbit,
 weighted by the orbit's size, with the automorphisms the canonical-labeling
 search finds (see the ``gracomplex`` module docstring).  The oracle sums
-every raw term of ``insert_terms``, each canonicalized on its own, and
-shares no orbit code with them.  They must agree on every simple graph on
+every raw insertion term, built from the definition in
+``test_differential_oracle`` and canonicalized on its own, and shares no
+code with them.  They must agree on every simple graph on
 at most 4 vertices paired both ways with small graphs, on graphs with
 isolated vertices on either side (all of them one orbit), on sums holding
 zero terms, on sums with rational coefficients, and on the pairs the

@@ -471,10 +471,10 @@ def test_state_entering_the_last_vertex_of_a_tetrahedral_flow(monkeypatch, gamma
     sizes = []
     close = orient._close_vertex
 
-    def counted(state, k, edges, slots, fold):
-        if fold:
+    def counted(state, k, edges, slots):
+        if k == len(slots):
             sizes.append(sum(len(bucket) for bucket in state.groups.values()))
-        return close(state, k, edges, slots, fold)
+        return close(state, k, edges, slots)
 
     monkeypatch.setattr(orient, "_close_vertex", counted)
     orient.flow(gamma3, P1)

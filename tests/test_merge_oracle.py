@@ -12,7 +12,9 @@ limit.  The cases sit on both sides of the width boundaries.
 twin order as each sheet comes in and the product with entry n.
 ``relabel_oracle`` lists the (sheet, mu) odd factors, sorts them by
 (slot, mu) with a bubble sort that counts its swaps, and moves the even
-exponents field by field.
+exponents field by field.  The edge steps are checked by what they write:
+a bucket moved once and added through ``signed`` or ``derivative`` into an
+empty target must hold the oracle's moved keys at its mask and sign.
 """
 
 import random
@@ -273,11 +275,23 @@ def test_neighbour_order_against_the_brute_force():
         assert (killed >= 50) == many
 
 
+def added(pairs):
+    """The (key, c) pairs summed per key."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return out
+
+
 def check_edge_step(table, rng, r, width, sheets, slots, below):
     """One odd mask through the sheet map of an edge step: its entry against
-    the brute force, and ``terms`` against the relabelled target after a
-    derivative removes an odd factor of sheets 1..``below``.  Returns
-    whether the mask's entry is None and whether ``terms`` held where it is."""
+    the brute force, and what ``signed`` and ``derivative`` write for a
+    bucket of the mask left after a derivative removes an odd factor of
+    sheets 1..``below``: the oracle's moved keys at its mask and sign, and
+    for ``derivative`` at each field of those sheets, the moved keys lowered
+    in that field's slot and times its exponent in the source key.  Returns
+    whether the mask's entry is None and whether the writes held where it
+    is."""
     om = random_mask(rng, r, sheets)
     hit = check_table(table, rng, r, width, sheets, om, slots)
     low = om & ((1 << (below * r)) - 1)
@@ -287,9 +301,23 @@ def check_edge_step(table, rng, r, width, sheets, slots, below):
         keys = list(dict.fromkeys(random_keys(rng, r, width, sheets, 3)))
         want = relabel_oracle(r, width, sheets, slots, om ^ bit, keys)
         if want is not None:
+            mask, sgn, fevs = want
             bucket = {ev: c for c, ev in enumerate(keys, 1)}
-            assert table.terms(bucket) == [((fev, c), ev) for c, (fev, ev)
-                                           in enumerate(zip(want[2], keys), 1)]
+            moved = table.moved(bucket.items(), table.moves)
+            got = {}
+            table.signed(got, om ^ bit, moved, 1)
+            assert got == {mask: added((fev, sgn * c) for c, fev in enumerate(fevs, 1))}
+            mask_e = (1 << width) - 1
+            for s in range(1, below + 1):
+                for mu in range(r):
+                    shift = ((s - 1) * r + mu) * width
+                    one = 1 << (((slots.get(s, s) - 1) * r + mu) * width)
+                    got = {}
+                    table.derivative(got, om ^ bit, moved, bucket, 1, shift, one)
+                    assert got == {mask: added(
+                        (fev - one, sgn * e * c)
+                        for c, (fev, ev) in enumerate(zip(fevs, keys), 1)
+                        if (e := (ev >> shift) & mask_e))}
             rescued = table[om] is None
     return 1 - hit, rescued
 

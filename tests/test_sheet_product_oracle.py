@@ -69,8 +69,8 @@ def checked_last_vertex(monkeypatch):
     seen = []
     close = orient._close_vertex
 
-    def checked(state, k, edges, slots, fold):
-        if fold:
+    def checked(state, k, edges, slots):
+        if k == len(slots):
             first = edges[0][0] if edges else k
             block = state.nvars * state.width
             odd = ((1 << ((first - 1) * state.nvars)) - 1) >> state.nvars << state.nvars
@@ -79,7 +79,7 @@ def checked_last_vertex(monkeypatch):
                 assert not om & odd, (k, edges, om)
                 assert not any(ev & even for ev in bucket), (k, edges, om)
             seen.append((first, sum(map(len, state.groups.values()))))
-        return close(state, k, edges, slots, fold)
+        return close(state, k, edges, slots)
 
     monkeypatch.setattr(orient, "_close_vertex", checked)
     return seen

@@ -135,9 +135,9 @@ def entering(monkeypatch):
     sizes = {}
     close = orient._close_vertex
 
-    def counted(state, k, edges, slots, fold):
+    def counted(state, k, edges, slots):
         sizes[k] = sum(len(bucket) for bucket in state.groups.values())
-        return close(state, k, edges, slots, fold)
+        return close(state, k, edges, slots)
 
     monkeypatch.setattr(orient, "_close_vertex", counted)
     return sizes
@@ -185,9 +185,9 @@ def test_neighbours_of_the_last_vertex_arrive_sorted(monkeypatch, gamma3, P1, P2
     checked = 0
     close = orient._close_vertex
 
-    def check(state, k, edges, slots, fold):
+    def check(state, k, edges, slots):
         nonlocal checked
-        if fold:
+        if k == len(slots):
             r, mask_r = state.nvars, (1 << state.nvars) - 1
             classes = {}
             for i, _ in edges:
@@ -197,7 +197,7 @@ def test_neighbours_of_the_last_vertex_arrive_sorted(monkeypatch, gamma3, P1, P2
                     blocks = [(om >> ((s - 1) * r)) & mask_r for s in sheets]
                     assert blocks == sorted(blocks), (k, edges, sheets, om)
                 checked += 1
-        return close(state, k, edges, slots, fold)
+        return close(state, k, edges, slots)
 
     monkeypatch.setattr(orient, "_close_vertex", check)
     orient.flow(gamma3, P1)

@@ -13,7 +13,15 @@ bracket formula, with its signs from the ``multivec`` sign ledger, gives
 
 so ``assemble`` builds the r bivectors d/dx^i(P) and the r^2 bivectors
 xi_i ^ (d/dxi_k>P) once and makes every column from monomial shifts of
-them, with no bracket per unknown.
+them, with no bracket per unknown.  It shifts packed codes, not tuples:
+each (component, monomial) pair is one int, the r exponents in fields of
+w = max(1, out_deg.bit_length()) bits with the component's number above
+them, where out_deg is the coefficient degree of [[Y,P]].  Every row
+monomial, and every table term shifted by x^a or x^(a-e_k), has total
+degree out_deg < 2^w, so no field carries into the next, and a shift is
+one int add of the code of a or of a - e_k.  The row grid, right-hand side
+and labels come from ``multivector_columns_system``, the one builder of a
+system from multivector terms.
 
 Rows are sparse from assembly to elimination: ``{col: coeff}`` over the
 nonzero entries.  The assembled systems are 1-2.5% dense, so a reduction
@@ -44,13 +52,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd, lcm
-from operator import add
 
 from .errors import DimensionError, PreconditionError
-from .multivec import Multivector, _x_partial, _xi_left, schouten, wedge
+from .multivec import (Multivector, _merge_indices, _x_partial, _xi_left,
+                       schouten)
 from .ratpoly import (ANY_DEGREE, MAX_MONOMIALS, Poly, _check_int,
-                      _coefficient, _number_text, common_degree, ratnorm)
+                      _coefficient, _is_int, _number_text, common_degree,
+                      ratnorm)
 
 
 def _monomial_count(nvars: int, degree: int) -> int:
@@ -166,10 +176,12 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
     cols = set(range(ncols))
     rows = []
     for row, b, label in zip(matrix, rhs, row_labels):
-        if not row.keys() <= cols:
-            bad = [c for c in row if c not in cols]
-            raise DimensionError("solve_raw: column %r in a system of %d unknowns"
-                                 % (bad[0], ncols))
+        # True == 1 and 0.0 == 0: the range test alone lets bools and floats in
+        if not (row.keys() <= cols and set(map(type, row)) <= {int}):
+            bad = [c for c in row if not _is_int(c) or c not in cols]
+            if bad:
+                raise DimensionError("solve_raw: column %r in a system of %d unknowns"
+                                     % (bad[0], ncols))
         types = set(map(type, row.values()))
         types.add(type(b))
         if types != {int}:
@@ -179,7 +191,10 @@ def solve_raw(matrix, rhs, row_labels=None, ncols=None) -> RawSolution:
             m = lcm(b.denominator, *[x.denominator for x in row.values()])
             row = {c: int(x * m) for c, x in row.items()}
             b = int(b * m)
-        entries = {c: x for c, x in row.items() if x}
+        if all(row.values()):
+            entries = dict(row)
+        else:
+            entries = {c: x for c, x in row.items() if x}
         if b:
             entries[ncols] = b
         if entries:
@@ -271,14 +286,18 @@ def multivector_columns_system(columns, target: Multivector, row_labels=None):
         row_labels = sorted(support)
     index = {lab: k for k, lab in enumerate(row_labels)}
     rows = [{} for _ in row_labels]
-    for c, mv in enumerate(columns):
-        for idx, poly in mv.components.items():
-            for exps, coeff in poly.terms.items():
-                rows[index[(idx, exps)]][c] = coeff
     rhs = [0] * len(row_labels)
-    for idx, poly in target.components.items():
-        for exps, coeff in poly.terms.items():
-            rhs[index[(idx, exps)]] = coeff
+    try:
+        for c, mv in enumerate(columns):
+            for idx, poly in mv.components.items():
+                for exps, coeff in poly.terms.items():
+                    rows[index[(idx, exps)]][c] = coeff
+        for idx, poly in target.components.items():
+            for exps, coeff in poly.terms.items():
+                rhs[index[(idx, exps)]] = coeff
+    except KeyError as missing:
+        raise DimensionError("multivector_columns_system: the row labels miss "
+                             "the term %r" % (missing.args[0],)) from None
     return rows, rhs, row_labels, len(columns)
 
 
@@ -392,12 +411,6 @@ def default_degree(q: Multivector, p: Multivector) -> int:
     return dq - dp + 1
 
 
-def _terms(mv: Multivector):
-    """The (index tuple, exponents, coefficient) terms of a multivector."""
-    return [(idx, exps, c) for idx, poly in mv.components.items()
-            for exps, c in poly.terms.items()]
-
-
 def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
     """Linear system whose solutions Y satisfy [[Y,P]] = Q.
 
@@ -413,13 +426,14 @@ def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
     1-tuple, sign (-1)^(1-1-0) = +1, and the scalar x^a wedges without a
     sign, so the first term is unsigned; in the second, d/dx^k(x^a xi_i) =
     a_k x^(a-e_k) xi_i keeps xi_i in front, so the ledger's left derivative
-    d/dxi_k>P and its wedge with xi_i carry every remaining sign.  Both
+    d/dxi_k>P and its merge with xi_i carry every remaining sign.  Both
     tables, the r bivectors d/dx^i(P) and the r^2 bivectors
-    xi_i ^ (d/dxi_k>P), are built once with the ``multivec`` operators
-    ``_x_partial``, ``_xi_left`` and ``wedge``.  Each column is then a few
-    monomial shifts of them, written into the rows with cancelled entries
-    dropped.  For P = 0 the tables are empty, every column is zero and the
-    rows are the terms of Q, so the system is solvable exactly when Q = 0.
+    xi_i ^ (d/dxi_k>P), are built once, with ``_x_partial``, ``_xi_left``
+    and ``_merge_indices``, and packed by ``_packer``: an entry of the
+    column of x^a xi_i sits at the row whose code is a term's code plus the
+    code of a, or of a - e_k.  Entries that cancel are dropped.  For P = 0
+    the tables are empty, every column is zero and the rows are the terms
+    of Q, so the system is solvable exactly when Q = 0.
     """
     if q.nvars != p.nvars or q.nvars != spec.nvars:
         raise DimensionError("dimension mismatch between Q, P and the ansatz")
@@ -429,44 +443,86 @@ def assemble(q: Multivector, p: Multivector, spec: AnsatzSpec) -> AnsatzSystem:
         raise PreconditionError("Q must be a bivector")
     r = spec.nvars
     if p.is_zero():
-        grid = None
-    else:
-        out_deg = spec.degree + _homdeg(p, "Poisson bivector") - 1
-        if not q.is_zero():
-            dq = _homdeg(q, "target bivector")
-            if dq != out_deg:
-                raise PreconditionError(
-                    "structurally empty system: [[Y,P]] has coefficient degree "
-                    "%d but Q has degree %d" % (out_deg, dq))
-        _bound(comb(r, 2) * _monomial_count(r, out_deg),
-               "coefficients of a degree-%d bivector over %d variables"
-               % (out_deg, r))
-        comps = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-        monos = monomials(r, out_deg)
-        grid = [(c, m) for c in comps for m in monos]
+        matrix, rhs, row_labels, _ = multivector_columns_system([], q)
+        return AnsatzSystem(matrix, rhs, row_labels, spec.basis(), spec)
+    out_deg = spec.degree + _homdeg(p, "Poisson bivector") - 1
+    if not q.is_zero():
+        dq = _homdeg(q, "target bivector")
+        if dq != out_deg:
+            raise PreconditionError(
+                "structurally empty system: [[Y,P]] has coefficient degree "
+                "%d but Q has degree %d" % (out_deg, dq))
+    _bound(comb(r, 2) * _monomial_count(r, out_deg),
+           "coefficients of a degree-%d bivector over %d variables"
+           % (out_deg, r))
+    comps = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    monos = monomials(r, out_deg)
     basis = spec.basis()
-    matrix, rhs, row_labels, _ = multivector_columns_system([], q, grid)
-    index = {lab: k for k, lab in enumerate(row_labels)}
-    xi = [Multivector._raw(r, {(i,): Poly.constant(r, 1)}) for i in range(1, r + 1)]
-    dx = [_terms(_x_partial(p, i)) for i in range(1, r + 1)]
+    matrix, rhs, row_labels, _ = multivector_columns_system(
+        [], q, list(product(comps, monos)))
+    pack, offset = _packer(r, out_deg, comps)
+    index = {offset[c] + m: k for k, (c, m) in
+             enumerate(product(comps, map(pack, monos)))}
+    dx = [_coded_terms(_x_partial(p, i), pack, offset) for i in range(1, r + 1)]
     left = [_xi_left(p, k) for k in range(1, r + 1)]
-    dxi = [[_terms(wedge(x, lk)) for lk in left] for x in xi]
+    dxi = [[_coded_terms(_xi_wedge(i, lk), pack, offset) for lk in left]
+           for i in range(1, r + 1)]
+    units = [pack(e) for e in monomials(r, 1)]
     for col, (i, a) in enumerate(basis):
         entries = {}
-        for idx, exps, c in dx[i - 1]:
-            key = (idx, tuple(map(add, exps, a)))
+        base = pack(a)
+        for key, c in dx[i - 1]:
+            key += base
             entries[key] = entries.get(key, 0) + c
         for k, ak in enumerate(a):
             if not ak:
                 continue
-            shift = a[:k] + (ak - 1,) + a[k + 1:]
-            for idx, exps, c in dxi[i - 1][k]:
-                key = (idx, tuple(map(add, exps, shift)))
+            shift = base - units[k]
+            for key, c in dxi[i - 1][k]:
+                key += shift
                 entries[key] = entries.get(key, 0) - ak * c
         for key, c in entries.items():
             if c:
-                matrix[index[key]][col] = ratnorm(c)
+                matrix[index[key]][col] = c if type(c) is int else ratnorm(c)
     return AnsatzSystem(matrix, rhs, row_labels, basis, spec)
+
+
+def _packer(r: int, out_deg: int, comps):
+    """(pack, offset) for one ``assemble`` call: ``pack(exps)`` puts the r
+    exponents in fields of w = max(1, out_deg.bit_length()) bits, x1
+    highest, and a term (idx, exps) has the code ``offset[idx] +
+    pack(exps)``, the position of ``idx`` in ``comps`` above the fields.
+    ``pack`` is linear, so a code plus ``pack(a)``, or ``pack(a) -
+    pack(e_k)``, is the code of the shifted term; the module docstring says
+    why no field carries.
+    """
+    w = max(1, out_deg.bit_length())
+
+    def pack(exps):
+        v = 0
+        for e in exps:
+            v = (v << w) + e
+        return v
+
+    return pack, {c: n << (w * r) for n, c in enumerate(comps)}
+
+
+def _coded_terms(mv: Multivector, pack, offset):
+    """The (code, coefficient) terms of a bivector, coded by ``_packer``."""
+    return [(offset[idx] + pack(exps), c) for idx, poly in mv.components.items()
+            for exps, c in poly.terms.items()]
+
+
+def _xi_wedge(i: int, mv: Multivector) -> Multivector:
+    """xi_i ^ mv for a 1-vector mv: each xi_j moves to ``_merge_indices``'s
+    sorted pair with its sign, and j = i drops out.  This is ``wedge`` with
+    a constant coefficient 1, without its polynomial products."""
+    out = {}
+    for idx, poly in mv.components.items():
+        merged = _merge_indices((i,), idx)
+        if merged:
+            out[merged[0]] = poly if merged[1] > 0 else -poly
+    return Multivector._raw(mv.nvars, out)
 
 
 def solve(sys: AnsatzSystem) -> Solution:

@@ -36,6 +36,8 @@ MAX_MONOMIALS = 1_000_000
 
 def ratnorm(c):
     """Collapse a Fraction with unit denominator to a plain int."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c

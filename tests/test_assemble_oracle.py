@@ -100,3 +100,52 @@ def test_assemble_over_the_zero_bivector_with_nonzero_target():
     assert sol.status == "infeasible"
     idx, exps = sol.witness
     assert q.component(idx).terms[exps]
+
+
+# -- the edges of the packed codes' field width ---------------------------------
+#
+# ``assemble`` packs each exponent into a field of out_deg.bit_length() bits
+# (at least one), so the widest exponents and the output degrees next to a
+# power of two are where a field one bit too narrow would carry into its
+# neighbour.  Over two variables the codes of one total degree stay distinct
+# at any width, so only the cases over three can catch a narrow field.
+
+
+@pytest.mark.parametrize("r, text", [
+    pytest.param(2, "(x1^300*x2) xi1 xi2", id="R2"),
+    pytest.param(3, "(x1^300*x2) xi1 xi2", id="R3"),
+    pytest.param(3, "(x1*x3^300) xi1 xi2 + (x2^299*x3^2) xi2 xi3", id="R3-x3"),
+])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_assemble_with_an_exponent_past_a_byte(r, text, degree):
+    p = parse_multivector(text, r)
+    spec = AnsatzSpec(r, degree)
+    q = schouten(seeded_field(random.Random(degree), spec), p)
+    got = assert_same_system(q, p, spec)
+    assert max(max(exps) for _, exps in got.row_labels) >= 300
+    assert any(got.matrix)
+
+
+WIDTH_EDGE_BRACKETS = {
+    2: ("(3) xi1 xi2", "(x1 - 2*x2) xi1 xi2", "(x1*x2 + x2^2) xi1 xi2"),
+    3: ("(1) xi1 xi2 + (2) xi2 xi3",
+        "(x3) xi1 xi2 + (x1 - x2) xi1 xi3 + (x2) xi2 xi3",
+        "(x1*x2) xi1 xi2 + (-x3^2) xi1 xi3 + (x1*x3 + x2^2) xi2 xi3"),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("out_deg", [0, 1, 2, 3, 4, 7, 8, 15, 16])
+def test_assemble_at_output_degrees_next_to_a_power_of_two(r, out_deg):
+    for text in WIDTH_EDGE_BRACKETS[r]:
+        p = parse_multivector(text, r)
+        deg_p = next(iter(p.components.values())).is_homogeneous()
+        degree = out_deg - deg_p + 1
+        if degree < 0:
+            continue
+        spec = AnsatzSpec(r, degree)
+        q = schouten(seeded_field(random.Random(out_deg), spec), p)
+        got = assert_same_system(q, p, spec)
+        if out_deg:
+            assert ((1, 2), (out_deg,) + (0,) * (r - 1)) in got.row_labels
+        assert any(got.matrix)

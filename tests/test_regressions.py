@@ -322,6 +322,22 @@ def test_system_without_equations_keeps_its_unknowns():
     assert raw.kernel == [sparse([1, 0]), sparse([0, 1])]
 
 
+def test_row_labels_that_miss_a_term_name_it():
+    # the labels must cover every term of the columns and of the target
+    column = parse_multivector("(x1^2) xi1 xi2 + (x1*x2) xi1 xi2", 2)
+    target = parse_multivector("(x1*x2) xi1 xi2 + (3*x2^2) xi1 xi2", 2)
+    labels = [((1, 2), (2, 0)), ((1, 2), (0, 2))]
+    with pytest.raises(DimensionError,
+                       match=r"miss the term \(\(1, 2\), \(1, 1\)\)"):
+        multivector_columns_system([column], Multivector.zero(2), labels)
+    with pytest.raises(DimensionError,
+                       match=r"miss the term \(\(1, 2\), \(1, 1\)\)"):
+        multivector_columns_system([], target, labels)
+    rows, rhs, _, _ = multivector_columns_system(
+        [column], target, labels + [((1, 2), (1, 1))])
+    assert rows == [{0: 1}, {}, {0: 1}] and rhs == [0, 3, 1]
+
+
 def test_solve_raw_rejects_a_row_wider_than_its_unknowns():
     # key ncols holds the right-hand side inside solve_raw: {2: 5} in a
     # system of 2 unknowns must not be read as x0 = 5

@@ -509,6 +509,12 @@ def test_every_row_is_checked_before_elimination():
         solve_raw([{0: 1}, {0: 1}, {2: 1}], [0, 1, 0], ncols=2)
     with pytest.raises(TypeError, match="coefficient of type float"):
         solve_raw([{0: 1}, {0: 1}, {1: 0.5}], [0, 1, 0], ncols=2)
+    # True == 1 and 0.0 == 0, yet a bool or float key is no column; the
+    # first row, 0 = 1, is not eliminated before the second is checked
+    for key, ncols in ((True, 2), (False, 1), (0.0, 1), (1.0, 2)):
+        with pytest.raises(DimensionError, match=r"column %r in a system of %d "
+                           "unknowns" % (key, ncols)):
+            solve_raw([{}, {key: 1}], [1, 1], ncols=ncols)
 
 
 # -- assembled coboundary systems -------------------------------------------------
